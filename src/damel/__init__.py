@@ -58,6 +58,7 @@ from .model import (
     DamelModel,
     ForwardOutput,
     forward_auxiliary,
+    forward_backbone,
     forward_experts,
     init_model,
     predict,
@@ -69,7 +70,6 @@ from .tensor import (
     backward,
     batch_norm,
     detach,
-    forward_op,
     l2_normalize,
     softmax_cross_entropy,
 )

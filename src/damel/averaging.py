@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .model import DamelModel, forward_experts
+from .model import DamelModel, forward_backbone
 
 
 @dataclass
@@ -110,7 +110,8 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     One dataset pass per norm layer: earlier layers already run in eval mode
     with their final statistics, so the accumulated mean/variance are exact
     population statistics of each layer's true eval-time input, and the
-    result is identical for any chunking of the pass.
+    result is identical for any chunking of the pass. The norm layers live
+    in the backbone, so each pass runs only the backbone.
     """
     if not model.norm_states:
         return model
@@ -125,6 +126,6 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
         state = model.norm_states[name]
         state.begin_accumulation()
         for start in range(0, n, step):
-            forward_experts(model, features[start:start + step], mode="eval")
+            forward_backbone(model, features[start:start + step], mode="eval")
         state.finish_accumulation()
     return model

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,12 +24,17 @@ GROUP_NAMES = ("many", "medium", "few")
 
 @dataclass
 class EvalReport:
-    """Overall/group accuracy plus the full confusion matrix."""
+    """Overall/group accuracy plus the full confusion matrix.
+
+    ``predictions`` keeps the per-sample class indices the report was built
+    from (None when rebuilt from JSON); they are not serialized.
+    """
 
     overall_acc: float
     group_acc: dict
     test_size: int
     confusion: np.ndarray
+    predictions: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -72,15 +77,12 @@ def evaluate(model: DamelModel, test_ds: Dataset, partition: GroupPartition) -> 
         else:
             correct = int(confusion[classes, classes].sum())
             group_acc[name] = correct / group_total
-    return EvalReport(overall, group_acc, total, confusion)
+    return EvalReport(overall, group_acc, total, confusion, preds)
 
 
 def one_hot_predictions(model: DamelModel, test_ds: Dataset) -> np.ndarray:
     """[M, L] indicator matrix of the model's predictions."""
-    preds = predict(model, test_ds.features)
-    out = np.zeros((len(test_ds), model.config.num_classes))
-    out[np.arange(len(test_ds)), preds] = 1.0
-    return out
+    return labels_one_hot(predict(model, test_ds.features), model.config.num_classes)
 
 
 def labels_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

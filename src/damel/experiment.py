@@ -47,7 +47,6 @@ from .evaluation import (
     bias_variance_decompose,
     evaluate,
     labels_one_hot,
-    one_hot_predictions,
 )
 from .model import DamelConfig, init_model
 from .training import TrainConfig, make_avg_state, train
@@ -279,21 +278,38 @@ def save_checkpoint(path, config_dict: dict, trained: np.ndarray, averaged: Opti
 
 
 def load_checkpoint(path):
-    """Returns (config_dict, trained, averaged-or-None)."""
+    """Returns (config_dict, trained, averaged-or-None).
+
+    The file must be exactly header + 8 * count bytes of trained weights,
+    optionally followed by as many averaged weights; anything else (a
+    truncated file, trailing bytes) is a ConfigError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: bad checkpoint magic {raw[:8]!r}")
-    (json_len,) = struct.unpack("<I", raw[8:12])
-    config_dict = json.loads(raw[12:12 + json_len].decode())
-    offset = 12 + json_len
-    (count,) = struct.unpack("<Q", raw[offset:offset + 8])
-    offset += 8
+    if len(raw) < 12:
+        raise ConfigError(f"{path}: truncated checkpoint header")
+    (json_len,) = struct.unpack_from("<I", raw, 8)
+    offset = 12 + json_len + 8
+    if len(raw) < offset:
+        raise ConfigError(f"{path}: truncated checkpoint header")
+    try:
+        config_dict = json.loads(raw[12:12 + json_len].decode())
+    except ValueError as err:
+        raise ConfigError(f"{path}: checkpoint config is not valid JSON ({err})") from None
+    (count,) = struct.unpack_from("<Q", raw, offset - 8)
+    payload = len(raw) - offset
+    if payload not in (8 * count, 16 * count):
+        raise ConfigError(
+            f"{path}: checkpoint holds {payload} weight bytes, expected {8 * count} or "
+            f"{16 * count} for {count} parameters"
+        )
     trained = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
-    offset += 8 * count
     averaged = None
-    if offset < len(raw):
-        averaged = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
+    if payload == 16 * count and count:
+        averaged = np.frombuffer(raw, dtype="<f8", count=count,
+                                 offset=offset + 8 * count).astype(np.float64)
     return config_dict, trained, averaged
 
 
@@ -364,7 +380,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         eval_model.unflatten(eval_weights)
         recompute_running_stats(eval_model, train_ds)
         report = evaluate(eval_model, test_ds, partition)
-        onehot = one_hot_predictions(eval_model, test_ds)
+        onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
 
         record = RunRecord(
             config_hash=config_hash(cfg),

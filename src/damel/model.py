@@ -7,6 +7,11 @@ consumes the gradient-detached, re-normalized concatenation of all expert
 representations and is the sole prediction path at test time, except for the
 aggregate_predictions baseline which averages per-expert softmaxes instead.
 
+``forward_backbone`` is the shared trunk alone: the whole forward a
+norm-statistics pass needs. ``forward_experts`` adds the expert blocks and
+their cosine heads; ``predict`` skips those heads when the auxiliary head
+makes the prediction.
+
 Variants:
   standard                concatenated detached representations -> aux head
   aggregate_predictions   no aux head; predict via mean expert softmax
@@ -195,8 +200,13 @@ def param_group(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
-    """Backbone + expert blocks; cosine logits per expert, softmax left to the loss."""
+def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> Tensor:
+    """Shared backbone: two affine(+norm)+relu layers, [B, input_dim] -> [B, hidden_dim].
+
+    Sets every norm layer that is not accumulating to ``mode``. It is the
+    whole forward a norm-statistics pass needs, since the norm layers live
+    only here.
+    """
     if mode not in ("train", "eval"):
         raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
     cfg = model.config
@@ -221,19 +231,31 @@ def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[
     if cfg.use_norm_layers:
         h = batch_norm(h, model.norm_states["backbone.bn2"],
                        p["backbone.bn2.gamma"], p["backbone.bn2.beta"], BN_MOMENTUM)
-    h = relu(h)
+    return relu(h)
 
-    expert_logits, normalized_reps = [], []
+
+def _expert_reps(model: DamelModel, h: Tensor, p: dict) -> list:
+    """Unit-row representation of each expert block over backbone features."""
+    cfg = model.config
+    reps = []
     for k in range(cfg.num_experts):
         z = matmul(h, p[f"expert{k}.w"])
         if cfg.use_bias:
             z = z + p[f"expert{k}.b"]
-        z = relu(z)
-        z_unit = l2_normalize(z, axis=1)
-        cls_unit = l2_normalize(p[f"expert{k}.cls"], axis=0)
-        expert_logits.append(cfg.scale * matmul(z_unit, cls_unit))
-        normalized_reps.append(z_unit)
-    return ForwardOutput(expert_logits=expert_logits, normalized_reps=normalized_reps)
+        reps.append(l2_normalize(relu(z), axis=1))
+    return reps
+
+
+def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
+    """Backbone + expert blocks; cosine logits per expert, softmax left to the loss."""
+    p = params if params is not None else constant_params(model)
+    reps = _expert_reps(model, forward_backbone(model, x, mode=mode, params=p), p)
+    scale = model.config.scale
+    expert_logits = [
+        scale * matmul(z_unit, l2_normalize(p[f"expert{k}.cls"], axis=0))
+        for k, z_unit in enumerate(reps)
+    ]
+    return ForwardOutput(expert_logits=expert_logits, normalized_reps=reps)
 
 
 def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[dict] = None) -> Optional[Tensor]:
@@ -283,9 +305,16 @@ def _softmax_rows(values: np.ndarray) -> np.ndarray:
 
 
 def predict(model: DamelModel, x) -> np.ndarray:
-    """Class indices in eval mode; ties resolve to the lowest index."""
-    out = full_forward(model, x, mode="eval")
+    """Class indices in eval mode; ties resolve to the lowest index.
+
+    Variants with an auxiliary head skip the expert cosine heads, whose
+    logits that head never reads.
+    """
     if model.config.variant == "aggregate_predictions":
+        out = forward_experts(model, x, mode="eval")
         probs = np.mean([_softmax_rows(l.values) for l in out.expert_logits], axis=0)
         return probs.argmax(axis=1)
-    return out.aux_logits.values.argmax(axis=1)
+    p = constant_params(model)
+    reps = _expert_reps(model, forward_backbone(model, x, mode="eval", params=p), p)
+    out = ForwardOutput(expert_logits=[], normalized_reps=reps)
+    return forward_auxiliary(model, out, params=p).values.argmax(axis=1)

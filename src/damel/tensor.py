@@ -8,11 +8,20 @@ Elementwise ops allow only exact shape matches, scalars, and trailing-axis
 A Tape is rebuilt per forward pass. Nodes are appended in execution order, so
 insertion order is a topological order and backward() is a single reverse
 sweep. Tensors and the tape they link to are confined to one thread.
+
+Forward ops compute only their output; whatever only the adjoint needs (the
+relu mask, the l2_normalize dead-slice mask) is built inside the backward
+closure, so forward-only passes never pay for it. Closures capture arrays and
+shapes, never Tensors, so the only reference cycle a tape takes part in runs
+through its leaves; ``Tape.release`` breaks it, and the tape and every saved
+activation are then freed as soon as the caller drops its last Tensor.
+An op whose inputs are all detached records no node: nothing upstream of it
+can receive a gradient through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,6 +93,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}{link})"
 
 
+def _new(values, tape: Optional["Tape"] = None, tape_id: Optional[int] = None) -> Tensor:
+    """Tensor over a float64 value an op just computed, without re-wrapping it.
+
+    Elementwise ops on two 0-d arrays yield a numpy scalar; only that case
+    needs wrapping back into an array.
+    """
+    t = Tensor.__new__(Tensor)
+    t.values = values if type(values) is np.ndarray else np.asarray(values, dtype=np.float64)
+    t.grad = None
+    t.tape = tape
+    t.tape_id = tape_id
+    return t
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -93,7 +116,7 @@ def _wrap(x) -> Tensor:
 BackwardFn = Callable[[Array], tuple]
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeNode:
     op_kind: str
     input_ids: tuple
@@ -118,21 +141,58 @@ class Tape:
     def leaf(self, values) -> Tensor:
         """Register ``values`` as a differentiable leaf (parameter or input)."""
         arr = values.values if isinstance(values, Tensor) else _as_array(values)
-        node_id = self._append("leaf", (), None)
-        t = Tensor(arr, self, node_id)
-        self._leaves[node_id] = t
+        t = _new(arr, self, self._append("leaf", (), None))
+        self._leaves[t.tape_id] = t
         return t
 
-    def leaf_ids(self) -> tuple:
-        return tuple(self._leaves.keys())
+    def release(self) -> None:
+        """Drop every node and leaf once the graph is no longer needed.
 
-    def _append(self, op_kind: str, input_ids: Sequence[int], backward_fn) -> int:
-        self.nodes.append(TapeNode(op_kind, tuple(input_ids), backward_fn))
-        return len(self.nodes) - 1
+        Leaves point back at their tape, so without this the tape and all
+        the activations its closures saved wait for the cyclic collector.
+        """
+        self.nodes = []
+        self._leaves = {}
+
+    def _append(self, op_kind: str, input_ids: tuple, backward_fn) -> int:
+        nodes = self.nodes
+        nodes.append(TapeNode(op_kind, input_ids, backward_fn))
+        return len(nodes) - 1
+
+
+def _record1(op_kind: str, x: Tensor, out_values, backward_fn: BackwardFn) -> Tensor:
+    """Record a one-input op; ``backward_fn`` returns a 1-tuple."""
+    tape = x.tape
+    if tape is None:
+        return _new(out_values)
+    if x.tape_id is None:
+        return _new(out_values, tape)
+    return _new(out_values, tape, tape._append(op_kind, (x.tape_id,), backward_fn))
+
+
+def _record2(op_kind: str, a: Tensor, b: Tensor, out_values, ga, gb) -> Tensor:
+    """Record a two-input op; ``ga``/``gb`` map the adjoint to each input's gradient."""
+    tape = a.tape
+    if tape is None:
+        tape = b.tape
+        if tape is None:
+            return _new(out_values)
+    elif b.tape is not None and b.tape is not tape:
+        raise ContractError(f"{op_kind}: operands belong to different tapes")
+    ia, ib = a.tape_id, b.tape_id
+    if ia is None:
+        if ib is None:
+            return _new(out_values, tape)
+        node_id = tape._append(op_kind, (ib,), lambda g: (gb(g),))
+    elif ib is None:
+        node_id = tape._append(op_kind, (ia,), lambda g: (ga(g),))
+    else:
+        node_id = tape._append(op_kind, (ia, ib), lambda g: (ga(g), gb(g)))
+    return _new(out_values, tape, node_id)
 
 
 def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, grad_fns) -> Tensor:
-    """Record one op on the (single) tape its inputs live on, if any.
+    """Record one op with any number of inputs on the (single) tape they live on.
 
     Detached tensors keep tape provenance but no node id; they anchor the
     result to the tape without contributing a gradient path.
@@ -145,16 +205,16 @@ def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, grad_fns)
             elif tape is not t.tape:
                 raise ContractError(f"{op_kind}: operands belong to different tapes")
     if tape is None:
-        return Tensor(out_values)
-    linked = [(t.tape_id, fn) for t, fn in zip(inputs, grad_fns) if t.tape_id is not None]
-    input_ids = tuple(i for i, _ in linked)
-    fns = tuple(fn for _, fn in linked)
+        return _new(out_values)
+    input_ids = tuple(t.tape_id for t in inputs if t.tape_id is not None)
+    if not input_ids:
+        return _new(out_values, tape)
+    fns = [fn for t, fn in zip(inputs, grad_fns) if t.tape_id is not None]
 
     def backward_fn(gout: Array) -> tuple:
-        return tuple(fn(gout) for fn in fns)
+        return tuple([fn(gout) for fn in fns])
 
-    node_id = tape._append(op_kind, input_ids, backward_fn)
-    return Tensor(out_values, tape, node_id)
+    return _new(out_values, tape, tape._append(op_kind, input_ids, backward_fn))
 
 
 def backward(loss: Tensor) -> dict:
@@ -169,15 +229,18 @@ def backward(loss: Tensor) -> dict:
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
+    nodes = tape.nodes
     # A loss that is itself detached has no node; every leaf gets zeros.
     start = loss.tape_id if loss.tape_id is not None else -1
     adjoint: dict[int, Array] = {} if start < 0 else {start: np.ones_like(loss.values)}
     for node_id in range(start, -1, -1):
-        gout = adjoint.get(node_id)
-        if gout is None:
-            continue
-        node = tape.nodes[node_id]
+        node = nodes[node_id]
         if node.backward_fn is None:
+            continue
+        # An op's adjoint is complete once the sweep reaches it; only leaf
+        # adjoints are read after the sweep.
+        gout = adjoint.pop(node_id, None)
+        if gout is None:
             continue
         for input_id, g in zip(node.input_ids, node.backward_fn(gout)):
             if g is None:
@@ -221,50 +284,41 @@ def _reduce_to(g: Array, shape: tuple) -> Array:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_elementwise("add", a.shape, b.shape)
-    out = a.values + b.values
-    return _record(
-        "add",
-        (a, b),
-        out,
-        (lambda g: _reduce_to(g, a.shape), lambda g: _reduce_to(g, b.shape)),
+    sa, sb = a.values.shape, b.values.shape
+    _check_elementwise("add", sa, sb)
+    return _record2(
+        "add", a, b, a.values + b.values,
+        lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_elementwise("mul", a.shape, b.shape)
-    out = a.values * b.values
     av, bv = a.values, b.values
-    return _record(
-        "mul",
-        (a, b),
-        out,
-        (lambda g: _reduce_to(g * bv, a.shape), lambda g: _reduce_to(g * av, b.shape)),
+    sa, sb = av.shape, bv.shape
+    _check_elementwise("mul", sa, sb)
+    return _record2(
+        "mul", a, b, av * bv,
+        lambda g: _reduce_to(g * bv, sa), lambda g: _reduce_to(g * av, sb),
     )
 
 
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: requires 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
-    out = a.values @ b.values
     av, bv = a.values, b.values
-    return _record(
-        "matmul",
-        (a, b),
-        out,
-        (lambda g: g @ bv.T, lambda g: av.T @ g),
-    )
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ShapeError(f"matmul: requires 2-D operands, got {av.shape} and {bv.shape}")
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ for {av.shape} and {bv.shape}")
+    return _record2("matmul", a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def relu(x) -> Tensor:
     x = _wrap(x)
-    mask = x.values > 0
-    out = np.where(mask, x.values, 0.0)
-    return _record("relu", (x,), out, (lambda g: g * mask,))
+    # fmax(v, 0) is bit-identical to where(v > 0, v, 0) (-0.0, NaN and inf
+    # included) and much faster; out > 0 exactly where v > 0.
+    out = np.fmax(x.values, 0.0)
+    return _record1("relu", x, out, lambda g: (g * (out > 0),))
 
 
 def concat_last_axis(tensors: Sequence[Tensor]) -> Tensor:
@@ -293,17 +347,15 @@ def concat_last_axis(tensors: Sequence[Tensor]) -> Tensor:
 
 def reduce_mean(x) -> Tensor:
     x = _wrap(x)
-    out = np.asarray(x.values.mean())
-    n = x.size
-    shape = x.shape
-    return _record("mean", (x,), out, (lambda g: np.full(shape, float(g) / n),))
+    n, shape = x.values.size, x.values.shape
+    return _record1("mean", x, np.asarray(x.values.mean()),
+                    lambda g: (np.full(shape, float(g) / n),))
 
 
 def reduce_sum(x) -> Tensor:
     x = _wrap(x)
-    out = np.asarray(x.values.sum())
-    shape = x.shape
-    return _record("sum", (x,), out, (lambda g: np.full(shape, float(g)),))
+    shape = x.values.shape
+    return _record1("sum", x, np.asarray(x.values.sum()), lambda g: (np.full(shape, float(g)),))
 
 
 def detach(x) -> Tensor:
@@ -313,30 +365,7 @@ def detach(x) -> Tensor:
     still resolve against the tape's leaves (with exact zero gradients).
     """
     x = _wrap(x)
-    return Tensor(x.values, tape=x.tape, tape_id=None)
-
-
-_FORWARD_OPS = {
-    "matmul": (matmul, 2),
-    "add": (add, 2),
-    "mul": (mul, 2),
-    "relu": (relu, 1),
-    "concat_last_axis": (concat_last_axis, None),
-    "mean": (reduce_mean, 1),
-    "sum": (reduce_sum, 1),
-}
-
-
-def forward_op(op_kind: str, inputs: Sequence[Tensor]) -> Tensor:
-    """Dispatch one of the closed op kinds over ``inputs``."""
-    if op_kind not in _FORWARD_OPS:
-        raise ContractError(f"forward_op: unknown op kind {op_kind!r}")
-    fn, arity = _FORWARD_OPS[op_kind]
-    if arity is None:
-        return fn(list(inputs))
-    if len(inputs) != arity:
-        raise ContractError(f"forward_op: {op_kind} takes {arity} inputs, got {len(inputs)}")
-    return fn(*inputs)
+    return _new(x.values, x.tape)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +386,13 @@ def l2_normalize(x, axis: int = -1, eps: float = DEFAULT_NORM_EPS) -> Tensor:
     norm = np.sqrt((v * v).sum(axis=axis, keepdims=True))
     denom = np.maximum(norm, eps)
     out = v / denom
-    keep = (norm >= eps).astype(np.float64)
 
-    def gx(g: Array) -> Array:
+    def gx(g: Array) -> tuple:
+        keep = (norm >= eps).astype(np.float64)
         inner = (g * out).sum(axis=axis, keepdims=True)
-        return (g - keep * out * inner) / denom
+        return ((g - keep * out * inner) / denom,)
 
-    return _record("l2_normalize", (x,), out, (gx,))
+    return _record1("l2_normalize", x, out, gx)
 
 
 def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
@@ -405,14 +434,13 @@ def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
     rows = np.arange(batch)
     per_sample_w = weights[labels]
     out = np.asarray((per_sample_w * -log_probs[rows, labels]).mean())
-    probs = np.exp(log_probs)
 
-    def glogits(g: Array) -> Array:
-        grad = probs * (per_sample_w / batch)[:, None]
+    def glogits(g: Array) -> tuple:
+        grad = np.exp(log_probs) * (per_sample_w / batch)[:, None]
         grad[rows, labels] -= per_sample_w / batch
-        return float(g) * grad
+        return (float(g) * grad,)
 
-    return _record("softmax_cross_entropy", (logits,), out, (glogits,))
+    return _record1("softmax_cross_entropy", logits, out, glogits)
 
 
 @dataclass
@@ -484,51 +512,45 @@ def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: floa
         raise ShapeError(f"batch_norm: input must be [B, F], got {x.shape}")
     batch = x.shape[0]
     v = x.values
+    gamma_v = gamma_scale.values
 
     if state.accumulating:
         state.merge_batch(v)
-        use_running = True
+        train = False
     elif state.mode == "train":
         if batch < 2:
             raise ContractError("batch_norm: train mode requires a batch of at least 2 samples")
-        use_running = False
+        train = True
     else:
-        use_running = True
+        train = False
 
-    if use_running:
+    if train:
+        mu = v.mean(axis=0)
+        x_hat = v - mu
+        # The steps of ndarray.var on the centred values it would recompute.
+        var = np.square(x_hat).sum(axis=0) / batch
+        inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
+        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
+        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+
+        def gx(g: Array) -> Array:
+            g_hat = g * gamma_v
+            return (inv_std / batch) * (
+                batch * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
+            )
+    else:
         inv_std = 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
-        x_hat = (v - state.running_mean) * inv_std
-        out = gamma_scale.values * x_hat + beta_shift.values
-        gamma_v = gamma_scale.values
+        x_hat = v - state.running_mean
 
-        def gx_eval(g: Array) -> Array:
+        def gx(g: Array) -> Array:
             return g * gamma_v * inv_std
 
-        return _record(
-            "batch_norm",
-            (x, gamma_scale, beta_shift),
-            out,
-            (gx_eval, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)),
-        )
-
-    mu = v.mean(axis=0)
-    var = v.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
-    x_hat = (v - mu) * inv_std
-    out = gamma_scale.values * x_hat + beta_shift.values
-    state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
-    state.running_var = (1.0 - momentum) * state.running_var + momentum * var
-    gamma_v = gamma_scale.values
-
-    def gx_train(g: Array) -> Array:
-        g_hat = g * gamma_v
-        return (inv_std / batch) * (
-            batch * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
-        )
-
+    x_hat *= inv_std
+    out = gamma_v * x_hat
+    out += beta_shift.values
     return _record(
         "batch_norm",
         (x, gamma_scale, beta_shift),
         out,
-        (gx_train, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)),
+        (gx, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)),
     )

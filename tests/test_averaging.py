@@ -14,7 +14,7 @@ from damel.averaging import (
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
 from damel.errors import ContractError
-from damel.model import DamelConfig, init_model
+from damel.model import DamelConfig, forward_experts, init_model
 
 
 def ema_closed_form(snapshots, rate):
@@ -195,6 +195,23 @@ class TestRecomputeRunningStats:
                 chunked.norm_states[name].running_var,
                 atol=1e-10,
             )
+
+    @pytest.mark.parametrize("chunk_size", [None, 5])
+    def test_backbone_passes_match_full_expert_passes_bitwise(self, chunk_size):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=4)
+        reference = _norm_model()
+        n = len(ds)
+        step = n if chunk_size is None else chunk_size
+        for state in reference.norm_states.values():
+            state.begin_accumulation()
+            for start in range(0, n, step):
+                forward_experts(reference, ds.features[start:start + step], mode="eval")
+            state.finish_accumulation()
+        model = recompute_running_stats(_norm_model(), ds, chunk_size=chunk_size)
+        for name, ref in reference.norm_states.items():
+            got = model.norm_states[name]
+            assert got.running_mean.tobytes() == ref.running_mean.tobytes()
+            assert got.running_var.tobytes() == ref.running_var.tobytes()
 
     def test_empty_dataset_rejected(self):
         model = _norm_model()

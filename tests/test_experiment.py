@@ -10,7 +10,8 @@ import pytest
 import damel.experiment as experiment
 from damel.cli import main as cli_main
 from damel.errors import ConfigError, DamelError
-from damel.evaluation import bias_variance_decompose
+from damel.averaging import recompute_running_stats
+from damel.evaluation import bias_variance_decompose, one_hot_predictions
 from damel.experiment import (
     aggregate_report,
     config_hash,
@@ -25,6 +26,7 @@ from damel.experiment import (
     run_single,
     save_checkpoint,
 )
+from damel.model import init_model
 
 
 def small_raw(tmp_path, **overrides):
@@ -126,6 +128,19 @@ class TestRunSingle:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    def test_onehot_matches_eval_model_predictions(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path))
+        run_dir = tmp_path / "run"
+        run_single(cfg, seed=2, run_dir=run_dir)
+        _, _, averaged = load_checkpoint(run_dir / "checkpoint.bin")
+        train_ds, test_ds, _ = experiment.build_datasets(cfg.dataset, 2)
+        model_cfg = experiment.build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1])
+        eval_model = init_model(model_cfg, 2)
+        eval_model.unflatten(averaged)
+        recompute_running_stats(eval_model, train_ds)
+        saved = np.load(run_dir / "onehot.npy")
+        assert saved.tobytes() == one_hot_predictions(eval_model, test_ds).tobytes()
 
     def test_zero_epochs_near_chance(self, tmp_path):
         raw = small_raw(tmp_path, train={"epochs": 0})
@@ -257,6 +272,34 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTDAMEL" + b"\x00" * 16)
         with pytest.raises(ConfigError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("with_averaged", [False, True])
+    def test_every_truncation_is_config_error(self, tmp_path, with_averaged):
+        path = tmp_path / "ck.bin"
+        trained = np.arange(4, dtype=np.float64)
+        save_checkpoint(path, {"seed": 1}, trained,
+                        trained * 0.5 if with_averaged else None)
+        blob = path.read_bytes()
+        trained_only_len = len(blob) - 8 * trained.size if with_averaged else None
+        cut = tmp_path / "cut.bin"
+        for length in range(len(blob)):
+            cut.write_bytes(blob[:length])
+            if length == trained_only_len:
+                # Exactly a well-formed checkpoint without averaged weights.
+                _, t, a = load_checkpoint(cut)
+                assert a is None and t.tobytes() == trained.tobytes()
+                continue
+            with pytest.raises(ConfigError):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize("with_averaged", [False, True])
+    def test_trailing_byte_is_config_error(self, tmp_path, with_averaged):
+        path = tmp_path / "ck.bin"
+        trained = np.arange(4, dtype=np.float64)
+        save_checkpoint(path, {"seed": 1}, trained, trained if with_averaged else None)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConfigError, match="weight bytes"):
             load_checkpoint(path)
 
 

@@ -177,10 +177,13 @@ class TestPredict:
         assert np.argmax(np.array([2.0, 2.0])) == 0
 
     def test_predict_matches_aux_argmax(self):
-        m = init_model(small_config(), seed=4)
-        x = np.random.default_rng(5).normal(size=(7, 6))
-        out = full_forward(m, x, mode="eval")
-        np.testing.assert_array_equal(predict(m, x), out.aux_logits.values.argmax(axis=1))
+        x = np.random.default_rng(5).normal(size=(40, 6))
+        for overrides in ({}, {"variant": "average_representations"},
+                          {"variant": "capacity_controlled", "num_experts": 1, "ref_experts": 3}):
+            for use_norm_layers in (False, True):
+                m = init_model(small_config(use_norm_layers=use_norm_layers, **overrides), seed=4)
+                out = full_forward(m, x, mode="eval")
+                np.testing.assert_array_equal(predict(m, x), out.aux_logits.values.argmax(axis=1))
 
     def test_expert_heads_do_not_affect_standard_predictions(self):
         m = init_model(small_config(), seed=6)

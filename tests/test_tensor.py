@@ -16,7 +16,6 @@ from damel.tensor import (
     batch_norm,
     concat_last_axis,
     detach,
-    forward_op,
     l2_normalize,
     matmul,
     mul,
@@ -61,16 +60,20 @@ class TestForwardOps:
         with pytest.raises(ShapeError):
             add(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
 
-    def test_forward_op_dispatch(self):
+    def test_direct_op_calls(self):
         a, b = Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])
-        np.testing.assert_array_equal(forward_op("matmul", [a, b]).values, [[11.0]])
-        np.testing.assert_array_equal(forward_op("relu", [Tensor([-2.0, 5.0])]).values, [0.0, 5.0])
-        assert forward_op("mean", [Tensor([1.0, 3.0])]).item() == 2.0
-        assert forward_op("sum", [Tensor([1.0, 3.0])]).item() == 4.0
-        with pytest.raises(ContractError, match="unknown op"):
-            forward_op("conv2d", [a])
-        with pytest.raises(ContractError, match="takes 2 inputs"):
-            forward_op("add", [a])
+        np.testing.assert_array_equal(matmul(a, b).values, [[11.0]])
+        np.testing.assert_array_equal(relu(Tensor([-2.0, 5.0])).values, [0.0, 5.0])
+        assert reduce_mean(Tensor([1.0, 3.0])).item() == 2.0
+        assert reduce_sum(Tensor([1.0, 3.0])).item() == 4.0
+
+    def test_relu_bitwise_equals_where(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(64, 33))
+        specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf]
+        x.flat[rng.choice(x.size, size=200, replace=False)] = np.resize(specials, 200)
+        expected = np.where(x > 0, x, 0.0)
+        assert np.array_equal(relu(Tensor(x)).values.view(np.int64), expected.view(np.int64))
 
 
 class TestTape:
@@ -86,6 +89,14 @@ class TestTape:
     def test_untaped_inputs_record_nothing(self):
         out = mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert out.tape is None and out.tape_id is None
+
+    def test_op_on_detached_inputs_records_no_node(self):
+        tape = Tape()
+        x = tape.leaf([1.0, -2.0])
+        before = len(tape)
+        y = relu(mul(detach(x), 2.0))
+        assert len(tape) == before
+        assert y.tape is tape and y.tape_id is None
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -279,6 +290,15 @@ class TestBatchNorm:
         rv = (1 - momentum) * ((1 - momentum) * 1.0 + momentum * 1.0) + momentum * 1.0
         np.testing.assert_allclose(state.running_mean, [rm], rtol=1e-12)
         np.testing.assert_allclose(state.running_var, [rv], rtol=1e-12)
+
+    def test_train_running_var_bitwise_equals_np_var(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(loc=3.0, scale=2.5, size=(37, 9))
+        state = NormStatsState.for_features(9)
+        momentum = 0.1
+        batch_norm(Tensor(x), state, Tensor(np.ones(9)), Tensor(np.zeros(9)), momentum)
+        expected = (1.0 - momentum) * np.ones(9) + momentum * np.var(x, axis=0)
+        assert np.array_equal(state.running_var.view(np.int64), expected.view(np.int64))
 
     def test_single_sample_train_batch_rejected(self):
         state = NormStatsState.for_features(1)

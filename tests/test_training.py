@@ -1,5 +1,8 @@
 """Training loop tests: losses, SGD recursion, determinism, decoupled phases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,26 @@ class TestTrain:
 
         train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=hook)
         assert len(checked) > 0
+
+    def test_step_tape_freed_before_next_step_hook(self):
+        model, ds, cfg = quick_train_setup(epochs=2)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, use_norm_layers=True), seed=0)
+        tapes, dead_at_next_hook = [], []
+
+        def hook(ctx):
+            if tapes:
+                dead_at_next_hook.append(tapes[-1]() is None)
+            tapes.append(weakref.ref(next(iter(ctx.params.values())).tape))
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=hook)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(dead_at_next_hook) == len(tapes) - 1 > 0
+        assert all(dead_at_next_hook)
 
     def test_iteration_frequency_updates_every_step(self):
         model, ds, cfg = quick_train_setup(epochs=1, ema_frequency="iteration")
