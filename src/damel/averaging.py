@@ -3,8 +3,10 @@
 EMA keeps an exponentially weighted aggregate of parameter snapshots,
 weights_new = (1 - rate) * weights + rate * snapshot, initialized from the
 first snapshot. SWA keeps their plain arithmetic mean. Both operate on the
-flattened parameter vector (norm-layer scale/shift included, running
-statistics excluded; those are recomputed exactly from the training set).
+flat parameter vector (norm-layer scale/shift included, running statistics
+excluded; those are recomputed exactly from the training set). A snapshot
+may be the model's live parameter buffer itself: it is only read, the state
+keeps its own copy, and later updates fold into that copy in place.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class EmaState:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ContractError(f"EMA rate must lie in (0, 1], got {self.rate}")
+        if self.weights is not None:
+            self.weights = np.array(self.weights, dtype=np.float64)
 
     @property
     def initialized(self) -> bool:
@@ -41,6 +45,10 @@ class SwaState:
 
     weights: Optional[np.ndarray] = None
     count: int = 0
+
+    def __post_init__(self):
+        if self.weights is not None:
+            self.weights = np.array(self.weights, dtype=np.float64)
 
     @property
     def initialized(self) -> bool:
@@ -61,7 +69,8 @@ def ema_update(state: EmaState, snapshot: np.ndarray) -> EmaState:
         state.weights = snapshot.copy()
     else:
         _check_length(state.weights, snapshot, "ema_update")
-        state.weights = (1.0 - state.rate) * state.weights + state.rate * snapshot
+        state.weights *= 1.0 - state.rate
+        state.weights += state.rate * snapshot
     state.updates += 1
     return state
 
@@ -73,7 +82,9 @@ def swa_update(state: SwaState, snapshot: np.ndarray) -> SwaState:
         state.count = 1
     else:
         _check_length(state.weights, snapshot, "swa_update")
-        state.weights = (state.count * state.weights + snapshot) / (state.count + 1)
+        state.weights *= state.count
+        state.weights += snapshot
+        state.weights /= state.count + 1
         state.count += 1
     return state
 

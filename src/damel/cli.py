@@ -92,12 +92,19 @@ def main(argv=None) -> int:
             csv_path, rows = aggregate_report(args.dir)
             print(f"wrote {csv_path} ({len(rows)} cells)")
     except (ConfigError, FileNotFoundError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+        print(f"config error: {_one_line(err)}", file=sys.stderr)
         return 1
     except (DamelError, OSError) as err:
-        print(f"run failed: {err}", file=sys.stderr)
+        print(f"run failed: {_one_line(err)}", file=sys.stderr)
+        return 2
+    except Exception as err:  # anything else is a failed run too, never a traceback
+        print(f"run failed: {type(err).__name__}: {_one_line(err)}", file=sys.stderr)
         return 2
     return 0
+
+
+def _one_line(err: BaseException) -> str:
+    return " ".join(str(err).split())
 
 
 def console_main() -> None:

@@ -304,13 +304,12 @@ def dataset_from_arrays(features: np.ndarray, labels: np.ndarray) -> Dataset:
     order) so the resulting spec satisfies the sorted-counts invariant.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    present = np.unique(labels)
-    tallies = {int(c): int((labels == c).sum()) for c in present}
-    order = sorted(present, key=lambda c: (-tallies[int(c)], int(c)))
-    remap = {int(old): new for new, old in enumerate(order)}
-    new_labels = np.array([remap[int(c)] for c in labels], dtype=np.int64)
-    counts = tuple(tallies[int(c)] for c in order)
-    return Dataset(np.asarray(features, dtype=np.float64), new_labels, LongTailSpec(counts))
+    _, inverse, tallies = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(-tallies, kind="stable")  # unique labels are ascending
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    counts = tuple(int(n) for n in tallies[order])
+    return Dataset(np.asarray(features, dtype=np.float64), rank[inverse], LongTailSpec(counts))
 
 
 def load_idx_dataset(images_path, labels_path) -> Dataset:
@@ -325,7 +324,10 @@ def load_idx_dataset(images_path, labels_path) -> Dataset:
 
 def load_csv_dataset(path) -> Dataset:
     """CSV with one row per sample, features first, integer label last."""
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as err:
+        raise ContractError(f"{path}: not a numeric CSV table ({err})") from None
     if table.shape[1] < 2:
         raise ContractError(f"{path}: CSV needs at least one feature column plus a label")
     labels = table[:, -1]

@@ -347,7 +347,7 @@ def _write_metrics_csv(path, metrics, num_experts: int) -> None:
         )
         for m in metrics:
             writer.writerow(
-                [m.epoch] + [repr(v) for v in m.expert_ce]
+                [m.epoch] + [repr(float(v)) for v in m.expert_ce]
                 + [repr(m.balanced_ce), repr(m.total), repr(m.train_acc),
                    repr(m.test_acc_raw), repr(m.test_acc_ema)]
             )

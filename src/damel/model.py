@@ -7,6 +7,13 @@ consumes the gradient-detached, re-normalized concatenation of all expert
 representations and is the sole prediction path at test time, except for the
 aggregate_predictions baseline which averages per-expert softmaxes instead.
 
+Parameters live in one contiguous float64 vector; ``DamelModel.params``
+holds named views into it. The K expert blocks are three stacked views,
+``experts.w`` [K, H, R], ``experts.b`` [K, R] and ``experts.cls`` [K, R, L],
+strided over a flat order that keeps each expert's (w, b, cls) together, so
+the flat vector (and a checkpoint) is laid out expert by expert. The experts
+run as one stacked op chain whose tape length does not depend on K.
+
 ``forward_backbone`` is the shared trunk alone: the whole forward a
 norm-statistics pass needs. ``forward_experts`` adds the expert blocks and
 their cosine heads; ``predict`` skips those heads when the auxiliary head
@@ -23,6 +30,8 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -32,12 +41,10 @@ from .tensor import (
     NormStatsState,
     Tape,
     Tensor,
-    concat_last_axis,
+    affine,
     batch_norm,
-    detach,
     l2_normalize,
     matmul,
-    mul,
     relu,
 )
 
@@ -93,53 +100,102 @@ class DamelConfig:
 
 @dataclass
 class ForwardOutput:
-    expert_logits: list
-    normalized_reps: list
+    """Stacked expert outputs: logits [K, B, L] and unit representations [K, B, R]."""
+
+    expert_logits: Optional[Tensor]
+    normalized_reps: Tensor
     aux_logits: Optional[Tensor] = None
 
 
-class DamelModel:
-    """Parameter store plus norm-layer statistics; forward passes live below.
+def _layout(config: DamelConfig) -> list:
+    """The flat parameter order as runs of blocks: [(stack, [(name, shape), ...])].
 
-    Parameters are kept as an ordered name->array mapping; ``flatten`` /
-    ``unflatten`` round-trip them bit-exactly for weight averaging.
+    A run holds ``stack`` blocks back to back, each block every listed tensor
+    in turn; ``stack`` is None for a single unstacked block. The experts are
+    one run of K blocks (w, b, cls), so the flat order is expert by expert.
+    """
+    h = config.hidden_dim
+
+    def layer(i: int, fan_in: int) -> list:
+        parts = [(f"backbone.w{i}", (fan_in, h))]
+        if config.use_bias:
+            parts.append((f"backbone.b{i}", (h,)))
+        if config.use_norm_layers:
+            parts += [(f"backbone.bn{i}.gamma", (h,)), (f"backbone.bn{i}.beta", (h,))]
+        return parts
+
+    rep = config.expert_rep_dim
+    expert = [("experts.w", (h, rep))]
+    if config.use_bias:
+        expert.append(("experts.b", (rep,)))
+    expert.append(("experts.cls", (rep, config.num_classes)))
+    runs = [(None, layer(1, config.input_dim) + layer(2, h)), (config.num_experts, expert)]
+    if config.aux_input_dim is not None:
+        runs.append((None, [("aux.cls", (config.aux_input_dim, config.num_classes))]))
+    return runs
+
+
+def param_count(config: DamelConfig) -> int:
+    return sum((stack or 1) * prod(shape) for stack, parts in _layout(config) for _, shape in parts)
+
+
+def param_views(config: DamelConfig, flat: np.ndarray) -> dict:
+    """name -> view of ``flat`` shaped like that parameter, in flat order."""
+    views, offset = {}, 0
+    for stack, parts in _layout(config):
+        n = stack or 1
+        width = sum(prod(shape) for _, shape in parts)
+        blocks = flat[offset:offset + n * width].reshape(n, width)
+        offset += n * width
+        col = 0
+        for name, shape in parts:
+            size = prod(shape)
+            # Reshaping a contiguous span of each row never copies.
+            view = blocks[:, col:col + size].reshape((n,) + shape)
+            views[name] = view if stack else view[0]
+            col += size
+    return views
+
+
+class DamelModel:
+    """One contiguous parameter vector with named views, plus norm-layer statistics.
+
+    ``buffer`` is the flat float64 vector; ``params`` maps each name to a
+    view into it and cannot be rebound, so every write goes through the
+    views. ``flatten`` is one copy of the buffer and ``unflatten`` one slice
+    assignment; the forward passes live below.
     """
 
-    def __init__(self, config: DamelConfig, params: dict, norm_states: dict):
+    def __init__(self, config: DamelConfig, buffer: np.ndarray, norm_states: dict):
+        count = param_count(config)
+        if buffer.dtype != np.float64 or buffer.shape != (count,):
+            raise ShapeError(
+                f"DamelModel: expected a float64 vector of {count} values, "
+                f"got {buffer.dtype} {buffer.shape}"
+            )
         self.config = config
-        self.params = params
+        self.buffer = buffer
+        self.params = MappingProxyType(param_views(config, buffer))
         self.norm_states = norm_states
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([p.reshape(-1) for p in self.params.values()])
+        return self.buffer.copy()
 
     def unflatten(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.param_count(),):
+        if flat.shape != self.buffer.shape:
             raise ShapeError(
                 f"unflatten: expected {self.param_count()} values, got {flat.shape}"
             )
-        offset = 0
-        for name, p in self.params.items():
-            size = p.size
-            self.params[name] = flat[offset:offset + size].reshape(p.shape).copy()
-            offset += size
+        self.buffer[:] = flat
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def flat_slices(self) -> dict:
-        """name -> (start, stop) within the flattened vector."""
-        slices, offset = {}, 0
-        for name, p in self.params.items():
-            slices[name] = (offset, offset + p.size)
-            offset += p.size
-        return slices
+        return self.buffer.size
 
     def clone(self) -> "DamelModel":
         return DamelModel(
             self.config,
-            {name: p.copy() for name, p in self.params.items()},
+            self.buffer.copy(),
             {name: st.clone() for name, st in self.norm_states.items()},
         )
 
@@ -152,38 +208,30 @@ def _fan_in_uniform(rng, shape) -> np.ndarray:
 def init_model(config: DamelConfig, seed: int) -> DamelModel:
     """Deterministic init; each expert block draws from its own seed stream."""
     config.validate()
-    params: dict[str, np.ndarray] = {}
     norm_states: dict[str, NormStatsState] = {}
+    if config.use_norm_layers:
+        for name in ("backbone.bn1", "backbone.bn2"):
+            norm_states[name] = NormStatsState.for_features(config.hidden_dim)
+    model = DamelModel(config, np.zeros(param_count(config)), norm_states)
+    p = model.params  # biases and norm shifts stay zero
 
     backbone_rng = np.random.default_rng([seed, 0])
-    params["backbone.w1"] = _fan_in_uniform(backbone_rng, (config.input_dim, config.hidden_dim))
-    if config.use_bias:
-        params["backbone.b1"] = np.zeros(config.hidden_dim)
+    p["backbone.w1"][:] = _fan_in_uniform(backbone_rng, (config.input_dim, config.hidden_dim))
+    p["backbone.w2"][:] = _fan_in_uniform(backbone_rng, (config.hidden_dim, config.hidden_dim))
     if config.use_norm_layers:
-        params["backbone.bn1.gamma"] = np.ones(config.hidden_dim)
-        params["backbone.bn1.beta"] = np.zeros(config.hidden_dim)
-        norm_states["backbone.bn1"] = NormStatsState.for_features(config.hidden_dim)
-    params["backbone.w2"] = _fan_in_uniform(backbone_rng, (config.hidden_dim, config.hidden_dim))
-    if config.use_bias:
-        params["backbone.b2"] = np.zeros(config.hidden_dim)
-    if config.use_norm_layers:
-        params["backbone.bn2.gamma"] = np.ones(config.hidden_dim)
-        params["backbone.bn2.beta"] = np.zeros(config.hidden_dim)
-        norm_states["backbone.bn2"] = NormStatsState.for_features(config.hidden_dim)
+        p["backbone.bn1.gamma"][:] = 1.0
+        p["backbone.bn2.gamma"][:] = 1.0
 
     rep = config.expert_rep_dim
     for k in range(config.num_experts):
         expert_rng = np.random.default_rng([seed, 1, k])
-        params[f"expert{k}.w"] = _fan_in_uniform(expert_rng, (config.hidden_dim, rep))
-        if config.use_bias:
-            params[f"expert{k}.b"] = np.zeros(rep)
-        params[f"expert{k}.cls"] = _fan_in_uniform(expert_rng, (rep, config.num_classes))
+        p["experts.w"][k] = _fan_in_uniform(expert_rng, (config.hidden_dim, rep))
+        p["experts.cls"][k] = _fan_in_uniform(expert_rng, (rep, config.num_classes))
 
     if config.aux_input_dim is not None:
         aux_rng = np.random.default_rng([seed, 2])
-        params["aux.cls"] = _fan_in_uniform(aux_rng, (config.aux_input_dim, config.num_classes))
-
-    return DamelModel(config, params, norm_states)
+        p["aux.cls"][:] = _fan_in_uniform(aux_rng, (config.aux_input_dim, config.num_classes))
+    return model
 
 
 def bind_params(model: DamelModel, tape: Tape) -> dict:
@@ -196,7 +244,7 @@ def constant_params(model: DamelModel) -> dict:
 
 
 def param_group(name: str) -> str:
-    """'backbone', 'expertK' or 'aux' from a parameter name."""
+    """'backbone', 'experts' or 'aux' from a parameter name."""
     return name.split(".", 1)[0]
 
 
@@ -218,50 +266,38 @@ def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional
         if not state.accumulating:
             state.mode = mode
 
-    h = matmul(x, p["backbone.w1"])
-    if cfg.use_bias:
-        h = h + p["backbone.b1"]
-    if cfg.use_norm_layers:
-        h = batch_norm(h, model.norm_states["backbone.bn1"],
-                       p["backbone.bn1.gamma"], p["backbone.bn1.beta"], BN_MOMENTUM)
-    h = relu(h)
-    h = matmul(h, p["backbone.w2"])
-    if cfg.use_bias:
-        h = h + p["backbone.b2"]
-    if cfg.use_norm_layers:
-        h = batch_norm(h, model.norm_states["backbone.bn2"],
-                       p["backbone.bn2.gamma"], p["backbone.bn2.beta"], BN_MOMENTUM)
-    return relu(h)
+    h = x
+    for i in (1, 2):
+        h = _linear(h, p[f"backbone.w{i}"], p.get(f"backbone.b{i}"))
+        if cfg.use_norm_layers:
+            h = batch_norm(h, model.norm_states[f"backbone.bn{i}"],
+                           p[f"backbone.bn{i}.gamma"], p[f"backbone.bn{i}.beta"], BN_MOMENTUM)
+        h = relu(h)
+    return h
 
 
-def _expert_reps(model: DamelModel, h: Tensor, p: dict) -> list:
-    """Unit-row representation of each expert block over backbone features."""
-    cfg = model.config
-    reps = []
-    for k in range(cfg.num_experts):
-        z = matmul(h, p[f"expert{k}.w"])
-        if cfg.use_bias:
-            z = z + p[f"expert{k}.b"]
-        reps.append(l2_normalize(relu(z), axis=1))
-    return reps
+def _linear(x, w: Tensor, b: Optional[Tensor]) -> Tensor:
+    return matmul(x, w) if b is None else affine(x, w, b)
+
+
+def _expert_reps(h: Tensor, p: dict) -> Tensor:
+    """Unit-row representations of all K expert blocks at once: [K, B, R]."""
+    return l2_normalize(relu(_linear(h, p["experts.w"], p.get("experts.b"))), axis=-1)
 
 
 def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
-    """Backbone + expert blocks; cosine logits per expert, softmax left to the loss."""
+    """Backbone + stacked expert blocks; cosine logits [K, B, L], softmax left to the loss."""
     p = params if params is not None else constant_params(model)
-    reps = _expert_reps(model, forward_backbone(model, x, mode=mode, params=p), p)
-    scale = model.config.scale
-    expert_logits = [
-        scale * matmul(z_unit, l2_normalize(p[f"expert{k}.cls"], axis=0))
-        for k, z_unit in enumerate(reps)
-    ]
-    return ForwardOutput(expert_logits=expert_logits, normalized_reps=reps)
+    reps = _expert_reps(forward_backbone(model, x, mode=mode, params=p), p)
+    logits = model.config.scale * matmul(reps, l2_normalize(p["experts.cls"], axis=-2))
+    return ForwardOutput(expert_logits=logits, normalized_reps=reps)
 
 
 def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[dict] = None) -> Optional[Tensor]:
     """Auxiliary logits over gradient-detached expert representations.
 
-    Representations are concatenated (standard/capacity) or averaged
+    The [K, B, R] representations are read as constants (the detach wall),
+    then laid side by side per row (standard/capacity) or averaged
     (average_representations), re-normalized to unit rows, and classified by
     unit-column cosine weights. Returns None for aggregate_predictions,
     which has no auxiliary classifier.
@@ -269,17 +305,14 @@ def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[di
     cfg = model.config
     if cfg.variant == "aggregate_predictions":
         return None
-    if not out.normalized_reps:
+    if out.normalized_reps is None:
         raise ConfigError("forward_auxiliary: expert representations missing")
     p = params if params is not None else constant_params(model)
-    blocked = [detach(z) for z in out.normalized_reps]
+    reps = out.normalized_reps.values
     if cfg.variant == "average_representations":
-        merged = blocked[0]
-        for z in blocked[1:]:
-            merged = merged + z
-        merged = (1.0 / cfg.num_experts) * merged
+        merged = reps.sum(axis=0) * (1.0 / cfg.num_experts)
     else:
-        merged = concat_last_axis(blocked)
+        merged = reps.transpose(1, 0, 2).reshape(reps.shape[1], -1)
     aux_w = p["aux.cls"]
     if merged.shape[1] != aux_w.shape[0]:
         raise ConfigError(
@@ -299,9 +332,9 @@ def full_forward(model: DamelModel, x, mode: str = "train", params: Optional[dic
 
 
 def _softmax_rows(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=1, keepdims=True)
+    shifted = values - values.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def predict(model: DamelModel, x) -> np.ndarray:
@@ -312,9 +345,8 @@ def predict(model: DamelModel, x) -> np.ndarray:
     """
     if model.config.variant == "aggregate_predictions":
         out = forward_experts(model, x, mode="eval")
-        probs = np.mean([_softmax_rows(l.values) for l in out.expert_logits], axis=0)
-        return probs.argmax(axis=1)
+        return _softmax_rows(out.expert_logits.values).mean(axis=0).argmax(axis=1)
     p = constant_params(model)
-    reps = _expert_reps(model, forward_backbone(model, x, mode="eval", params=p), p)
-    out = ForwardOutput(expert_logits=[], normalized_reps=reps)
+    reps = _expert_reps(forward_backbone(model, x, mode="eval", params=p), p)
+    out = ForwardOutput(expert_logits=None, normalized_reps=reps)
     return forward_auxiliary(model, out, params=p).values.argmax(axis=1)

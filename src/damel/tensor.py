@@ -1,9 +1,22 @@
 """Dense float64 tensors with a define-by-run reverse-mode differentiation tape.
 
-The op set is deliberately closed: matmul, add, mul, relu, concat_last_axis,
-mean, sum, plus detach, l2_normalize, softmax_cross_entropy and batch_norm.
-Elementwise ops allow only exact shape matches, scalars, and trailing-axis
-(bias-style) broadcasts; there is no general broadcasting.
+The op set is deliberately closed: matmul, affine, add, mul, relu,
+concat_last_axis, mean, sum, plus detach, l2_normalize, softmax_cross_entropy
+and batch_norm. Elementwise ops allow only exact shape matches, scalars, and
+trailing-axis (bias-style) broadcasts; there is no general broadcasting.
+
+Stacked operands carry a leading axis of K independent blocks (the experts),
+so K blocks cost one op instead of K:
+  matmul   [B, H] @ [K, H, R] -> [K, B, R]  (one input shared by every block)
+           [K, B, R] @ [K, R, L] -> [K, B, L]
+  affine   x @ w + b with b added to every row: [B, H], [H, R], [R] or
+           [B, H], [K, H, R], [K, R]
+  softmax_cross_entropy  [K, B, L] logits -> the K per-block losses
+relu, l2_normalize and the elementwise ops work on any shape. Every stacked
+op computes each block with the same numpy calls, in the same order, as the
+2-D op on that block alone, so a stacked chain is bit-identical to K 2-D
+chains; where K blocks feed one input, its gradient adds the blocks last
+first, as the reverse sweep over K 2-D ops would.
 
 A Tape is rebuilt per forward pass. Nodes are appended in execution order, so
 insertion order is a topological order and backward() is a single reverse
@@ -303,14 +316,51 @@ def mul(a, b) -> Tensor:
     )
 
 
+def _matmul_parts(op_kind: str, av: Array, bv: Array) -> tuple:
+    """Product of 2-D or stacked operands, plus the adjoint map of each input."""
+    if not (av.ndim in (2, 3) and bv.ndim in (2, 3) and av.ndim <= bv.ndim):
+        raise ShapeError(
+            f"{op_kind}: operands must be [B, H] @ [H, R], [B, H] @ [K, H, R] or "
+            f"[K, B, H] @ [K, H, R], got {av.shape} and {bv.shape}"
+        )
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"{op_kind}: inner dimensions differ for {av.shape} and {bv.shape}")
+    if av.ndim == 3 and av.shape[0] != bv.shape[0]:
+        raise ShapeError(f"{op_kind}: stacks differ for {av.shape} and {bv.shape}")
+    if av.ndim < bv.ndim:
+        def ga(g: Array) -> Array:
+            # Sum the blocks' contributions last block first, the order in
+            # which a reverse sweep over K separate matmuls would add them.
+            parts = g @ np.swapaxes(bv, -1, -2)
+            acc = parts[-1]
+            for k in range(len(parts) - 2, -1, -1):
+                acc = acc + parts[k]
+            return acc
+    else:
+        def ga(g: Array) -> Array:
+            return g @ np.swapaxes(bv, -1, -2)
+    return av @ bv, ga, lambda g: np.swapaxes(av, -1, -2) @ g
+
+
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul: requires 2-D operands, got {av.shape} and {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {av.shape} and {bv.shape}")
-    return _record2("matmul", a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
+    out, ga, gb = _matmul_parts("matmul", a.values, b.values)
+    return _record2("matmul", a, b, out, ga, gb)
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b, with b added to every row of each block: one node for both.
+
+    b has w's shape without its input axis: [R] for w [H, R], [K, R] for a
+    stack w [K, H, R].
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    wv, bv = w.values, b.values
+    if bv.shape != wv.shape[:-2] + wv.shape[-1:]:
+        raise ShapeError(f"affine: bias shape {bv.shape} does not match weights {wv.shape}")
+    out, gx, gw = _matmul_parts("affine", x.values, wv)
+    out += bv[..., None, :]
+    return _record("affine", (x, w, b), out, (gx, gw, lambda g: g.sum(axis=-2)))
 
 
 def relu(x) -> Tensor:
@@ -353,9 +403,17 @@ def reduce_mean(x) -> Tensor:
 
 
 def reduce_sum(x) -> Tensor:
+    """Sum of every element, added in index order (a left fold).
+
+    That is the order of a chain of scalar adds, so the sum of a stack of K
+    losses has the bits of adding the K losses one by one; ndarray.sum pairs
+    the terms of longer vectors differently.
+    """
     x = _wrap(x)
     shape = x.values.shape
-    return _record1("sum", x, np.asarray(x.values.sum()), lambda g: (np.full(shape, float(g)),))
+    flat = x.values.reshape(-1)
+    total = np.add.accumulate(flat)[-1] if flat.size else np.float64(0.0)
+    return _record1("sum", x, np.asarray(total), lambda g: (np.full(shape, float(g)),))
 
 
 def detach(x) -> Tensor:
@@ -398,14 +456,18 @@ def l2_normalize(x, axis: int = -1, eps: float = DEFAULT_NORM_EPS) -> Tensor:
 def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
     """Batch-mean (optionally class-weighted) softmax cross-entropy.
 
-    logits: [B, L]; labels: length-B class indices; class_weights: optional
-    length-L positive weights. Uses max-subtraction for stability. With all
-    weights equal to 1 the result is bit-identical to the unweighted loss.
+    logits: [B, L], or a stack [K, B, L] scored against the same labels, which
+    yields the K per-block losses as a [K] tensor; labels: length-B class
+    indices; class_weights: optional length-L positive weights. Uses
+    max-subtraction for stability. With all weights equal to 1 the result is
+    bit-identical to the unweighted loss.
     """
     logits = _wrap(logits)
-    if logits.values.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: logits must be [B, L], got {logits.shape}")
-    batch, num_classes = logits.shape
+    if logits.values.ndim not in (2, 3):
+        raise ShapeError(
+            f"softmax_cross_entropy: logits must be [B, L] or [K, B, L], got {logits.shape}"
+        )
+    batch, num_classes = logits.shape[-2:]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch,):
         raise ShapeError(
@@ -428,17 +490,20 @@ def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
             raise ContractError("softmax_cross_entropy: class_weights must be positive")
 
     v = logits.values
-    shifted = v - v.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = v - v.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_norm
     rows = np.arange(batch)
     per_sample_w = weights[labels]
-    out = np.asarray((per_sample_w * -log_probs[rows, labels]).mean())
+    # Fancy indexing a stack yields a column-major [K, B]; copied to rows,
+    # each block's mean sums in the order of the 2-D case.
+    picked = np.ascontiguousarray(log_probs[..., rows, labels])
+    out = np.asarray((per_sample_w * -picked).mean(axis=-1))
 
     def glogits(g: Array) -> tuple:
         grad = np.exp(log_probs) * (per_sample_w / batch)[:, None]
-        grad[rows, labels] -= per_sample_w / batch
-        return (float(g) * grad,)
+        grad[..., rows, labels] -= per_sample_w / batch
+        return (np.asarray(g)[..., None, None] * grad,)
 
     return _record1("softmax_cross_entropy", logits, out, glogits)
 

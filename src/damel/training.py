@@ -2,9 +2,10 @@
 
 Each step runs one forward over experts and the auxiliary head, one backward
 over the combined objective (per-expert cross-entropy plus the weighted
-class-balanced term on the auxiliary logits), and one SGD update. Averaged
-weights are folded in per iteration or per epoch according to the config;
-the averaging state never aliases the live parameters.
+class-balanced term on the auxiliary logits), and one SGD update in place on
+the model's parameter buffer. Averaged weights are folded in per iteration or
+per epoch according to the config, read straight from that buffer; the
+averaging state never aliases it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .averaging import EmaState, SwaState, export_eval_weights, recompute_running_stats, update_average
 from .data import Dataset, LongTailSpec, minibatch_iterator
 from .errors import ConfigError, ContractError, NumericError
-from .model import DamelModel, bind_params, full_forward, param_group, predict
-from .tensor import Tape, Tensor, backward, softmax_cross_entropy
+from .model import DamelModel, bind_params, full_forward, param_views, predict
+from .tensor import Tape, Tensor, backward, reduce_sum, softmax_cross_entropy
 
 EMA_FREQUENCIES = ("epoch", "iteration")
 AVERAGING_SCHEMES = ("ema", "swa", "none")
@@ -70,14 +71,17 @@ class OptimizerState:
 
 @dataclass
 class LossBundle:
-    """Tape-linked scalars for one batch; total honors the enabled terms."""
+    """Tape-linked losses for one batch; total honors the enabled terms.
 
-    expert_ce: list
+    ``expert_ce`` holds the K per-expert cross-entropies as one [K] tensor.
+    """
+
+    expert_ce: Tensor
     balanced_ce: Optional[Tensor]
     total: Tensor
 
     def expert_values(self) -> list:
-        return [float(t.values) for t in self.expert_ce]
+        return self.expert_ce.values.tolist()
 
     def balanced_value(self) -> float:
         return float(self.balanced_ce.values) if self.balanced_ce is not None else float("nan")
@@ -111,13 +115,11 @@ def compute_losses(out, labels, spec: LongTailSpec, cfg: TrainConfig) -> LossBun
     loss is enabled and an auxiliary head exists; otherwise just the sum of
     expert terms.
     """
-    expert_ce = [softmax_cross_entropy(logits, labels) for logits in out.expert_logits]
+    expert_ce = softmax_cross_entropy(out.expert_logits, labels)
     balanced = None
     if out.aux_logits is not None:
         balanced = softmax_cross_entropy(out.aux_logits, labels, class_balanced_weights(spec))
-    total = expert_ce[0]
-    for term in expert_ce[1:]:
-        total = total + term
+    total = reduce_sum(expert_ce)
     if balanced is not None and cfg.cb_loss_enabled:
         total = total + cfg.cb_loss_weight * balanced
     return LossBundle(expert_ce=expert_ce, balanced_ce=balanced, total=total)
@@ -134,23 +136,18 @@ def sgd_step(model: DamelModel, grad_flat: np.ndarray, opt: OptimizerState,
         )
     if not np.isfinite(grad_flat).all():
         raise NumericError("sgd_step: non-finite gradient")
-    opt.velocity = momentum * opt.velocity + grad_flat
-    model.unflatten(model.flatten() - lr * opt.velocity)
+    velocity = opt.velocity
+    velocity *= momentum
+    velocity += grad_flat
+    model.buffer -= lr * velocity
 
 
 def flatten_grads(model: DamelModel, params: dict, grads: dict) -> np.ndarray:
     """Gradient map from backward() -> flat vector in parameter order."""
-    return np.concatenate(
-        [grads[params[name].tape_id].values.reshape(-1) for name in model.params]
-    )
-
-
-def _group_mask(model: DamelModel, keep: Callable[[str], bool]) -> np.ndarray:
-    mask = np.zeros(model.param_count(), dtype=bool)
-    for name, (lo, hi) in model.flat_slices().items():
-        if keep(name):
-            mask[lo:hi] = True
-    return mask
+    flat = np.empty(model.param_count())
+    for name, view in param_views(model.config, flat).items():
+        view[...] = grads[params[name].tape_id].values
+    return flat
 
 
 def _accuracy(model: DamelModel, ds: Dataset) -> float:
@@ -161,7 +158,7 @@ def _averaged_accuracy(model, avg_state, cfg, train_ds, test_ds) -> float:
     if cfg.averaging == "none" or avg_state is None or not avg_state.initialized:
         return float("nan")
     shadow = model.clone()
-    shadow.unflatten(export_eval_weights(avg_state, cfg.averaging, model.flatten()))
+    shadow.unflatten(export_eval_weights(avg_state, cfg.averaging, model.buffer))
     recompute_running_stats(shadow, train_ds)
     return _accuracy(shadow, test_ds)
 
@@ -204,8 +201,10 @@ def train(
         )
     opt = OptimizerState.for_model(model)
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
-    freeze_aux = _group_mask(model, lambda n: param_group(n) == "aux")
-    freeze_rest = _group_mask(model, lambda n: param_group(n) != "aux")
+    # The aux head, when there is one, is the tail of the flat layout.
+    aux = model.params.get("aux.cls")
+    aux_start = model.param_count() - (0 if aux is None else aux.size)
+    freeze_aux, freeze_rest = slice(aux_start, None), slice(0, aux_start)
     metrics: list[EpochMetrics] = []
 
     for epoch in range(cfg.epochs):
@@ -235,7 +234,7 @@ def train(
             except NumericError as err:
                 raise NumericError(f"{err} (epoch {epoch}, iteration {iteration})") from None
             if cfg.ema_frequency == "iteration":
-                avg_state = update_average(avg_state, model.flatten(), cfg.averaging)
+                avg_state = update_average(avg_state, model.buffer, cfg.averaging)
             if step_hook is not None:
                 step_hook(StepContext(epoch, iteration, bundle, params, model))
             # Free the step's graph and saved activations now, not at the
@@ -252,7 +251,7 @@ def train(
             sums["total"] += bundle.total_value() * batch_n
 
         if cfg.ema_frequency == "epoch":
-            avg_state = update_average(avg_state, model.flatten(), cfg.averaging)
+            avg_state = update_average(avg_state, model.buffer, cfg.averaging)
 
         has_balanced = model.config.aux_input_dim is not None
         metrics.append(

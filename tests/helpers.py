@@ -1,4 +1,5 @@
-"""Shared test oracles: finite-difference gradients and random net composition.
+"""Shared test oracles: finite-difference gradients, random net composition,
+and the per-expert reference forward of the multi-expert model.
 
 The finite-difference oracle is deliberately independent of the tape engine:
 it only calls the forward path on plain (untaped) tensors and differences the
@@ -9,13 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from damel.model import BN_MOMENTUM
 from damel.tensor import (
     NormStatsState,
     Tape,
     Tensor,
+    add,
     backward,
     batch_norm,
     concat_last_axis,
+    detach,
     l2_normalize,
     matmul,
     mul,
@@ -154,3 +158,68 @@ def build_random_net(rng, min_layers=2, max_layers=4):
         return softmax_cross_entropy(matmul(h, params[head_payload]), labels, weights)
 
     return arrays, forward_fn
+
+
+def reference_params(model, tape):
+    """Per-expert leaves in the model's flat order: backbone, then expert{k}.w/b/cls
+    for each k, then aux.cls; each leaf holds a copy of its block."""
+    params = {n: tape.leaf(v.copy()) for n, v in model.params.items() if n.startswith("backbone.")}
+    stacked = [n for n in model.params if n.startswith("experts.")]
+    for k in range(model.config.num_experts):
+        for name in stacked:
+            params[f"expert{k}.{name.split('.', 1)[1]}"] = tape.leaf(model.params[name][k].copy())
+    if "aux.cls" in model.params:
+        params["aux.cls"] = tape.leaf(model.params["aux.cls"].copy())
+    return params
+
+
+def reference_forward(model, x, params, mode="train"):
+    """The model's forward as a K-loop of 2-D ops, one expert at a time:
+    matmul, bias add, relu and l2_normalize per expert, one cosine head per
+    expert, and the aux input built with concat_last_axis or an add chain.
+
+    Returns (expert_logits, normalized_reps, aux_logits); the first two are
+    lists of [B, *] tensors, aux_logits is None for aggregate_predictions.
+    """
+    cfg = model.config
+    for state in model.norm_states.values():
+        state.mode = mode
+    h = Tensor(x)
+    for i in (1, 2):
+        h = matmul(h, params[f"backbone.w{i}"])
+        if cfg.use_bias:
+            h = h + params[f"backbone.b{i}"]
+        if cfg.use_norm_layers:
+            h = batch_norm(h, model.norm_states[f"backbone.bn{i}"], params[f"backbone.bn{i}.gamma"],
+                           params[f"backbone.bn{i}.beta"], BN_MOMENTUM)
+        h = relu(h)
+    reps, logits = [], []
+    for k in range(cfg.num_experts):
+        z = matmul(h, params[f"expert{k}.w"])
+        if cfg.use_bias:
+            z = z + params[f"expert{k}.b"]
+        reps.append(l2_normalize(relu(z), axis=1))
+        logits.append(cfg.scale * matmul(reps[k], l2_normalize(params[f"expert{k}.cls"], axis=0)))
+    if cfg.variant == "aggregate_predictions":
+        return logits, reps, None
+    blocked = [detach(z) for z in reps]
+    if cfg.variant == "average_representations":
+        merged = blocked[0]
+        for z in blocked[1:]:
+            merged = add(merged, z)
+        merged = (1.0 / cfg.num_experts) * merged
+    else:
+        merged = concat_last_axis(blocked)
+    aux = cfg.scale * matmul(l2_normalize(merged, axis=1), l2_normalize(params["aux.cls"], axis=0))
+    return logits, reps, aux
+
+
+def reference_losses(logits, aux, labels, class_weights, cb_loss_weight):
+    """Per-expert cross-entropies, summed one by one, plus the weighted balanced term."""
+    expert_ce = [softmax_cross_entropy(l, labels) for l in logits]
+    total = expert_ce[0]
+    for term in expert_ce[1:]:
+        total = total + term
+    if aux is not None:
+        total = total + cb_loss_weight * softmax_cross_entropy(aux, labels, class_weights)
+    return expert_ce, total

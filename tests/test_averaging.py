@@ -171,8 +171,8 @@ class TestRecomputeRunningStats:
         # layer input is the raw first feature, so stats are mean 2, var 1.
         w1 = np.zeros((3, 4))
         w1[0, 0] = 1.0
-        model.params["backbone.w1"] = w1
-        model.params["backbone.b1"] = np.zeros(4)
+        model.params["backbone.w1"][...] = w1
+        model.params["backbone.b1"][...] = 0.0
         recompute_running_stats(model, ds)
         state = model.norm_states["backbone.bn1"]
         assert state.running_mean[0] == 2.0

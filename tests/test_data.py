@@ -10,6 +10,7 @@ from damel.data import (
     GroupPartition,
     LongTailSpec,
     balanced_spec,
+    dataset_from_arrays,
     epoch_permutation,
     group_partition,
     load_csv_dataset,
@@ -235,6 +236,14 @@ class TestIngestion:
         ds = load_idx_dataset(img_path, lbl_path)
         assert ds.spec.counts == (3, 2)
         np.testing.assert_array_equal(ds.labels, [0, 0, 0, 1, 1])
+
+    def test_relabel_ties_keep_label_order_and_gaps_close(self):
+        # 9 and 4 tie at two samples each; 4 < 9, so 4 keeps the lower index.
+        labels = np.array([9, 30, 4, 30, 9, 30, 4, 1])
+        ds = dataset_from_arrays(np.zeros((8, 1)), labels)
+        assert ds.spec.counts == (3, 2, 2, 1)
+        np.testing.assert_array_equal(ds.labels, [2, 0, 1, 0, 2, 0, 1, 3])
+        assert ds.labels.dtype == np.int64
 
     def test_idx_subsample_repeatable(self, tmp_path):
         rng = np.random.default_rng(1)

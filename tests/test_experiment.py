@@ -110,8 +110,12 @@ class TestRunSingle:
         for name in ("run.json", "metrics.csv", "eval.json", "confusion.csv",
                      "checkpoint.bin", "onehot.npy"):
             assert (run_dir / name).exists()
-        header = (run_dir / "metrics.csv").read_text().splitlines()[0]
+        header, *rows = (run_dir / "metrics.csv").read_text().splitlines()
         assert header == "epoch,per_expert_ce_0,per_expert_ce_1,cb,total,train_acc,test_acc_raw,test_acc_ema"
+        assert len(rows) == 2
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)  # a plain number, never a wrapper such as np.float64(...)
         assert record.config_hash == config_hash(cfg)
 
     def test_deterministic_artifacts(self, tmp_path):
@@ -451,6 +455,30 @@ class TestCli:
 
     def test_usage_error_exit_code(self):
         assert cli_main(["run", "--seed", "0"]) == 1
+
+    def test_non_numeric_csv_cell_is_one_line_run_failure(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("1.0,2.0,0\n3.0,4.0,x\n5.0,6.0,1\n")
+        raw = small_raw(tmp_path)
+        raw["dataset"] = {
+            "source": "csv", "csv_path": str(data), "num_classes": 2, "head_count": 1,
+            "imbalance_ratio": 1, "test_per_class": 1, "base_seed": 0,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("run failed: ") and str(data) in err
+
+    def test_unexpected_error_is_one_line_run_failure(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("first line\nsecond line")
+
+        monkeypatch.setattr("damel.cli.run_single", boom)
+        path, _ = self._write_cfg(tmp_path)
+        assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2
+        assert capsys.readouterr().err == "run failed: ValueError: first line second line\n"
 
     def test_run_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"

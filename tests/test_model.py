@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from damel.data import LongTailSpec
 from damel.errors import ConfigError, ShapeError
 from damel.model import (
+    VARIANTS,
     DamelConfig,
     bind_params,
     forward_experts,
@@ -14,6 +16,8 @@ from damel.model import (
     predict,
 )
 from damel.tensor import Tape, backward, softmax_cross_entropy
+from damel.training import TrainConfig, class_balanced_weights, compute_losses, flatten_grads
+from helpers import reference_forward, reference_losses, reference_params
 
 
 def small_config(**overrides):
@@ -32,8 +36,8 @@ class TestInit:
 
     def test_experts_differ(self):
         m = init_model(small_config(), seed=5)
-        assert not np.array_equal(m.params["expert0.w"], m.params["expert1.w"])
-        assert not np.array_equal(m.params["expert1.cls"], m.params["expert2.cls"])
+        assert not np.array_equal(m.params["experts.w"][0], m.params["experts.w"][1])
+        assert not np.array_equal(m.params["experts.cls"][1], m.params["experts.cls"][2])
 
     def test_param_count_closed_form(self):
         cfg = DamelConfig(
@@ -53,6 +57,32 @@ class TestInit:
         m.unflatten(flat)
         for k, v in m.params.items():
             assert v.tobytes() == before[k].tobytes()
+
+    def test_params_are_views_of_one_buffer_in_per_expert_order(self):
+        m = init_model(small_config(use_norm_layers=True), seed=3)
+        for name, view in m.params.items():
+            assert np.shares_memory(view, m.buffer), name
+        per_expert = reference_params(m, Tape())
+        assert list(per_expert)[:8] == list(m.params)[:8]  # the backbone
+        np.testing.assert_array_equal(
+            m.flatten(), np.concatenate([leaf.values.reshape(-1) for leaf in per_expert.values()])
+        )
+        with pytest.raises(TypeError):
+            m.params["backbone.w1"] = np.zeros((6, 8))
+
+    def test_clone_and_unflatten_copy_into_own_buffers(self):
+        m = init_model(small_config(), seed=3)
+        c = m.clone()
+        assert not np.shares_memory(c.buffer, m.buffer)
+        for name, view in c.params.items():
+            assert np.shares_memory(view, c.buffer), name
+        flat = m.flatten()
+        flat[:] = 1.5
+        c.unflatten(flat)
+        flat[:] = 0.0
+        assert (c.params["experts.cls"] == 1.5).all() and not (m.params["experts.cls"] == 1.5).any()
+        with pytest.raises(ShapeError, match="unflatten"):
+            c.unflatten(flat[:-1])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -75,24 +105,24 @@ class TestExpertForward:
         )
         m = init_model(cfg, seed=0)
         eye = np.eye(2)
-        m.params["backbone.w1"] = eye.copy()
-        m.params["backbone.w2"] = eye.copy()
-        m.params["expert0.w"] = eye.copy()
-        m.params["expert0.cls"] = eye.copy()
+        m.params["backbone.w1"][...] = eye
+        m.params["backbone.w2"][...] = eye
+        m.params["experts.w"][0] = eye
+        m.params["experts.cls"][0] = eye
         return m
 
     def test_cosine_logit_values(self):
         m = self._identity_model()
         out = forward_experts(m, np.array([[3.0, 0.0]]), mode="eval")
         # representation [1, 0] against unit class columns [1,0] and [0,1]
-        np.testing.assert_allclose(out.expert_logits[0].values, [[16.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(out.expert_logits.values[0], [[16.0, 0.0]], atol=1e-12)
 
     def test_logits_bounded_by_scale(self):
         rng = np.random.default_rng(2)
         m = init_model(small_config(), seed=3)
         out = forward_experts(m, rng.normal(size=(20, 6)), mode="eval")
-        for logit in out.expert_logits:
-            assert np.abs(logit.values).max() <= 16.0 * (1 + 1e-9)
+        for logit in out.expert_logits.values:
+            assert np.abs(logit).max() <= 16.0 * (1 + 1e-9)
 
     def test_positive_scaling_invariance_bias_free(self):
         rng = np.random.default_rng(4)
@@ -100,8 +130,8 @@ class TestExpertForward:
         x = rng.normal(size=(5, 6))
         base = forward_experts(m, x, mode="eval")
         scaled = forward_experts(m, 3.7 * x, mode="eval")
-        for a, b in zip(base.expert_logits, scaled.expert_logits):
-            np.testing.assert_allclose(a.values, b.values, atol=1e-9)
+        for a, b in zip(base.expert_logits.values, scaled.expert_logits.values):
+            np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_input_width_checked(self):
         m = init_model(small_config(), seed=0)
@@ -114,7 +144,7 @@ class TestAuxiliary:
         m = init_model(small_config(num_experts=1), seed=2)
         x = np.random.default_rng(0).normal(size=(4, 6))
         out = full_forward(m, x, mode="eval")
-        z = out.normalized_reps[0].values
+        z = out.normalized_reps.values[0]
         aux_w = m.params["aux.cls"]
         unit_w = aux_w / np.sqrt((aux_w**2).sum(axis=0, keepdims=True))
         renorm = z / np.sqrt((z**2).sum(axis=1, keepdims=True))
@@ -124,13 +154,13 @@ class TestAuxiliary:
         m = init_model(small_config(num_experts=2, rep_dim=3), seed=2)
         x = np.random.default_rng(1).normal(size=(4, 6))
         out = forward_experts(m, x, mode="eval")
-        concat = np.concatenate([z.values for z in out.normalized_reps], axis=1)
+        concat = np.concatenate(list(out.normalized_reps.values), axis=1)
         assert concat.shape[1] == 6
         # two unit rows concatenated have norm sqrt(2) before re-normalization
         # (rows whose representation died under relu are excluded)
         live = np.ones(4, dtype=bool)
-        for z in out.normalized_reps:
-            live &= np.sqrt((z.values**2).sum(axis=1)) > 0.5
+        for z in out.normalized_reps.values:
+            live &= np.sqrt((z**2).sum(axis=1)) > 0.5
         assert live.any()
         np.testing.assert_allclose(
             np.sqrt((concat[live] ** 2).sum(axis=1)), np.sqrt(2.0), atol=1e-9
@@ -191,7 +221,7 @@ class TestPredict:
         before = predict(m, x)
         rng = np.random.default_rng(7)
         for k in range(3):
-            m.params[f"expert{k}.cls"] = rng.normal(size=m.params[f"expert{k}.cls"].shape)
+            m.params["experts.cls"][k] = rng.normal(size=m.params["experts.cls"][k].shape)
         np.testing.assert_array_equal(predict(m, x), before)
 
     def test_aggregate_uses_mean_expert_softmax(self):
@@ -203,5 +233,61 @@ class TestPredict:
             e = np.exp(v - v.max(axis=1, keepdims=True))
             return e / e.sum(axis=1, keepdims=True)
 
-        probs = np.mean([softmax(l.values) for l in out.expert_logits], axis=0)
+        probs = np.mean([softmax(l) for l in out.expert_logits.values], axis=0)
         np.testing.assert_array_equal(predict(m, x), probs.argmax(axis=1))
+
+
+def _model_kwargs(variant, num_experts, use_bias, use_norm_layers):
+    kwargs = dict(variant=variant, num_experts=num_experts, use_bias=use_bias,
+                  use_norm_layers=use_norm_layers)
+    if variant == "capacity_controlled":
+        kwargs.update(num_experts=1, ref_experts=num_experts)
+    return kwargs
+
+
+class TestStackedMatchesPerExpertReference:
+    """The stacked expert chain against a K-loop of 2-D ops, bit for bit."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("num_experts", [1, 2, 4])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("use_norm_layers", [True, False])
+    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_bias, use_norm_layers):
+        cfg = small_config(**_model_kwargs(variant, num_experts, use_bias, use_norm_layers))
+        model = init_model(cfg, seed=11)
+        reference = model.clone()
+        rng = np.random.default_rng(num_experts)
+        x = rng.normal(size=(9, 6))
+        labels = rng.integers(0, 5, size=9)
+        spec = LongTailSpec((40, 20, 10, 5, 2))
+        train_cfg = TrainConfig(epochs=1, cb_loss_weight=1.3)
+
+        tape = Tape()
+        params = bind_params(model, tape)
+        out = full_forward(model, x, mode="train", params=params)
+        bundle = compute_losses(out, labels, spec, train_cfg)
+        grad = flatten_grads(model, params, backward(bundle.total))
+
+        ref_tape = Tape()
+        ref_params = reference_params(reference, ref_tape)
+        logits, reps, aux = reference_forward(reference, x, ref_params)
+        expert_ce, total = reference_losses(
+            logits, aux, labels, class_balanced_weights(spec), train_cfg.cb_loss_weight
+        )
+        ref_grads = backward(total)
+        ref_grad = np.concatenate(
+            [ref_grads[leaf.tape_id].values.reshape(-1) for leaf in ref_params.values()]
+        )
+
+        assert out.expert_logits.values.tobytes() == np.stack([l.values for l in logits]).tobytes()
+        assert out.normalized_reps.values.tobytes() == np.stack([z.values for z in reps]).tobytes()
+        assert bundle.expert_ce.values.tobytes() == np.array([t.item() for t in expert_ce]).tobytes()
+        assert bundle.total.values.tobytes() == total.values.tobytes()
+        if aux is None:
+            assert out.aux_logits is None
+        else:
+            assert out.aux_logits.values.tobytes() == aux.values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        for name, state in model.norm_states.items():
+            assert state.running_mean.tobytes() == reference.norm_states[name].running_mean.tobytes()
+            assert state.running_var.tobytes() == reference.norm_states[name].running_var.tobytes()

@@ -12,6 +12,7 @@ from damel.tensor import (
     Tape,
     Tensor,
     add,
+    affine,
     backward,
     batch_norm,
     concat_last_axis,
@@ -363,6 +364,88 @@ class TestPerOpGradients:
         a = self.rng.normal(size=(3, 4))
         check_function_gradients(lambda p: reduce_mean(mul(p[0], p[0])), [a])
         check_function_gradients(lambda p: reduce_sum(mul(p[0], p[0])), [a])
+
+
+class TestStackedOps:
+    """The K-block forms of matmul, affine and softmax_cross_entropy."""
+
+    rng = np.random.default_rng(88)
+
+    def _scalarize(self, t):
+        coeffs = np.random.default_rng(t.size).normal(size=t.shape)
+        return reduce_sum(mul(t, Tensor(coeffs)))
+
+    def test_stacked_matmul_gradients(self):
+        h, w = self.rng.normal(size=(4, 3)), self.rng.normal(size=(3, 3, 2))
+        check_function_gradients(lambda p: self._scalarize(matmul(p[0], p[1])), [h, w])
+        r, c = self.rng.normal(size=(3, 4, 2)), self.rng.normal(size=(3, 2, 5))
+        check_function_gradients(lambda p: self._scalarize(matmul(p[0], p[1])), [r, c])
+
+    def test_affine_gradients(self):
+        x = self.rng.normal(size=(4, 3))
+        w, b = self.rng.normal(size=(3, 5)), self.rng.normal(size=5)
+        check_function_gradients(lambda p: self._scalarize(affine(p[0], p[1], p[2])), [x, w, b])
+        ws, bs = self.rng.normal(size=(2, 3, 5)), self.rng.normal(size=(2, 5))
+        check_function_gradients(lambda p: self._scalarize(affine(p[0], p[1], p[2])), [x, ws, bs])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_stacked_cross_entropy_gradients(self, weighted):
+        logits = self.rng.normal(size=(3, 5, 4))
+        labels = self.rng.integers(0, 4, size=5)
+        weights = 0.5 + self.rng.uniform(size=4) if weighted else None
+        check_function_gradients(
+            lambda p: self._scalarize(softmax_cross_entropy(p[0], labels, class_weights=weights)),
+            [logits],
+        )
+
+    def test_blocks_match_two_d_ops_bitwise(self):
+        h, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(3, 5, 4)), self.rng.normal(size=(3, 4))
+        labels = self.rng.integers(0, 4, size=6)
+        z = affine(h, w, b).values
+        losses = softmax_cross_entropy(z, labels).values
+        for k in range(3):
+            zk = add(matmul(h, w[k].copy()), b[k].copy()).values
+            assert z[k].tobytes() == zk.tobytes()
+            assert losses[k] == softmax_cross_entropy(zk, labels).item()
+
+    def test_shared_input_gradient_adds_last_block_first(self):
+        tape = Tape()
+        h = tape.leaf(self.rng.normal(size=(4, 3)))
+        w = self.rng.normal(size=(3, 3, 2))
+        g = self.rng.normal(size=(3, 4, 2))
+        grads = backward(reduce_sum(mul(matmul(h, Tensor(w)), Tensor(g))))
+        parts = [g[k] @ w[k].T for k in range(3)]
+        expected = (parts[2] + parts[1]) + parts[0]
+        assert grads[h.tape_id].values.tobytes() == expected.tobytes()
+
+    def test_reduce_sum_is_a_left_fold(self):
+        # Each 1.0 vanishes into 1e16 when added one by one; grouped, they do not.
+        v = np.array([1e16] + [1.0] * 8 + [-1e16])
+        expected = v[0]
+        for term in v[1:]:
+            expected = expected + term
+        assert expected == 0.0
+        assert reduce_sum(Tensor(v)).item() == expected
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(ShapeError, match="inner"):
+            matmul(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 4, 5))))
+        with pytest.raises(ShapeError, match="stacks differ"):
+            matmul(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((3, 3, 5))))
+        with pytest.raises(ShapeError, match="matmul"):
+            matmul(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((3, 5))))
+        with pytest.raises(ShapeError, match="matmul"):
+            matmul(Tensor(np.ones(3)), Tensor(np.ones((2, 3, 5))))
+        with pytest.raises(ShapeError, match="affine: bias"):
+            affine(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones(5)))
+        with pytest.raises(ShapeError, match="affine: bias"):
+            affine(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 5))))
+        with pytest.raises(ShapeError, match="affine"):
+            affine(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 5))))
+        with pytest.raises(ShapeError, match="logits"):
+            softmax_cross_entropy(Tensor(np.ones((2, 2, 3, 4))), [0, 1, 2])
+        with pytest.raises(ShapeError, match="labels"):
+            softmax_cross_entropy(Tensor(np.ones((2, 3, 4))), [0, 1])
 
 
 class TestRandomNetworks:

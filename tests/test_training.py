@@ -9,7 +9,7 @@ import pytest
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
 from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
-from damel.tensor import Tape, backward
+from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
     OptimizerState,
     TrainConfig,
@@ -57,9 +57,8 @@ class TestComputeLosses:
 
     def test_identical_expert_logits_give_identical_losses(self):
         model = init_model(tiny_config(), seed=1)
-        model.params["expert1.w"] = model.params["expert0.w"].copy()
-        model.params["expert1.b"] = model.params["expert0.b"].copy()
-        model.params["expert1.cls"] = model.params["expert0.cls"].copy()
+        for name in ("experts.w", "experts.b", "experts.cls"):
+            model.params[name][1] = model.params[name][0]
         ds = tiny_dataset()
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
         bundle = compute_losses(out, ds.labels[:6], ds.spec, TrainConfig(epochs=1))
@@ -103,7 +102,8 @@ class TestComputeLosses:
         bundle = compute_losses(out, ds.labels[:6], ds.spec, cfg)
         total_grad = flatten_grads(model, params, backward(bundle.total))
         parts = np.zeros_like(total_grad)
-        for term in bundle.expert_ce:
+        for k in range(model.config.num_experts):
+            term = reduce_sum(mul(bundle.expert_ce, Tensor(np.eye(model.config.num_experts)[k])))
             parts += flatten_grads(model, params, backward(term))
         parts += 1.3 * flatten_grads(model, params, backward(bundle.balanced_ce))
         np.testing.assert_allclose(total_grad, parts, atol=1e-10)
@@ -227,6 +227,20 @@ class TestTrain:
                 gc.enable()
         assert len(dead_at_next_hook) == len(tapes) - 1 > 0
         assert all(dead_at_next_hook)
+
+    @pytest.mark.parametrize("use_norm_layers", [False, True])
+    def test_step_tape_length_does_not_grow_with_experts(self, use_norm_layers):
+        lengths = {}
+        for k in (1, 4):
+            model, ds, cfg = quick_train_setup(epochs=1)
+            model = init_model(tiny_config(input_dim=4, num_classes=4, num_experts=k,
+                                           use_norm_layers=use_norm_layers), seed=0)
+            seen = set()
+            train(model, ds, cfg, make_avg_state(cfg), seed=0,
+                  step_hook=lambda ctx: seen.add(len(next(iter(ctx.params.values())).tape)))
+            assert len(seen) == 1
+            lengths[k] = seen.pop()
+        assert lengths[1] == lengths[4]
 
     def test_iteration_frequency_updates_every_step(self):
         model, ds, cfg = quick_train_setup(epochs=1, ema_frequency="iteration")
