@@ -12,6 +12,7 @@ from .averaging import (
     SwaState,
     ema_update,
     export_eval_weights,
+    load_eval_model,
     recompute_running_stats,
     swa_update,
 )

@@ -140,3 +140,14 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
             forward_backbone(model, features[start:start + step], mode="eval")
         state.finish_accumulation()
     return model
+
+
+def load_eval_model(model: DamelModel, weights: np.ndarray, train_ds,
+                    shadow: Optional[DamelModel] = None) -> DamelModel:
+    """``weights`` copied into ``shadow`` (a new clone of ``model`` if None),
+    norm statistics recomputed on ``train_ds``. The recompute starts from
+    zero, so a reused shadow evaluates exactly like a fresh clone."""
+    if shadow is None:
+        shadow = model.clone()
+    shadow.unflatten(weights)
+    return recompute_running_stats(shadow, train_ds)

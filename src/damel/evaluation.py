@@ -26,8 +26,8 @@ GROUP_NAMES = ("many", "medium", "few")
 class EvalReport:
     """Overall/group accuracy plus the full confusion matrix.
 
-    ``predictions`` keeps the per-sample class indices the report was built
-    from (None when rebuilt from JSON); they are not serialized.
+    ``predictions`` and ``labels`` keep the per-sample predicted and true
+    classes (None when rebuilt from JSON); neither is serialized.
     """
 
     overall_acc: float
@@ -35,6 +35,7 @@ class EvalReport:
     test_size: int
     confusion: np.ndarray
     predictions: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    labels: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,6 +44,15 @@ class EvalReport:
             "test_size": self.test_size,
             "confusion": self.confusion.astype(int).tolist(),
         }
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "EvalReport":
+        return cls(
+            overall_acc=payload["overall_acc"],
+            group_acc={g: payload["group_acc"].get(g) for g in GROUP_NAMES},
+            test_size=payload["test_size"],
+            confusion=np.asarray(payload["confusion"]),
+        )
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -77,7 +87,7 @@ def evaluate(model: DamelModel, test_ds: Dataset, partition: GroupPartition) -> 
         else:
             correct = int(confusion[classes, classes].sum())
             group_acc[name] = correct / group_total
-    return EvalReport(overall, group_acc, total, confusion, preds)
+    return EvalReport(overall, group_acc, total, confusion, preds, test_ds.labels)
 
 
 def one_hot_predictions(model: DamelModel, test_ds: Dataset) -> np.ndarray:

@@ -7,6 +7,11 @@ confusion.csv, checkpoint.bin, onehot.npy) under
 output_dir/<suite>/<cell>/<seed>/ and is reproducible from its config hash
 plus seed.
 
+Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
+a process pool of at most one worker per run. Each run needs its own seed,
+the first failure cancels the runs not yet started, and records come back in
+memory, so a sweep's summary reads no artifact and builds no data again.
+
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
 weights, then the averaged weights when an averaging scheme was active.
@@ -22,16 +27,15 @@ import os
 import shutil
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .averaging import export_eval_weights, recompute_running_stats
+from .averaging import export_eval_weights, load_eval_model
 from .data import (
-    Dataset,
     group_partition,
     load_csv_dataset,
     load_idx_dataset,
@@ -337,6 +341,17 @@ class RunRecord:
             "checkpoint": self.checkpoint_path,
         }
 
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "RunRecord":
+        return cls(
+            config_hash=payload["config_hash"],
+            seed=payload["seed"],
+            wall_seconds=payload["wall_seconds"],
+            eval_report=EvalReport.from_json_dict(payload["eval"]),
+            metrics_path=payload["metrics_csv"],
+            checkpoint_path=payload["checkpoint"],
+        )
+
 
 def _write_metrics_csv(path, metrics, num_experts: int) -> None:
     with open(path, "w", newline="") as fh:
@@ -370,15 +385,11 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         )
         trained = model.flatten()
         averaging = cfg.train.averaging
-        if averaging != "none" and avg_state is not None and avg_state.initialized:
-            eval_weights = export_eval_weights(avg_state, averaging, trained)
-            averaged = eval_weights
-        else:
-            # zero-epoch runs have no snapshots; evaluate the raw weights
-            eval_weights, averaged = trained.copy(), None
-        eval_model = model.clone()
-        eval_model.unflatten(eval_weights)
-        recompute_running_stats(eval_model, train_ds)
+        averaged = None
+        if averaging != "none" and avg_state.initialized:
+            averaged = export_eval_weights(avg_state, averaging, trained)
+        # zero-epoch runs have no snapshots; evaluate the raw weights
+        eval_model = load_eval_model(model, trained if averaged is None else averaged, train_ds)
         report = evaluate(eval_model, test_ds, partition)
         onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
 
@@ -404,58 +415,64 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         raise
 
 
-def resolve_workers(requested: Optional[int] = None) -> int:
-    """DAMEL_WORKERS overrides the requested worker count."""
+def resolve_workers(requested: Optional[int] = None, jobs: Optional[int] = None) -> int:
+    """DAMEL_WORKERS overrides the requested worker count (default 1); below 1
+    is a ConfigError, and the count is capped at ``jobs`` when given."""
+    source, value = "workers", 1 if requested is None else requested
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
+        source = WORKERS_ENV_VAR
         try:
             value = int(env)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return max(1, requested or 1)
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value if jobs is None else min(value, jobs)
 
 
-def _sweep_job(args):
-    cfg, seed, run_dir = args
-    record = run_single(cfg, seed, run_dir)
-    onehot = np.load(Path(run_dir) / "onehot.npy")
-    return record, onehot
+def _run_job(job) -> RunRecord:
+    """One job, inline or in a pool worker; a failure names the job's seed."""
+    cfg, seed, run_dir, where = job
+    try:
+        return run_single(cfg, seed, run_dir)
+    except Exception as err:
+        raise DamelError(f"{where}: seed {seed} failed: {err}") from err
+
+
+def _run_jobs(jobs, workers=None) -> list:
+    """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order; no two
+    jobs may share a run directory. In a pool, the first failure cancels the
+    jobs not yet started and is raised once the started ones finish."""
+    taken = set()
+    for _, seed, run_dir, where in jobs:
+        if str(run_dir) in taken:
+            raise ConfigError(f"{where}: seed {seed} is listed twice (run directory {run_dir})")
+        taken.add(str(run_dir))
+    workers = resolve_workers(workers, len(jobs))
+    if workers == 1:
+        return [_run_job(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_job, job) for job in jobs]
+        for future in as_completed(futures):
+            if future.exception() is not None:
+                pool.shutdown(cancel_futures=True)
+                future.result()  # raises the job's DamelError
+        return [future.result() for future in futures]
 
 
 def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=None):
-    """Independent runs per seed plus the across-seed decomposition summary."""
+    """Independent runs per seed plus the across-seed decomposition summary,
+    built from the records' test predictions and shared test labels."""
     seeds = list(cfg.seeds if seeds is None else seeds)
     if len(seeds) < 2:
         raise ConfigError(f"sweep needs at least 2 seeds, got {len(seeds)}")
     sweep_dir = Path(sweep_dir) if sweep_dir is not None else Path(cfg.output_dir) / "sweep" / "default"
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, seed, sweep_dir / str(seed)) for seed in seeds]
-    workers = resolve_workers(workers)
-    results = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_job, job): job[1] for job in jobs}
-            by_seed = {}
-            for future, seed in futures.items():
-                try:
-                    by_seed[seed] = future.result()
-                except Exception as err:
-                    raise DamelError(f"sweep: seed {seed} failed: {err}") from err
-            results = [by_seed[seed] for seed in seeds]
-    else:
-        for job in jobs:
-            try:
-                results.append(_sweep_job(job))
-            except Exception as err:
-                raise DamelError(f"sweep: seed {job[1]} failed: {err}") from err
+    records = _run_jobs([(cfg, seed, sweep_dir / str(seed), "sweep") for seed in seeds], workers)
 
-    records = [r for r, _ in results]
-    preds = [p for _, p in results]
-    _, test_ds, _ = build_datasets(cfg.dataset, seeds[0])
-    targets = labels_one_hot(test_ds.labels, cfg.dataset.num_classes)
+    num_classes = cfg.dataset.num_classes
+    preds = [labels_one_hot(r.eval_report.predictions, num_classes) for r in records]
+    targets = labels_one_hot(records[0].eval_report.labels, num_classes)
     np.save(sweep_dir / "test_labels_onehot.npy", targets)
     summary = bias_variance_decompose(preds, targets)
     payload = dict(
@@ -562,42 +579,28 @@ def _summary_row(suite: str, cell: str, records) -> list:
     return row
 
 
-def run_ablation_suite(cfg: ExperimentConfig, suite: str, workers=None):
-    """Run every cell of a suite over the configured seeds; returns (csv_path, rows)."""
-    cells = expand_suite(cfg, suite)
-    workers = resolve_workers(workers)
-    suite_dir = Path(cfg.output_dir) / suite
-    suite_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for cell, cell_cfg in cells:
-        for seed in cfg.seeds:
-            jobs.append((cell, cell_cfg, seed, suite_dir / cell / str(seed)))
-    results: dict[str, list] = {cell: [] for cell, _ in cells}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (cell, seed, pool.submit(run_single, cell_cfg, seed, run_dir))
-                for cell, cell_cfg, seed, run_dir in jobs
-            ]
-            for cell, seed, future in futures:
-                try:
-                    results[cell].append(future.result())
-                except Exception as err:
-                    raise DamelError(f"{suite}/{cell}: seed {seed} failed: {err}") from err
-    else:
-        for cell, cell_cfg, seed, run_dir in jobs:
-            try:
-                results[cell].append(run_single(cell_cfg, seed, run_dir))
-            except Exception as err:
-                raise DamelError(f"{suite}/{cell}: seed {seed} failed: {err}") from err
-
-    rows = [_summary_row(suite, cell, results[cell]) for cell, _ in cells]
-    csv_path = suite_dir / "summary.csv"
+def _write_summary_csv(csv_path: Path, groups):
+    """One summary row per ``((suite, cell), records)`` group; returns (csv_path, rows)."""
+    rows = [_summary_row(suite, cell, records) for (suite, cell), records in groups]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerows(rows)
     return csv_path, rows
+
+
+def run_ablation_suite(cfg: ExperimentConfig, suite: str, workers=None):
+    """Run every cell of a suite over the configured seeds; returns (csv_path, rows)."""
+    cells = expand_suite(cfg, suite)
+    suite_dir = Path(cfg.output_dir) / suite
+    jobs = [
+        (cell_cfg, seed, suite_dir / cell / str(seed), f"{suite}/{cell}")
+        for cell, cell_cfg in cells
+        for seed in cfg.seeds
+    ]
+    records = iter(_run_jobs(jobs, workers))
+    groups = [((suite, cell), [next(records) for _ in cfg.seeds]) for cell, _ in cells]
+    return _write_summary_csv(suite_dir / "summary.csv", groups)
 
 
 def aggregate_report(root_dir):
@@ -611,28 +614,6 @@ def aggregate_report(root_dir):
         # layout <suite>/<cell>/<seed>/run.json
         suite, cell = (rel[0], rel[1]) if len(rel) >= 4 else ("", "")
         with open(run_json) as fh:
-            payload = json.load(fh)
-        record = RunRecord(
-            config_hash=payload["config_hash"],
-            seed=payload["seed"],
-            wall_seconds=payload["wall_seconds"],
-            eval_report=EvalReport(
-                overall_acc=payload["eval"]["overall_acc"],
-                group_acc={g: payload["eval"]["group_acc"].get(g) for g in ("many", "medium", "few")},
-                test_size=payload["eval"]["test_size"],
-                confusion=np.asarray(payload["eval"]["confusion"]),
-            ),
-            metrics_path=payload["metrics_csv"],
-            checkpoint_path=payload["checkpoint"],
-        )
+            record = RunRecord.from_json_dict(json.load(fh))
         groups.setdefault((suite, cell), []).append(record)
-    rows = [
-        _summary_row(suite, cell, records)
-        for (suite, cell), records in sorted(groups.items())
-    ]
-    csv_path = root / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        writer.writerows(rows)
-    return csv_path, rows
+    return _write_summary_csv(root / "report.csv", sorted(groups.items()))

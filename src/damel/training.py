@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .averaging import EmaState, SwaState, export_eval_weights, recompute_running_stats, update_average
+from .averaging import EmaState, SwaState, load_eval_model, update_average
 from .data import Dataset, LongTailSpec, minibatch_iterator
 from .errors import ConfigError, ContractError, NumericError
 from .model import DamelModel, bind_params, full_forward, param_views, predict
@@ -154,15 +154,6 @@ def _accuracy(model: DamelModel, ds: Dataset) -> float:
     return float((predict(model, ds.features) == ds.labels).mean())
 
 
-def _averaged_accuracy(model, avg_state, cfg, train_ds, test_ds) -> float:
-    if cfg.averaging == "none" or avg_state is None or not avg_state.initialized:
-        return float("nan")
-    shadow = model.clone()
-    shadow.unflatten(export_eval_weights(avg_state, cfg.averaging, model.buffer))
-    recompute_running_stats(shadow, train_ds)
-    return _accuracy(shadow, test_ds)
-
-
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -206,6 +197,7 @@ def train(
     aux_start = model.param_count() - (0 if aux is None else aux.size)
     freeze_aux, freeze_rest = slice(aux_start, None), slice(0, aux_start)
     metrics: list[EpochMetrics] = []
+    shadow = None  # the averaged weights' eval model, reused every epoch
 
     for epoch in range(cfg.epochs):
         aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
@@ -253,6 +245,10 @@ def train(
         if cfg.ema_frequency == "epoch":
             avg_state = update_average(avg_state, model.buffer, cfg.averaging)
 
+        test_acc_ema = float("nan")
+        if test_ds is not None and cfg.averaging != "none" and avg_state.initialized:
+            shadow = load_eval_model(model, avg_state.weights, ds, shadow)
+            test_acc_ema = _accuracy(shadow, test_ds)
         has_balanced = model.config.aux_input_dim is not None
         metrics.append(
             EpochMetrics(
@@ -262,8 +258,7 @@ def train(
                 total=sums["total"] / n_seen,
                 train_acc=_accuracy(model, ds),
                 test_acc_raw=_accuracy(model, test_ds) if test_ds is not None else float("nan"),
-                test_acc_ema=_averaged_accuracy(model, avg_state, cfg, ds, test_ds)
-                if test_ds is not None else float("nan"),
+                test_acc_ema=test_acc_ema,
             )
         )
     return model, avg_state, metrics

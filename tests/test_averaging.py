@@ -8,13 +8,14 @@ from damel.averaging import (
     SwaState,
     ema_update,
     export_eval_weights,
+    load_eval_model,
     recompute_running_stats,
     swa_update,
     update_average,
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
 from damel.errors import ContractError
-from damel.model import DamelConfig, forward_experts, init_model
+from damel.model import DamelConfig, forward_experts, init_model, predict
 
 
 def ema_closed_form(snapshots, rate):
@@ -220,3 +221,29 @@ class TestRecomputeRunningStats:
         ds.labels = ds.labels[:0]
         with pytest.raises(ContractError, match="empty"):
             recompute_running_stats(model, ds)
+
+
+class TestLoadEvalModel:
+    def test_reused_shadow_matches_fresh_clone_bitwise(self):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        model = _norm_model()
+        shadow = None
+        for step in range(3):
+            weights = model.flatten() * (1.0 + 0.1 * step)
+            fresh = load_eval_model(model, weights, ds)
+            shadow = load_eval_model(model, weights, ds, shadow)
+            assert shadow is not model and shadow.buffer is not weights
+            assert shadow.flatten().tobytes() == fresh.flatten().tobytes()
+            for name, state in fresh.norm_states.items():
+                assert shadow.norm_states[name].running_mean.tobytes() == state.running_mean.tobytes()
+                assert shadow.norm_states[name].running_var.tobytes() == state.running_var.tobytes()
+            assert predict(shadow, ds.features).tobytes() == predict(fresh, ds.features).tobytes()
+
+    def test_leaves_the_source_model_alone(self):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        model = _norm_model()
+        before = model.flatten().tobytes()
+        stats = {n: s.running_mean.tobytes() for n, s in model.norm_states.items()}
+        load_eval_model(model, model.flatten() * 2.0, ds)
+        assert model.flatten().tobytes() == before
+        assert {n: s.running_mean.tobytes() for n, s in model.norm_states.items()} == stats

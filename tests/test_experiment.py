@@ -11,8 +11,9 @@ import damel.experiment as experiment
 from damel.cli import main as cli_main
 from damel.errors import ConfigError, DamelError
 from damel.averaging import recompute_running_stats
-from damel.evaluation import bias_variance_decompose, one_hot_predictions
+from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot, one_hot_predictions
 from damel.experiment import (
+    RunRecord,
     aggregate_report,
     config_hash,
     config_to_dict,
@@ -356,6 +357,37 @@ class TestSweep:
         summary_par, _ = run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "par")
         assert summary_seq.to_json_dict() == summary_par.to_json_dict()
 
+    def test_test_labels_are_the_shared_test_set(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, seeds=[3, 1]))
+        _, records = run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "sweep")
+        _, test_ds, _ = experiment.build_datasets(cfg.dataset, 3)
+        expected = labels_one_hot(test_ds.labels, cfg.dataset.num_classes)
+        assert np.load(tmp_path / "sweep" / "test_labels_onehot.npy").tobytes() == expected.tobytes()
+        assert [r.seed for r in records] == [3, 1]
+        for record in records:
+            assert record.eval_report.labels.tobytes() == test_ds.labels.tobytes()
+
+    def test_parallel_failure_cancels_queued_seeds(self, tmp_path):
+        # Each run takes long enough (about a second) that the first failure
+        # is seen before the pool could hand out the last seeds.
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 200}, seeds=list(range(8))))
+        sweep_dir = tmp_path / "sweep"
+        sweep_dir.mkdir()
+        (sweep_dir / "0").write_text("a file where seed 0's run directory goes")
+        with pytest.raises(DamelError, match="sweep: seed 0 failed"):
+            run_seed_sweep(cfg, workers=2, sweep_dir=sweep_dir)
+        # The pool queues at most workers + 1 runs ahead, so seeds 6 and 7
+        # were never started, where a pool that drains its queue runs all 7.
+        assert not (sweep_dir / "6").exists()
+        assert not (sweep_dir / "7").exists()
+
+    def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path))
+        sweep_dir = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="seed 0 is listed twice"):
+            run_seed_sweep(cfg, seeds=[0, 1, 0], workers=2, sweep_dir=sweep_dir)
+        assert not sweep_dir.exists()
+
 
 class TestWorkers:
     def test_env_overrides(self, monkeypatch):
@@ -369,6 +401,23 @@ class TestWorkers:
         monkeypatch.setenv("DAMEL_WORKERS", "many")
         with pytest.raises(ConfigError, match="DAMEL_WORKERS"):
             resolve_workers()
+
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_requested_below_one_is_config_error(self, monkeypatch, requested):
+        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {requested}"):
+            resolve_workers(requested)
+        monkeypatch.setenv("DAMEL_WORKERS", str(requested))
+        with pytest.raises(ConfigError, match="DAMEL_WORKERS must be >= 1"):
+            resolve_workers(2)
+
+    def test_capped_at_job_count(self, monkeypatch):
+        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+        assert resolve_workers(8, jobs=3) == 3
+        assert resolve_workers(2, jobs=3) == 2
+        assert resolve_workers(None, jobs=3) == 1
+        monkeypatch.setenv("DAMEL_WORKERS", "6")
+        assert resolve_workers(1, jobs=4) == 4
 
 
 class TestSuites:
@@ -414,6 +463,38 @@ class TestSuites:
         cells = {row[1] for row in rows}
         assert cells == {"iteration", "epoch"}
 
+    def test_parallel_suite_csv_matches_serial(self, tmp_path):
+        blobs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, output_dir=str(out)))
+            csv_path, _ = run_ablation_suite(cfg, "table7", workers=workers)
+            blobs.append(csv_path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_report_rows_match_suite_rows(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0, 1]))
+        _, suite_rows = run_ablation_suite(cfg, "table7", workers=2)
+        _, report_rows = aggregate_report(Path(cfg.output_dir))
+        assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
+
+    def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, seeds=[1, 1]))
+        with pytest.raises(ConfigError, match="table7/iteration: seed 1 is listed twice"):
+            run_ablation_suite(cfg, "table7")
+        assert not (Path(cfg.output_dir) / "table7").exists()
+
+    def test_run_record_json_round_trip(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        record = run_single(cfg, seed=0, run_dir=tmp_path / "run")
+        payload = json.loads((tmp_path / "run" / "run.json").read_text())
+        rebuilt = RunRecord.from_json_dict(payload)
+        assert rebuilt.to_json_dict() == record.to_json_dict()
+        assert rebuilt.eval_report.group_acc == record.eval_report.group_acc
+        assert rebuilt.eval_report.confusion.tobytes() == record.eval_report.confusion.tobytes()
+        assert rebuilt.eval_report.predictions is None and rebuilt.eval_report.labels is None
+        assert EvalReport.from_json_dict(payload["eval"]).to_json_dict() == payload["eval"]
+
 
 class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
@@ -439,6 +520,21 @@ class TestCli:
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1}, seeds=[0])
         assert cli_main(["ablate", "--config", str(path), "--suite", "table7"]) == 0
         assert cli_main(["report", "--dir", raw["output_dir"]]) == 0
+
+    def test_duplicate_seeds_exit_code(self, tmp_path, capsys):
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
+        assert cli_main(["sweep", "--config", str(path), "--seeds", "0,0"]) == 1
+        assert "seed 0 is listed twice" in capsys.readouterr().err
+        assert not (Path(raw["output_dir"]) / "sweep").exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--seeds", "0,1"], ["ablate", "--suite", "table7"]])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
+        argv = [command[0], "--config", str(path), *command[1:], "--workers", "0"]
+        assert cli_main(argv) == 1
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not Path(raw["output_dir"]).exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import pytest
 
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
-from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
+from damel.model import DamelConfig, DamelModel, bind_params, full_forward, init_model, param_group
 from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
     OptimizerState,
@@ -176,6 +176,20 @@ class TestTrain:
         _, _, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=1)
         sums = [sum(m.expert_ce) for m in metrics]
         assert all(a > b for a, b in zip(sums[:5], sums[1:6]))
+
+    def test_averaged_score_reuses_one_shadow_model(self, monkeypatch):
+        clones = []
+        real_clone = DamelModel.clone
+
+        def counting_clone(model):
+            clones.append(model)
+            return real_clone(model)
+
+        model, ds, cfg = quick_train_setup(epochs=3)
+        monkeypatch.setattr(DamelModel, "clone", counting_clone)
+        _, _, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
+        assert len(clones) == 1
+        assert all(np.isfinite(m.test_acc_ema) for m in metrics)
 
     def test_deterministic(self):
         runs = []
