@@ -8,9 +8,11 @@ output_dir/<suite>/<cell>/<seed>/ and is reproducible from its config hash
 plus seed.
 
 Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
-a process pool of at most one worker per run. Each run needs its own seed,
-the first failure cancels the runs not yet started, and records come back in
-memory, so a sweep's summary reads no artifact and builds no data again.
+a process pool of at most one worker per run that holds no more runs than it
+has workers. Each run needs its own seed, the first failure stops the
+fan-out once the running runs finish, and records come back in memory, so a
+sweep's summary reads no artifact and builds no data again. A file-backed
+source (idx/csv) is parsed once per process and content, not once per run.
 
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
@@ -23,19 +25,23 @@ import copy
 import csv
 import hashlib
 import json
+import math
+import numbers
 import os
 import shutil
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, replace
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .averaging import export_eval_weights, load_eval_model
 from .data import (
+    Dataset,
     group_partition,
     load_csv_dataset,
     load_idx_dataset,
@@ -118,8 +124,44 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
 
 
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _value_fits(kind, value) -> bool:
+    """A JSON value against a field type: a bool is never an int or a float,
+    and a float must be finite."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _typed_block(cls, block, allowed: set, where: str):
+    """A config dataclass from one JSON object; unknown or missing keys and
+    values that do not fit their field's annotation are ConfigErrors."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    _check_keys(block, allowed, where)
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in block:
+            if f.default is MISSING:
+                raise ConfigError(f"{where}: missing key {f.name!r}")
+            continue
+        kind, *nullable = get_args(hints[f.name]) or (hints[f.name],)  # Optional[X] is (X, None)
+        value = block[f.name]
+        if not (value is None and nullable or _value_fits(kind, value)):
+            expected = _KIND_NAMES[kind] + (" or null" if nullable else "")
+            raise ConfigError(f"{where}: {f.name} must be {expected}, got {value!r}")
+    return cls(**block)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict into typed blocks; rejects unknown keys."""
+    """Validate a raw config dict into typed blocks; rejects unknown keys and
+    wrongly typed values, so any malformed config is one ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(raw, _TOP_KEYS, "config")
@@ -127,12 +169,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if required not in raw:
             raise ConfigError(f"config: missing block {required!r}")
 
-    dblock = dict(raw["dataset"])
-    source = dblock.get("source")
+    if not isinstance(raw["dataset"], dict):
+        raise ConfigError(f"dataset must be a JSON object, got {raw['dataset']!r}")
+    source = raw["dataset"].get("source")
     if source not in _SOURCES:
         raise ConfigError(f"dataset.source must be one of {_SOURCES}, got {source!r}")
-    _check_keys(dblock, _DATASET_KEYS[source], f"dataset ({source})")
-    dataset = DatasetBlock(**dblock)
+    dataset = _typed_block(DatasetBlock, raw["dataset"], _DATASET_KEYS[source], f"dataset ({source})")
     if source == "synthetic":
         if dataset.feature_dim is None or dataset.class_sep is None:
             raise ConfigError("dataset (synthetic): feature_dim and class_sep are required")
@@ -148,11 +190,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except DamelError as err:
         raise ConfigError(f"dataset: {err}") from None
 
-    _check_keys(dict(raw["model"]), _MODEL_KEYS, "model")
-    model = ModelBlock(**raw["model"])
-    _check_keys(dict(raw["train"]), _TRAIN_KEYS, "train")
+    model = _typed_block(ModelBlock, raw["model"], _MODEL_KEYS, "model")
+    train_block = _typed_block(TrainConfig, raw["train"], _TRAIN_KEYS, "train")
     try:
-        train_cfg = TrainConfig(**raw["train"]).validate()
+        train_cfg = train_block.validate()
     except DamelError as err:
         raise ConfigError(f"train: {err}") from None
 
@@ -162,11 +203,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except DamelError as err:
         raise ConfigError(f"model: {err}") from None
 
-    seeds = list(raw.get("seeds", [0]))
-    if not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a non-empty list of integers")
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds or not all(_value_fits(int, s) for s in seeds):
+        raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     output_dir = raw.get("output_dir", "runs")
-    return ExperimentConfig(dataset, model, train_cfg, seeds, str(output_dir))
+    if not isinstance(output_dir, (str, os.PathLike)):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    return ExperimentConfig(dataset, model, train_cfg, list(seeds), str(output_dir))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -231,12 +274,45 @@ def build_damel_config(model: ModelBlock, dataset: DatasetBlock, input_dim: int)
     )
 
 
+# At most one parsed file-backed source per process: {key: read-only Dataset}.
+_parsed_source: dict = {}
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _file_source(dataset: DatasetBlock) -> Dataset:
+    """The parsed idx/csv source, keyed by its kind, its paths and the sha256
+    of each file's bytes, so a rewritten file is parsed again whatever its
+    size or mtime. The loaders are looked up at call time, so a wrapped
+    loader sees only real parses. The arrays are read-only: every run
+    indexes fresh copies out of them."""
+    paths = (dataset.images, dataset.labels) if dataset.source == "idx" else (dataset.csv_path,)
+    key = (dataset.source, paths, tuple(_sha256(path) for path in paths))
+    source = _parsed_source.get(key)
+    if source is None:
+        _parsed_source.clear()  # never hold two sources at once
+        loader = load_idx_dataset if dataset.source == "idx" else load_csv_dataset
+        source = loader(*paths)
+        source.features.flags.writeable = False
+        source.labels.flags.writeable = False
+        _parsed_source[key] = source
+    return source
+
+
 def build_datasets(dataset: DatasetBlock, seed: int):
     """(train, test, partition) for one run seed.
 
     The balanced test set and (for synthetic data) the class geometry derive
     from base_seed only, so every seed of a sweep shares one test set while
-    training data resamples per seed.
+    training data resamples per seed. An idx/csv source is parsed once per
+    process and file content, kept read-only, and shared by every run that
+    names the same content.
     """
     spec = long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
     if dataset.source == "synthetic":
@@ -248,10 +324,7 @@ def build_datasets(dataset: DatasetBlock, seed: int):
             dataset.class_sep, seed=dataset.base_seed, center_seed=dataset.base_seed,
         )
     else:
-        if dataset.source == "idx":
-            source_ds = load_idx_dataset(dataset.images, dataset.labels)
-        else:
-            source_ds = load_csv_dataset(dataset.csv_path)
+        source_ds = _file_source(dataset)
         if source_ds.spec.num_classes != dataset.num_classes:
             raise ConfigError(
                 f"dataset: file holds {source_ds.spec.num_classes} classes, config says "
@@ -442,8 +515,9 @@ def _run_job(job) -> RunRecord:
 
 def _run_jobs(jobs, workers=None) -> list:
     """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order; no two
-    jobs may share a run directory. In a pool, the first failure cancels the
-    jobs not yet started and is raised once the started ones finish."""
+    jobs may share a run directory. A pool holds at most one job per worker
+    and is handed the next only when one finishes, so the first failure
+    starts no further job and is raised once the running ones finish."""
     taken = set()
     for _, seed, run_dir, where in jobs:
         if str(run_dir) in taken:
@@ -452,13 +526,16 @@ def _run_jobs(jobs, workers=None) -> list:
     workers = resolve_workers(workers, len(jobs))
     if workers == 1:
         return [_run_job(job) for job in jobs]
+    records = [None] * len(jobs)
+    queued = iter(enumerate(jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_job, job) for job in jobs]
-        for future in as_completed(futures):
-            if future.exception() is not None:
-                pool.shutdown(cancel_futures=True)
-                future.result()  # raises the job's DamelError
-        return [future.result() for future in futures]
+        running = {pool.submit(_run_job, job): i for i, job in islice(queued, workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                records[running.pop(future)] = future.result()  # raises the job's DamelError
+            running.update((pool.submit(_run_job, job), i) for i, job in islice(queued, len(done)))
+    return records
 
 
 def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=None):
@@ -616,4 +693,7 @@ def aggregate_report(root_dir):
         with open(run_json) as fh:
             record = RunRecord.from_json_dict(json.load(fh))
         groups.setdefault((suite, cell), []).append(record)
-    return _write_summary_csv(root / "report.csv", sorted(groups.items()))
+    return _write_summary_csv(root / "report.csv", [
+        (key, sorted(records, key=lambda record: record.seed))
+        for key, records in sorted(groups.items())
+    ])

@@ -1,6 +1,7 @@
 """Experiment driver tests: config validation, runs, sweeps, suites, CLI."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import damel.experiment as experiment
 from damel.cli import main as cli_main
 from damel.errors import ConfigError, DamelError
 from damel.averaging import recompute_running_stats
+from damel.data import load_csv_dataset, load_idx_dataset, split_balanced_holdout
 from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot, one_hot_predictions
 from damel.experiment import (
     RunRecord,
@@ -94,6 +96,58 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_every_wrongly_typed_value_is_config_error_or_accepted(self, tmp_path, source):
+        raw = small_raw(
+            tmp_path,
+            model={"scale": 16.0, "variant": "standard", "use_bias": True, "ref_experts": None},
+            train={"lr": 0.1, "momentum": 0.9, "cb_loss_weight": 1.0, "ema_rate": 0.1,
+                   "ema_frequency": "epoch", "averaging": "ema", "decoupled": False,
+                   "cb_loss_enabled": True},
+        )
+        if source == "csv":
+            raw["dataset"] = {"source": "csv", "num_classes": 4, "head_count": 30,
+                              "imbalance_ratio": 10, "csv_path": "pool.csv",
+                              "test_per_class": 10, "base_seed": 0}
+        parse_config(raw)
+        places = [(key, None) for key in raw]
+        places += [(block, key) for block in ("dataset", "model", "train") for key in raw[block]]
+        for block, key in places:
+            for value in ("x", None, [], {}, True):
+                mutated = json.loads(json.dumps(raw))
+                if key is None:
+                    mutated[block] = value
+                else:
+                    mutated[block][key] = value
+                try:
+                    parse_config(mutated)
+                except ConfigError:
+                    pass
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("model", "num_experts", "3"), ("model", "hidden_dim", None), ("model", "scale", "16"),
+        ("train", "epochs", "2"), ("train", "lr", None), ("dataset", "num_classes", "4"),
+        ("dataset", "imbalance_ratio", "x"), ("dataset", "test_per_class", "5"),
+        ("dataset", "feature_dim", "5"), ("seeds", None, 5), ("model", None, None),
+        ("train", None, 5), ("dataset", None, [1]), ("seeds", None, [True, False]),
+        ("model", "use_bias", 1), ("train", "lr", float("nan")), ("output_dir", None, None),
+    ])
+    def test_wrong_type_is_one_line_config_error(self, tmp_path, block, key, value):
+        raw = small_raw(tmp_path)
+        if key is None:
+            raw[block] = value
+        else:
+            raw[block][key] = value
+        with pytest.raises(ConfigError, match=block if key is None else key) as info:
+            parse_config(raw)
+        assert "\n" not in str(info.value)
+
+    def test_missing_required_key_is_config_error(self, tmp_path):
+        raw = small_raw(tmp_path)
+        del raw["dataset"]["num_classes"]
+        with pytest.raises(ConfigError, match="missing key 'num_classes'"):
+            parse_config(raw)
 
     def test_hash_ignores_seeds_and_output(self, tmp_path):
         a = parse_config(small_raw(tmp_path, seeds=[0, 1]))
@@ -253,6 +307,130 @@ class TestDatasetSources:
         assert train_a.features.tobytes() != train_b.features.tobytes()
 
 
+def write_csv_pool(path, seed, per_class=25, num_classes=3, dim=4):
+    """Features in [1, 9) at three decimals, so every draw has the same byte length."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(num_classes), per_class)
+    features = rng.uniform(1.0, 9.0, size=(labels.size, dim))
+    rows = [",".join(f"{v:.3f}" for v in row) + f",{label}" for row, label in zip(features, labels)]
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
+def csv_raw(tmp_path, csv_path, **overrides):
+    raw = small_raw(tmp_path, train={"epochs": 1, "batch_size": 5}, **overrides)
+    raw["dataset"] = {
+        "source": "csv", "csv_path": str(csv_path), "num_classes": 3,
+        "head_count": 15, "imbalance_ratio": 5, "test_per_class": 4, "base_seed": 0,
+    }
+    return raw
+
+
+class TestFileSourceParsedOnce:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Every Dataset a real CSV or IDX parse returned, in call order."""
+        seen = []
+        for name in ("load_csv_dataset", "load_idx_dataset"):
+            real = getattr(experiment, name)
+
+            def counted(*paths, _real=real):
+                seen.append(_real(*paths))
+                return seen[-1]
+
+            monkeypatch.setattr(experiment, name, counted)
+        return seen
+
+    def test_inline_sweep_parses_once(self, tmp_path, parses):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv", seeds=[0, 1, 2, 3]))
+        run_seed_sweep(cfg, workers=1)
+        assert len(parses) == 1
+
+    def test_inline_suite_parses_once(self, tmp_path, parses):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv"))
+        run_ablation_suite(cfg, "table7", workers=1)
+        assert len(parses) == 1
+
+    def test_same_size_rewrite_with_old_mtime_is_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "pool.csv"
+        write_csv_pool(path, seed=0)
+        cfg = parse_config(csv_raw(tmp_path, path))
+        _, old_test, _ = experiment.build_datasets(cfg.dataset, 0)
+        before = os.stat(path)
+        write_csv_pool(path, seed=1)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        _, new_test, _ = experiment.build_datasets(cfg.dataset, 0)
+        assert len(parses) == 2
+        expected, _ = split_balanced_holdout(load_csv_dataset(path), 4, 0)
+        assert new_test.features.tobytes() == expected.features.tobytes()
+        assert new_test.features.tobytes() != old_test.features.tobytes()
+
+    def test_idx_labels_rewrite_is_parsed_again(self, tmp_path, parses):
+        img, lbl = TestDatasetSources()._idx_files(tmp_path)
+        raw = small_raw(tmp_path)
+        raw["dataset"] = {
+            "source": "idx", "images": str(img), "labels": str(lbl),
+            "num_classes": 4, "head_count": 20, "imbalance_ratio": 10,
+            "test_per_class": 5, "base_seed": 0,
+        }
+        cfg = parse_config(raw)
+        experiment.build_datasets(cfg.dataset, 0)
+        experiment.build_datasets(cfg.dataset, 1)
+        assert len(parses) == 1
+        header, labels = lbl.read_bytes()[:8], np.frombuffer(lbl.read_bytes()[8:], dtype=np.uint8)
+        lbl.write_bytes(header + np.roll(labels, 1).tobytes())
+        experiment.build_datasets(cfg.dataset, 0)
+        assert len(parses) == 2
+        assert parses[1].labels.tobytes() == load_idx_dataset(img, lbl).labels.tobytes()
+        assert parses[1].labels.tobytes() != parses[0].labels.tobytes()
+
+    def test_parsed_source_is_read_only_and_runs_get_copies(self, tmp_path, parses):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv"))
+        train_ds, test_ds, _ = experiment.build_datasets(cfg.dataset, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            parses[0].features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            parses[0].labels[0] = 0
+        train_ds.features[0, 0] = -1.0  # a run's own copy
+        test_ds.features[0, 0] = -1.0
+        again, _, _ = experiment.build_datasets(cfg.dataset, 0)
+        assert len(parses) == 1 and again.features[0, 0] != -1.0
+
+    def test_missing_csv_is_config_error_naming_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        raw = csv_raw(tmp_path, missing)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(missing) in err
+        assert not (Path(raw["output_dir"]) / "single" / "default" / "0").exists()
+
+    def test_sweep_artifacts_match_a_fresh_parse_per_run(self, tmp_path, parses, monkeypatch):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv", seeds=[0, 1, 2, 3]))
+        run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "memo")
+        assert len(parses) == 1
+        real = experiment.build_datasets
+
+        def fresh(dataset, seed):
+            experiment._parsed_source.clear()
+            return real(dataset, seed)
+
+        monkeypatch.setattr(experiment, "build_datasets", fresh)
+        run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "fresh")
+        assert len(parses) == 5
+        names = sorted(p.relative_to(tmp_path / "memo") for p in (tmp_path / "memo").rglob("*")
+                       if p.is_file() and p.name != "run.json")
+        assert len(names) == 4 * 5 + 2
+        for name in names:
+            assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ck.bin"
@@ -376,10 +554,11 @@ class TestSweep:
         (sweep_dir / "0").write_text("a file where seed 0's run directory goes")
         with pytest.raises(DamelError, match="sweep: seed 0 failed"):
             run_seed_sweep(cfg, workers=2, sweep_dir=sweep_dir)
-        # The pool queues at most workers + 1 runs ahead, so seeds 6 and 7
-        # were never started, where a pool that drains its queue runs all 7.
-        assert not (sweep_dir / "6").exists()
-        assert not (sweep_dir / "7").exists()
+        # The pool holds one run per worker and gets the next only when one
+        # finishes, so only seed 1 ran beside seed 0; a pool that is handed
+        # every job at once runs seeds up to 4 or 5 as well.
+        for seed in range(2, 8):
+            assert not (sweep_dir / str(seed)).exists()
 
     def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
@@ -478,6 +657,13 @@ class TestSuites:
         _, report_rows = aggregate_report(Path(cfg.output_dir))
         assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
 
+    def test_report_orders_seeds_numerically(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=list(range(11))))
+        _, suite_rows = run_ablation_suite(cfg, "table7")
+        _, report_rows = aggregate_report(Path(cfg.output_dir))
+        assert sorted(report_rows) == sorted(suite_rows)
+        assert report_rows[0][2] == " ".join(str(seed) for seed in range(11))
+
     def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, seeds=[1, 1]))
         with pytest.raises(ConfigError, match="table7/iteration: seed 1 is listed twice"):
@@ -540,6 +726,13 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dataset": {"source": "synthetic"}}))
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 1
+
+    def test_wrongly_typed_field_exit_code(self, tmp_path, capsys):
+        path, _ = self._write_cfg(tmp_path, model={"num_experts": "3"})
+        assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: model: num_experts must be an integer, got '3'\n"
+        )
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "0"]) == 1
