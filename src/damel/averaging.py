@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .model import DamelModel, forward_backbone
+from .model import DamelModel, backbone_layers, constant_params
+from .tensor import affine, dense_bn_relu, matmul
 
 
 @dataclass
@@ -118,11 +119,14 @@ def export_eval_weights(avg_state, averaging: str, trained: np.ndarray) -> np.nd
 def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[int] = None) -> DamelModel:
     """Replace every norm layer's running statistics with exact aggregates.
 
-    One dataset pass per norm layer: earlier layers already run in eval mode
-    with their final statistics, so the accumulated mean/variance are exact
-    population statistics of each layer's true eval-time input, and the
-    result is identical for any chunking of the pass. The norm layers live
-    in the backbone, so each pass runs only the backbone.
+    The backbone runs layer by layer over the chunks of the training set.
+    Each layer computes its affine output once per chunk and merges it into
+    its norm layer's statistics; once every chunk is in, the same outputs are
+    normalized in place with the final statistics and go on to the next layer.
+    So the accumulated mean/variance are exact population statistics of each
+    layer's true eval-time input for any chunking (equal up to the merge's
+    rounding), and each layer runs once per recompute. The pass holds at most
+    two activation-sized buffers per chunk at a time.
     """
     if not model.norm_states:
         return model
@@ -132,13 +136,19 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     step = n if chunk_size is None else int(chunk_size)
     if step < 1:
         raise ContractError(f"recompute_running_stats: chunk_size must be >= 1, got {chunk_size}")
-    features = train_ds.features
-    for name in model.norm_states:
-        state = model.norm_states[name]
+    chunks = [train_ds.features[start:start + step] for start in range(0, n, step)]
+    layers = backbone_layers(model, constant_params(model))
+    for i, (w, b, norm) in enumerate(layers):
+        state = norm[0]
         state.begin_accumulation()
-        for start in range(0, n, step):
-            forward_backbone(model, features[start:start + step], mode="eval")
+        # The affine outputs replace the layer's inputs, which are done with.
+        chunks = [matmul(h, w) if b is None else affine(h, w, b) for h in chunks]
+        for z in chunks:
+            state.merge_batch(z.values)
+        del z  # else the last chunk's outputs stay alive into the next layer
         state.finish_accumulation()
+        if i + 1 < len(layers):  # the last layer's output feeds no statistics
+            chunks = [dense_bn_relu(z, None, None, norm) for z in chunks]
     return model
 
 

@@ -7,7 +7,7 @@
 
 Exit codes: 0 success, 1 configuration/usage error, 2 run failure.
 The DAMEL_WORKERS environment variable overrides any --workers value; either
-must be >= 1, and seeds must not repeat.
+must be >= 1, and seeds must be non-negative and must not repeat.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ plus seed.
 
 Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
 a process pool of at most one worker per run that holds no more runs than it
-has workers. Each run needs its own seed, the first failure stops the
-fan-out once the running runs finish, and records come back in memory, so a
-sweep's summary reads no artifact and builds no data again. A file-backed
-source (idx/csv) is parsed once per process and content, not once per run.
+has workers. Each run needs its own non-negative seed, and the files of an
+idx/csv source must be readable before any run starts. The first failure
+stops the fan-out once the running runs finish, and records come back in
+memory, so a sweep's summary reads no artifact and builds no data again. A
+file-backed source (idx/csv) is parsed once per process and content, not once
+per run.
 
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
@@ -75,6 +77,7 @@ _DATASET_KEYS = {
     "csv": {"source", "num_classes", "head_count", "imbalance_ratio",
             "csv_path", "test_per_class", "base_seed"},
 }
+_SOURCE_FILES = {"synthetic": (), "idx": ("images", "labels"), "csv": ("csv_path",)}
 _MODEL_KEYS = {"num_experts", "hidden_dim", "rep_dim", "scale", "variant",
                "use_norm_layers", "use_bias", "ref_experts"}
 _TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "cb_loss_weight",
@@ -174,7 +177,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     source = raw["dataset"].get("source")
     if source not in _SOURCES:
         raise ConfigError(f"dataset.source must be one of {_SOURCES}, got {source!r}")
-    dataset = _typed_block(DatasetBlock, raw["dataset"], _DATASET_KEYS[source], f"dataset ({source})")
+    # config_to_dict writes every DatasetBlock field; another source's fields
+    # come back as null, which means unset.
+    known = {f.name for f in fields(DatasetBlock)}
+    block = {key: value for key, value in raw["dataset"].items()
+             if value is not None or key in _DATASET_KEYS[source] or key not in known}
+    dataset = _typed_block(DatasetBlock, block, _DATASET_KEYS[source], f"dataset ({source})")
     if source == "synthetic":
         if dataset.feature_dim is None or dataset.class_sep is None:
             raise ConfigError("dataset (synthetic): feature_dim and class_sep are required")
@@ -184,6 +192,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("dataset (csv): csv_path is required")
     if dataset.test_per_class < 1:
         raise ConfigError(f"dataset: test_per_class must be >= 1, got {dataset.test_per_class}")
+    _check_seed(dataset.base_seed, "dataset: base_seed")
     # Surface count-profile domain errors before any run starts.
     try:
         long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
@@ -204,12 +213,32 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"model: {err}") from None
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(_value_fits(int, s) for s in seeds):
-        raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    if not isinstance(seeds, list) or not seeds or not all(_value_fits(int, s) and s >= 0 for s in seeds):
+        raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {seeds!r}")
     output_dir = raw.get("output_dir", "runs")
     if not isinstance(output_dir, (str, os.PathLike)):
         raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     return ExperimentConfig(dataset, model, train_cfg, list(seeds), str(output_dir))
+
+
+def _check_seed(seed, where: str) -> None:
+    """Seeds feed numpy's generators, which take non-negative integers only."""
+    if not _value_fits(int, seed) or seed < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {seed!r}")
+
+
+def _check_source_files(dataset: DatasetBlock) -> None:
+    """Every file an idx/csv source names must open for reading; otherwise a
+    ConfigError names the field, before any run starts."""
+    for field in _SOURCE_FILES[dataset.source]:
+        path = getattr(dataset, field)
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as err:
+            raise ConfigError(
+                f"dataset ({dataset.source}): cannot read {field} {path!r}: {err.strerror or err}"
+            ) from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -442,11 +471,22 @@ def _write_metrics_csv(path, metrics, num_experts: int) -> None:
 
 
 def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
-    """Build data, train, export eval weights, evaluate, persist artifacts."""
+    """Build data, train, export eval weights, evaluate, persist artifacts.
+
+    A failed run removes its run directory, and the parents of it that it
+    created, as far as they are empty.
+    """
+    _check_seed(seed, "seed")
+    _check_source_files(cfg.dataset)
     if run_dir is None:
         run_dir = Path(cfg.output_dir) / "single" / "default" / str(seed)
     run_dir = Path(run_dir)
     started = time.perf_counter()
+    new_parents = []
+    for parent in run_dir.parents:
+        if parent.exists():
+            break
+        new_parents.append(parent)
     run_dir.mkdir(parents=True, exist_ok=True)
     try:
         train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
@@ -485,6 +525,11 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         return record
     except Exception:
         shutil.rmtree(run_dir, ignore_errors=True)
+        for parent in new_parents:  # deepest first; one that holds other runs stays
+            try:
+                parent.rmdir()
+            except OSError:
+                break
         raise
 
 
@@ -514,15 +559,18 @@ def _run_job(job) -> RunRecord:
 
 
 def _run_jobs(jobs, workers=None) -> list:
-    """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order; no two
-    jobs may share a run directory. A pool holds at most one job per worker
+    """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order. Every
+    seed and source file is checked, and no two jobs may share a run
+    directory, before any job starts. A pool holds at most one job per worker
     and is handed the next only when one finishes, so the first failure
     starts no further job and is raised once the running ones finish."""
     taken = set()
-    for _, seed, run_dir, where in jobs:
+    for cfg, seed, run_dir, where in jobs:
+        _check_seed(seed, f"{where}: seed")
         if str(run_dir) in taken:
             raise ConfigError(f"{where}: seed {seed} is listed twice (run directory {run_dir})")
         taken.add(str(run_dir))
+        _check_source_files(cfg.dataset)
     workers = resolve_workers(workers, len(jobs))
     if workers == 1:
         return [_run_job(job) for job in jobs]

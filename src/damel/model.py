@@ -11,13 +11,19 @@ Parameters live in one contiguous float64 vector; ``DamelModel.params``
 holds named views into it. The K expert blocks are three stacked views,
 ``experts.w`` [K, H, R], ``experts.b`` [K, R] and ``experts.cls`` [K, R, L],
 strided over a flat order that keeps each expert's (w, b, cls) together, so
-the flat vector (and a checkpoint) is laid out expert by expert. The experts
-run as one stacked op chain whose tape length does not depend on K.
+the flat vector (and a checkpoint) is laid out expert by expert.
 
-``forward_backbone`` is the shared trunk alone: the whole forward a
-norm-statistics pass needs. ``forward_experts`` adds the expert blocks and
-their cosine heads; ``predict`` skips those heads when the auxiliary head
-makes the prediction.
+Every forward runs on the tensor module's composite ops, one tape node per
+fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
+the K stacked experts and a ``cosine_logits`` per classifier head, so the
+tape length does not depend on K. Training steps and evaluation predicts
+take this one path.
+
+``forward_backbone`` is the shared trunk alone. ``backbone_layers`` lists its
+layers for the norm-statistics pass, which walks them one at a time and
+normalizes each with ``dense_bn_relu`` as well. ``forward_experts`` adds the
+expert blocks and their cosine heads; ``predict`` skips those heads when the
+auxiliary head makes the prediction.
 
 Variants:
   standard                concatenated detached representations -> aux head
@@ -30,6 +36,7 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from types import MappingProxyType
 from typing import Optional
@@ -41,11 +48,10 @@ from .tensor import (
     NormStatsState,
     Tape,
     Tensor,
-    affine,
-    batch_norm,
+    cosine_logits,
+    dense_bn_relu,
+    expert_block,
     l2_normalize,
-    matmul,
-    relu,
 )
 
 VARIANTS = ("standard", "aggregate_predictions", "average_representations", "capacity_controlled")
@@ -192,6 +198,13 @@ class DamelModel:
     def param_count(self) -> int:
         return self.buffer.size
 
+    @cached_property
+    def grad_layout(self) -> tuple:
+        """(a flat vector, name -> view of it shaped like that parameter),
+        laid out once per model for gathering a step's gradients."""
+        flat = np.empty(self.buffer.size)
+        return flat, param_views(self.config, flat)
+
     def clone(self) -> "DamelModel":
         return DamelModel(
             self.config,
@@ -248,12 +261,23 @@ def param_group(name: str) -> str:
     return name.split(".", 1)[0]
 
 
+def backbone_layers(model: DamelModel, p: dict) -> list:
+    """(w, b, norm) per backbone layer, as dense_bn_relu takes them: b is None
+    without biases, norm is (state, gamma, beta) or None without norm layers."""
+    layers = []
+    for i in (1, 2):
+        norm = None
+        if model.config.use_norm_layers:
+            norm = (model.norm_states[f"backbone.bn{i}"], p[f"backbone.bn{i}.gamma"],
+                    p[f"backbone.bn{i}.beta"])
+        layers.append((p[f"backbone.w{i}"], p.get(f"backbone.b{i}"), norm))
+    return layers
+
+
 def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> Tensor:
     """Shared backbone: two affine(+norm)+relu layers, [B, input_dim] -> [B, hidden_dim].
 
-    Sets every norm layer that is not accumulating to ``mode``. It is the
-    whole forward a norm-statistics pass needs, since the norm layers live
-    only here.
+    Sets every norm layer that is not accumulating to ``mode``.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -267,29 +291,21 @@ def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional
             state.mode = mode
 
     h = x
-    for i in (1, 2):
-        h = _linear(h, p[f"backbone.w{i}"], p.get(f"backbone.b{i}"))
-        if cfg.use_norm_layers:
-            h = batch_norm(h, model.norm_states[f"backbone.bn{i}"],
-                           p[f"backbone.bn{i}.gamma"], p[f"backbone.bn{i}.beta"], BN_MOMENTUM)
-        h = relu(h)
+    for w, b, norm in backbone_layers(model, p):
+        h = dense_bn_relu(h, w, b, norm, BN_MOMENTUM)
     return h
-
-
-def _linear(x, w: Tensor, b: Optional[Tensor]) -> Tensor:
-    return matmul(x, w) if b is None else affine(x, w, b)
 
 
 def _expert_reps(h: Tensor, p: dict) -> Tensor:
     """Unit-row representations of all K expert blocks at once: [K, B, R]."""
-    return l2_normalize(relu(_linear(h, p["experts.w"], p.get("experts.b"))), axis=-1)
+    return expert_block(h, p["experts.w"], p.get("experts.b"))
 
 
 def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
     """Backbone + stacked expert blocks; cosine logits [K, B, L], softmax left to the loss."""
     p = params if params is not None else constant_params(model)
     reps = _expert_reps(forward_backbone(model, x, mode=mode, params=p), p)
-    logits = model.config.scale * matmul(reps, l2_normalize(p["experts.cls"], axis=-2))
+    logits = cosine_logits(reps, p["experts.cls"], model.config.scale)
     return ForwardOutput(expert_logits=logits, normalized_reps=reps)
 
 
@@ -319,8 +335,7 @@ def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[di
             f"auxiliary head expects width {aux_w.shape[0]}, got {merged.shape[1]} "
             f"(variant {cfg.variant!r})"
         )
-    merged_unit = l2_normalize(merged, axis=1)
-    logits = cfg.scale * matmul(merged_unit, l2_normalize(aux_w, axis=0))
+    logits = cosine_logits(l2_normalize(merged, axis=1), aux_w, cfg.scale)
     out.aux_logits = logits
     return logits
 

@@ -1,9 +1,21 @@
 """Dense float64 tensors with a define-by-run reverse-mode differentiation tape.
 
-The op set is deliberately closed: matmul, affine, add, mul, relu,
-concat_last_axis, mean, sum, plus detach, l2_normalize, softmax_cross_entropy
-and batch_norm. Elementwise ops allow only exact shape matches, scalars, and
-trailing-axis (bias-style) broadcasts; there is no general broadcasting.
+The op set is deliberately closed. The primitives are matmul, affine, add,
+mul, relu, concat_last_axis, mean, sum, plus detach, l2_normalize,
+softmax_cross_entropy and batch_norm. Elementwise ops allow only exact shape
+matches, scalars, and trailing-axis (bias-style) broadcasts; there is no
+general broadcasting.
+
+The composites fuse the fixed chains of the multi-expert model, each into one
+tape node with a hand-written adjoint:
+  dense_bn_relu  relu(batch_norm(x @ w + b)), bias and norm layer optional
+  expert_block   l2_normalize(relu(x @ w + b), axis=-1) over a [K, H, R] stack
+  cosine_logits  scale * (x @ l2_normalize(w, axis=-2))
+  loss_fold      sum(terms) + weight * extra, the terms added in index order
+A composite evaluates the same numpy expressions, in the same order, as the
+primitive chain it replaces, adjoints included, so the two are bit-identical;
+the primitives share those expressions through the private ``_*_parts``
+helpers below.
 
 Stacked operands carry a leading axis of K independent blocks (the experts),
 so K blocks cost one op instead of K:
@@ -204,9 +216,12 @@ def _record2(op_kind: str, a: Tensor, b: Tensor, out_values, ga, gb) -> Tensor:
     return _new(out_values, tape, node_id)
 
 
-def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, grad_fns) -> Tensor:
+def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, adjoints) -> Tensor:
     """Record one op with any number of inputs on the (single) tape they live on.
 
+    ``adjoints(g, need)`` maps the output adjoint to one gradient per input,
+    in input order; ``need[i]`` says whether input i is tape-linked, and the
+    gradients of the others are dropped, so they need not be computed.
     Detached tensors keep tape provenance but no node id; they anchor the
     result to the tape without contributing a gradient path.
     """
@@ -219,15 +234,20 @@ def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, grad_fns)
                 raise ContractError(f"{op_kind}: operands belong to different tapes")
     if tape is None:
         return _new(out_values)
+    need = tuple(t.tape_id is not None for t in inputs)
     input_ids = tuple(t.tape_id for t in inputs if t.tape_id is not None)
     if not input_ids:
         return _new(out_values, tape)
-    fns = [fn for t, fn in zip(inputs, grad_fns) if t.tape_id is not None]
 
     def backward_fn(gout: Array) -> tuple:
-        return tuple([fn(gout) for fn in fns])
+        return tuple([g for g, wanted in zip(adjoints(gout, need), need) if wanted])
 
     return _new(out_values, tape, tape._append(op_kind, input_ids, backward_fn))
+
+
+def _each(grad_fns) -> Callable:
+    """``adjoints`` for an op whose inputs' gradients are independent maps."""
+    return lambda g, need: [fn(g) if wanted else None for fn, wanted in zip(grad_fns, need)]
 
 
 def backward(loss: Tensor) -> dict:
@@ -348,19 +368,36 @@ def matmul(a, b) -> Tensor:
     return _record2("matmul", a, b, out, ga, gb)
 
 
+def _affine_parts(op_kind: str, x, w, b) -> tuple:
+    """x @ w, plus b when given: the output, the inputs [x, w(, b)], and
+    their ``adjoints`` map."""
+    x, w = _wrap(x), _wrap(w)
+    out, gx, gw = _matmul_parts(op_kind, x.values, w.values)
+    inputs = [x, w]
+    if b is not None:
+        b = _wrap(b)
+        if b.shape != w.shape[:-2] + w.shape[-1:]:
+            raise ShapeError(f"{op_kind}: bias shape {b.shape} does not match weights {w.shape}")
+        out += b.values[..., None, :]
+        inputs.append(b)
+
+    def adjoints(g: Array, need: tuple) -> list:
+        grads = [gx(g) if need[0] else None, gw(g) if need[1] else None]
+        if b is not None:
+            grads.append(g.sum(axis=-2) if need[2] else None)
+        return grads
+
+    return out, inputs, adjoints
+
+
 def affine(x, w, b) -> Tensor:
     """x @ w + b, with b added to every row of each block: one node for both.
 
     b has w's shape without its input axis: [R] for w [H, R], [K, R] for a
     stack w [K, H, R].
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    wv, bv = w.values, b.values
-    if bv.shape != wv.shape[:-2] + wv.shape[-1:]:
-        raise ShapeError(f"affine: bias shape {bv.shape} does not match weights {wv.shape}")
-    out, gx, gw = _matmul_parts("affine", x.values, wv)
-    out += bv[..., None, :]
-    return _record("affine", (x, w, b), out, (gx, gw, lambda g: g.sum(axis=-2)))
+    out, inputs, adjoints = _affine_parts("affine", x, w, _wrap(b))
+    return _record("affine", inputs, out, adjoints)
 
 
 def relu(x) -> Tensor:
@@ -392,7 +429,8 @@ def concat_last_axis(tensors: Sequence[Tensor]) -> Tensor:
         lo, hi = offsets[i], offsets[i + 1]
         return lambda g: g[..., lo:hi]
 
-    return _record("concat_last_axis", tensors, out, tuple(slice_fn(i) for i in range(len(tensors))))
+    return _record("concat_last_axis", tensors, out,
+                   _each([slice_fn(i) for i in range(len(tensors))]))
 
 
 def reduce_mean(x) -> Tensor:
@@ -411,9 +449,12 @@ def reduce_sum(x) -> Tensor:
     """
     x = _wrap(x)
     shape = x.values.shape
-    flat = x.values.reshape(-1)
-    total = np.add.accumulate(flat)[-1] if flat.size else np.float64(0.0)
-    return _record1("sum", x, np.asarray(total), lambda g: (np.full(shape, float(g)),))
+    return _record1("sum", x, np.asarray(_left_fold(x.values)), lambda g: (np.full(shape, float(g)),))
+
+
+def _left_fold(values: Array):
+    flat = values.reshape(-1)
+    return np.add.accumulate(flat)[-1] if flat.size else np.float64(0.0)
 
 
 def detach(x) -> Tensor:
@@ -431,26 +472,35 @@ def detach(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _l2_parts(v: Array, axis: int, eps: float) -> tuple:
+    """l2_normalize's output and its adjoint map."""
+    norm = np.sqrt((v * v).sum(axis=axis, keepdims=True))
+    denom = np.maximum(norm, eps)
+    out = v / denom
+
+    def gx(g: Array) -> Array:
+        keep = (norm >= eps).astype(np.float64)
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (g - keep * out * inner) / denom
+
+    return out, gx
+
+
+def _check_eps(op_kind: str, eps: float) -> None:
+    if eps <= 0:
+        raise ContractError(f"{op_kind}: eps must be positive, got {eps}")
+
+
 def l2_normalize(x, axis: int = -1, eps: float = DEFAULT_NORM_EPS) -> Tensor:
     """Scale slices along ``axis`` to unit Euclidean norm.
 
     The divisor is max(norm, eps), so slices with norm below eps (dead
     features) pass through scaled by 1/eps instead of producing NaN.
     """
-    if eps <= 0:
-        raise ContractError(f"l2_normalize: eps must be positive, got {eps}")
+    _check_eps("l2_normalize", eps)
     x = _wrap(x)
-    v = x.values
-    norm = np.sqrt((v * v).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
-    out = v / denom
-
-    def gx(g: Array) -> tuple:
-        keep = (norm >= eps).astype(np.float64)
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - keep * out * inner) / denom,)
-
-    return _record1("l2_normalize", x, out, gx)
+    out, gx = _l2_parts(x.values, axis, eps)
+    return _record1("l2_normalize", x, out, lambda g: (gx(g),))
 
 
 def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
@@ -541,7 +591,8 @@ class NormStatsState:
         if n_b == 0:
             return
         mean_b = batch.mean(axis=0)
-        m2_b = ((batch - mean_b) ** 2).sum(axis=0)
+        dev = batch - mean_b
+        m2_b = np.square(dev, out=dev).sum(axis=0)  # the bits of dev ** 2, one buffer
         n_a = self.acc_count
         total = n_a + n_b
         delta = mean_b - self.acc_mean
@@ -563,35 +614,31 @@ class NormStatsState:
         return NormStatsState(self.running_mean.copy(), self.running_var.copy(), self.mode)
 
 
-def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: float) -> Tensor:
-    """Normalize [B, F] activations per feature.
+def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, beta_v: Array,
+              momentum: float, owned: bool = False) -> tuple:
+    """batch_norm's output and the adjoint maps of its input, scale and shift.
 
-    Train mode uses batch statistics (population variance) and folds them
-    into the running statistics as running <- (1-momentum)*running +
-    momentum*batch. Eval mode normalizes by running statistics only. While
-    a state is accumulating, the op behaves like eval and merges the raw
-    input into the state's exact aggregate.
+    With ``owned`` the op may centre ``v`` in place: the caller made it and
+    reads it no more.
     """
-    x, gamma_scale, beta_shift = _wrap(x), _wrap(gamma_scale), _wrap(beta_shift)
-    if x.values.ndim != 2:
-        raise ShapeError(f"batch_norm: input must be [B, F], got {x.shape}")
-    batch = x.shape[0]
-    v = x.values
-    gamma_v = gamma_scale.values
+    if v.ndim != 2:
+        raise ShapeError(f"{op_kind}: norm input must be [B, F], got {v.shape}")
+    batch = v.shape[0]
 
     if state.accumulating:
         state.merge_batch(v)
         train = False
     elif state.mode == "train":
         if batch < 2:
-            raise ContractError("batch_norm: train mode requires a batch of at least 2 samples")
+            raise ContractError(f"{op_kind}: train mode requires a batch of at least 2 samples")
         train = True
     else:
         train = False
 
+    centred = v if owned else None
     if train:
         mu = v.mean(axis=0)
-        x_hat = v - mu
+        x_hat = np.subtract(v, mu, out=centred)
         # The steps of ndarray.var on the centred values it would recompute.
         var = np.square(x_hat).sum(axis=0) / batch
         inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
@@ -605,17 +652,136 @@ def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: floa
             )
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + BATCH_NORM_EPS)
-        x_hat = v - state.running_mean
+        x_hat = np.subtract(v, state.running_mean, out=centred)
 
         def gx(g: Array) -> Array:
             return g * gamma_v * inv_std
 
     x_hat *= inv_std
     out = gamma_v * x_hat
-    out += beta_shift.values
-    return _record(
-        "batch_norm",
-        (x, gamma_scale, beta_shift),
-        out,
-        (gx, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)),
+    out += beta_v
+    return out, gx, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)
+
+
+def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: float) -> Tensor:
+    """Normalize [B, F] activations per feature.
+
+    Train mode uses batch statistics (population variance) and folds them
+    into the running statistics as running <- (1-momentum)*running +
+    momentum*batch. Eval mode normalizes by running statistics only. While
+    a state is accumulating, the op behaves like eval and merges the raw
+    input into the state's exact aggregate.
+    """
+    x, gamma_scale, beta_shift = _wrap(x), _wrap(gamma_scale), _wrap(beta_shift)
+    out, gx, ggamma, gbeta = _bn_parts(
+        "batch_norm", x.values, state, gamma_scale.values, beta_shift.values, momentum
     )
+    return _record("batch_norm", (x, gamma_scale, beta_shift), out, _each((gx, ggamma, gbeta)))
+
+
+# ---------------------------------------------------------------------------
+# composites: one node each for the fixed chains of the multi-expert model
+# ---------------------------------------------------------------------------
+
+
+def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
+    """relu(batch_norm(x @ w + b)) as one node: a backbone layer.
+
+    ``b`` is None for a bias-free layer. ``norm`` is None for no norm layer,
+    else (state, gamma, beta) as batch_norm takes them, with its train, eval
+    and accumulating modes. ``w`` is None when ``x`` already is the layer's
+    affine output: the statistics pass normalizes the outputs it has
+    accumulated that way, and the op may then overwrite an ``x`` that is on
+    no tape.
+
+    Unlike the chain, the op writes its intermediates in place where nothing
+    reads them again, so it holds fewer activation-sized buffers at once.
+    """
+    x = _wrap(x)
+    if w is not None:
+        out, inputs, gaffine = _affine_parts("dense_bn_relu", x, w, b)
+    elif b is not None:
+        raise ContractError("dense_bn_relu: a bias needs weights")
+    else:
+        out, inputs, gaffine = x.values, [x], None
+    if norm is not None:
+        state, gamma, beta = norm
+        gamma, beta = _wrap(gamma), _wrap(beta)
+        out, gnorm, ggamma, gbeta = _bn_parts(
+            "dense_bn_relu", out, state, gamma.values, beta.values, momentum,
+            owned=out is not x.values or x.tape is None,
+        )
+        inputs += [gamma, beta]
+    # As relu: fmax is bit-identical to where(v > 0, v, 0), and out > 0
+    # exactly where the input was. It writes over the op's own intermediate,
+    # never over x itself.
+    out = np.fmax(out, 0.0, out=None if out is x.values else out)
+
+    def adjoints(g: Array, need: tuple) -> list:
+        g = g * (out > 0)
+        tail = []
+        if norm is not None:
+            tail = [ggamma(g) if need[-2] else None, gbeta(g) if need[-1] else None]
+            g = gnorm(g)
+        return ([g] if gaffine is None else gaffine(g, need)) + tail
+
+    return _record("dense_bn_relu", inputs, out, adjoints)
+
+
+def expert_block(x, w, b=None, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+    """l2_normalize(relu(x @ w + b), axis=-1) as one node: the stacked expert layer.
+
+    x [B, H] is shared by a stack w [K, H, R] (b [K, R], or None for no bias)
+    and yields K blocks of unit rows [K, B, R]; 2-D weights work as well.
+    """
+    _check_eps("expert_block", eps)
+    z, inputs, gaffine = _affine_parts("expert_block", x, w, b)
+    r = np.fmax(z, 0.0, out=z)
+    out, gnorm = _l2_parts(r, -1, eps)
+    return _record("expert_block", inputs, out, lambda g, need: gaffine(gnorm(g) * (r > 0), need))
+
+
+def cosine_logits(x, w, scale: float, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+    """scale * (x @ l2_normalize(w, axis=-2)) as one node: a cosine classifier.
+
+    The columns of w [R, L] (or of each block of a stack [K, R, L]) are scaled
+    to unit norm; x holds the unit feature rows, [B, R] or [K, B, R].
+    """
+    _check_eps("cosine_logits", eps)
+    x, w = _wrap(x), _wrap(w)
+    unit_w, gnorm = _l2_parts(w.values, -2, eps)
+    logits, gx, gunit = _matmul_parts("cosine_logits", x.values, unit_w)
+    s = _as_array(scale)
+    out = logits * s
+
+    def adjoints(g: Array, need: tuple) -> list:
+        g = g * s
+        return [gx(g) if need[0] else None, gnorm(gunit(g)) if need[1] else None]
+
+    return _record("cosine_logits", (x, w), out, adjoints)
+
+
+def loss_fold(terms, extra=None, weight: float = 1.0) -> Tensor:
+    """sum(terms) + weight * extra as one node; ``extra`` (a scalar) may be None.
+
+    The terms add in index order, as reduce_sum adds them, and the weighted
+    extra term comes last, as reduce_sum(terms) + weight * extra would.
+    """
+    terms = _wrap(terms)
+    shape = terms.values.shape
+    total = _left_fold(terms.values)
+    inputs = [terms]
+    w = _as_array(weight)
+    if extra is not None:
+        extra = _wrap(extra)
+        if extra.values.shape != ():
+            raise ShapeError(f"loss_fold: extra term must be a scalar, got shape {extra.shape}")
+        total = total + extra.values * w
+        inputs.append(extra)
+
+    def adjoints(g: Array, need: tuple) -> list:
+        return [np.full(shape, float(g)) if need[0] else None] + (
+            [] if extra is None else [g * w if need[1] else None]
+        )
+
+    return _record("loss_fold", inputs, np.asarray(total), adjoints)

@@ -18,8 +18,8 @@ import numpy as np
 from .averaging import EmaState, SwaState, load_eval_model, update_average
 from .data import Dataset, LongTailSpec, minibatch_iterator
 from .errors import ConfigError, ContractError, NumericError
-from .model import DamelModel, bind_params, full_forward, param_views, predict
-from .tensor import Tape, Tensor, backward, reduce_sum, softmax_cross_entropy
+from .model import DamelModel, bind_params, full_forward, predict
+from .tensor import Tape, Tensor, backward, loss_fold, softmax_cross_entropy
 
 EMA_FREQUENCIES = ("epoch", "iteration")
 AVERAGING_SCHEMES = ("ema", "swa", "none")
@@ -108,20 +108,22 @@ def class_balanced_weights(spec: LongTailSpec) -> np.ndarray:
     return inverse * (spec.num_classes / inverse.sum())
 
 
-def compute_losses(out, labels, spec: LongTailSpec, cfg: TrainConfig) -> LossBundle:
+def compute_losses(out, labels, spec: LongTailSpec, cfg: TrainConfig,
+                   class_weights: Optional[np.ndarray] = None) -> LossBundle:
     """Per-expert cross-entropy plus the class-balanced auxiliary term.
 
-    total = cb_loss_weight * balanced + sum(expert terms) when the balanced
+    total = sum(expert terms) + cb_loss_weight * balanced when the balanced
     loss is enabled and an auxiliary head exists; otherwise just the sum of
-    expert terms.
+    expert terms. ``class_weights`` defaults to class_balanced_weights(spec).
     """
     expert_ce = softmax_cross_entropy(out.expert_logits, labels)
     balanced = None
     if out.aux_logits is not None:
-        balanced = softmax_cross_entropy(out.aux_logits, labels, class_balanced_weights(spec))
-    total = reduce_sum(expert_ce)
-    if balanced is not None and cfg.cb_loss_enabled:
-        total = total + cfg.cb_loss_weight * balanced
+        if class_weights is None:
+            class_weights = class_balanced_weights(spec)
+        balanced = softmax_cross_entropy(out.aux_logits, labels, class_weights)
+    weighted = balanced if cfg.cb_loss_enabled else None
+    total = loss_fold(expert_ce, weighted, cfg.cb_loss_weight)
     return LossBundle(expert_ce=expert_ce, balanced_ce=balanced, total=total)
 
 
@@ -143,11 +145,11 @@ def sgd_step(model: DamelModel, grad_flat: np.ndarray, opt: OptimizerState,
 
 
 def flatten_grads(model: DamelModel, params: dict, grads: dict) -> np.ndarray:
-    """Gradient map from backward() -> flat vector in parameter order."""
-    flat = np.empty(model.param_count())
-    for name, view in param_views(model.config, flat).items():
+    """Gradient map from backward() -> a fresh flat vector in parameter order."""
+    flat, views = model.grad_layout
+    for name, view in views.items():
         view[...] = grads[params[name].tape_id].values
-    return flat
+    return flat.copy()
 
 
 def _accuracy(model: DamelModel, ds: Dataset) -> float:
@@ -196,6 +198,7 @@ def train(
     aux = model.params.get("aux.cls")
     aux_start = model.param_count() - (0 if aux is None else aux.size)
     freeze_aux, freeze_rest = slice(aux_start, None), slice(0, aux_start)
+    class_weights = class_balanced_weights(ds.spec)
     metrics: list[EpochMetrics] = []
     shadow = None  # the averaged weights' eval model, reused every epoch
 
@@ -212,7 +215,7 @@ def train(
             tape = Tape()
             params = bind_params(model, tape)
             out = full_forward(model, xb, mode="train", params=params)
-            bundle = compute_losses(out, yb, ds.spec, cfg_eff)
+            bundle = compute_losses(out, yb, ds.spec, cfg_eff, class_weights)
             if not np.isfinite(bundle.total_value()):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, iteration {iteration}"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import damel.tensor
 from damel.averaging import (
     EmaState,
     SwaState,
@@ -15,7 +16,7 @@ from damel.averaging import (
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
 from damel.errors import ContractError
-from damel.model import DamelConfig, forward_experts, init_model, predict
+from damel.model import DamelConfig, forward_backbone, forward_experts, init_model, predict
 
 
 def ema_closed_form(snapshots, rate):
@@ -143,10 +144,10 @@ class TestExport:
             update_average(SwaState(), np.array([2.0]), "ema")
 
 
-def _norm_model():
+def _norm_model(use_bias=True):
     cfg = DamelConfig(
         num_experts=2, input_dim=3, hidden_dim=4, rep_dim=3, num_classes=3,
-        use_norm_layers=True,
+        use_norm_layers=True, use_bias=use_bias,
     )
     return init_model(cfg, seed=0)
 
@@ -211,6 +212,39 @@ class TestRecomputeRunningStats:
         model = recompute_running_stats(_norm_model(), ds, chunk_size=chunk_size)
         for name, ref in reference.norm_states.items():
             got = model.norm_states[name]
+            assert got.running_mean.tobytes() == ref.running_mean.tobytes()
+            assert got.running_var.tobytes() == ref.running_var.tobytes()
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_one_layer_walk_matches_two_backbone_passes_bitwise(self, chunk_size, use_bias, monkeypatch):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=6)
+        n = len(ds)
+        step = n if chunk_size is None else chunk_size
+        reference = _norm_model(use_bias)
+        # The former recompute: one whole-backbone pass per norm layer.
+        for state in reference.norm_states.values():
+            state.begin_accumulation()
+            for start in range(0, n, step):
+                forward_backbone(reference, ds.features[start:start + step], mode="eval")
+            state.finish_accumulation()
+
+        products = []
+        real = damel.tensor._matmul_parts
+
+        def counted(op_kind, a, b):
+            products.append(a.shape[0])
+            return real(op_kind, a, b)
+
+        monkeypatch.setattr(damel.tensor, "_matmul_parts", counted)
+        model = recompute_running_stats(_norm_model(use_bias), ds, chunk_size=chunk_size)
+        chunks = -(-n // step)
+        # Each backbone affine once per chunk: the rows of layer 1, then of layer 2.
+        assert products == [min(step, n - start) for start in range(0, n, step)] * 2
+        assert len(products) == 2 * chunks
+        for name, ref in reference.norm_states.items():
+            got = model.norm_states[name]
+            assert got.mode == "eval" and not got.accumulating
             assert got.running_mean.tobytes() == ref.running_mean.tobytes()
             assert got.running_var.tobytes() == ref.running_var.tobytes()
 

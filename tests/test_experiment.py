@@ -149,6 +149,36 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing key 'num_classes'"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("source", ["synthetic", "idx", "csv"])
+    def test_config_to_dict_round_trips(self, tmp_path, source):
+        raw = small_raw(tmp_path)
+        if source == "idx":
+            raw["dataset"] = {"source": "idx", "images": "imgs.idx", "labels": "lbls.idx",
+                              "num_classes": 4, "head_count": 30, "imbalance_ratio": 10}
+        elif source == "csv":
+            raw["dataset"] = {"source": "csv", "csv_path": "pool.csv", "num_classes": 4,
+                              "head_count": 30, "imbalance_ratio": 10, "base_seed": 3}
+        cfg = parse_config(raw)
+        as_dict = config_to_dict(cfg)
+        again = parse_config(json.loads(json.dumps(as_dict)))
+        assert again == cfg
+        assert config_to_dict(again) == as_dict and config_hash(again) == config_hash(cfg)
+
+    def test_another_sources_field_is_rejected_unless_null(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown keys \\['csv_path'\\]"):
+            parse_config(small_raw(tmp_path, dataset={"csv_path": "pool.csv"}))
+        assert parse_config(small_raw(tmp_path, dataset={"csv_path": None})).dataset.csv_path is None
+        with pytest.raises(ConfigError, match="unknown keys \\['csv_pth'\\]"):
+            parse_config(small_raw(tmp_path, dataset={"csv_pth": None}))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"seeds": [0, -1]}, "seeds"),
+        ({"dataset": {"base_seed": -1}}, "dataset: base_seed"),
+    ])
+    def test_negative_seeds_are_config_errors(self, tmp_path, overrides, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            parse_config(small_raw(tmp_path, **overrides))
+
     def test_hash_ignores_seeds_and_output(self, tmp_path):
         a = parse_config(small_raw(tmp_path, seeds=[0, 1]))
         b = parse_config(small_raw(tmp_path, seeds=[5, 6], output_dir=str(tmp_path / "other")))
@@ -214,6 +244,31 @@ class TestRunSingle:
         with pytest.raises(ZeroDivisionError):
             run_single(cfg, seed=0, run_dir=tmp_path / "broken")
         assert not (tmp_path / "broken").exists()
+
+    def test_failed_run_removes_the_empty_directories_it_created(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_raw(tmp_path))
+        monkeypatch.setattr(experiment, "evaluate", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_single(cfg, seed=0)
+        assert not (tmp_path / "runs").exists()
+        # A parent that was there before stays, and so does one holding another run.
+        (tmp_path / "runs" / "single").mkdir(parents=True)
+        with pytest.raises(ZeroDivisionError):
+            run_single(cfg, seed=0)
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["single"]
+        assert not any((tmp_path / "runs" / "single").iterdir())
+        (tmp_path / "runs" / "single" / "default" / "7").mkdir(parents=True)
+        with pytest.raises(ZeroDivisionError):
+            run_single(cfg, seed=0)
+        assert [p.name for p in (tmp_path / "runs" / "single" / "default").iterdir()] == ["7"]
+
+    def test_negative_seed_is_config_error_before_any_directory(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path))
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer, got -1"):
+            run_single(cfg, seed=-1)
+        with pytest.raises(ConfigError, match="^sweep: seed must be a non-negative integer, got -1"):
+            run_seed_sweep(cfg, seeds=[0, -1], workers=2)
+        assert not (tmp_path / "runs").exists()
 
     def test_raw_accuracy_logged_under_both_averaging_modes(self, tmp_path):
         for mode, name in (("ema", "with_ema"), ("none", "without")):
@@ -409,6 +464,33 @@ class TestFileSourceParsedOnce:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(missing) in err
         assert not (Path(raw["output_dir"]) / "single" / "default" / "0").exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "--seeds", "0,1", "--workers", "2"],
+                                         ["ablate", "--suite", "table7", "--workers", "2"]])
+    @pytest.mark.parametrize("broken", ["missing", "directory"])
+    def test_unreadable_csv_fails_sweep_and_suite_before_the_fan_out(self, tmp_path, capsys,
+                                                                     command, broken):
+        source = tmp_path / "pool.csv"
+        if broken == "directory":
+            source.mkdir()
+        raw = csv_raw(tmp_path, source)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset (csv): cannot read csv_path ")
+        assert str(source) in err and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
+
+    def test_missing_idx_file_names_the_field(self, tmp_path):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        raw = small_raw(tmp_path)
+        raw["dataset"] = {"source": "idx", "images": str(tmp_path / "pool.csv"),
+                          "labels": str(tmp_path / "labels.idx"), "num_classes": 3,
+                          "head_count": 15, "imbalance_ratio": 5, "test_per_class": 4}
+        with pytest.raises(ConfigError, match="cannot read labels"):
+            run_seed_sweep(parse_config(raw), workers=1)
+        assert not Path(raw["output_dir"]).exists()
 
     def test_sweep_artifacts_match_a_fresh_parse_per_run(self, tmp_path, parses, monkeypatch):
         write_csv_pool(tmp_path / "pool.csv", seed=0)
@@ -712,6 +794,16 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(path), "--seeds", "0,0"]) == 1
         assert "seed 0 is listed twice" in capsys.readouterr().err
         assert not (Path(raw["output_dir"]) / "sweep").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "--seed", "-1"], "seed"),
+        (["sweep", "--seeds=-1,0"], "sweep: seed"),
+    ])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv, field):
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
+        assert cli_main([argv[0], "--config", str(path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"config error: {field} must be a non-negative integer, got -1\n"
+        assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("command", [["sweep", "--seeds", "0,1"], ["ablate", "--suite", "table7"]])
     def test_workers_below_one_exit_code(self, tmp_path, capsys, monkeypatch, command):

@@ -16,8 +16,12 @@ from damel.tensor import (
     backward,
     batch_norm,
     concat_last_axis,
+    cosine_logits,
+    dense_bn_relu,
     detach,
+    expert_block,
     l2_normalize,
+    loss_fold,
     matmul,
     mul,
     reduce_mean,
@@ -454,3 +458,213 @@ class TestRandomNetworks:
         for _ in range(10):
             arrays, forward_fn = build_random_net(rng)
             check_function_gradients(forward_fn, arrays)
+
+
+def _norm_state(rng, width, mode):
+    """A norm state in ``mode``: train, eval, or accumulating over a started aggregate."""
+    state = NormStatsState(rng.normal(size=width), 0.5 + rng.uniform(size=width),
+                           "eval" if mode == "accumulating" else mode)
+    if mode == "accumulating":
+        state.begin_accumulation()
+        state.merge_batch(rng.normal(size=(3, width)))
+    return state
+
+
+def _clone_state(state):
+    copy = NormStatsState(state.running_mean.copy(), state.running_var.copy(), state.mode)
+    copy.accumulating, copy.acc_count = state.accumulating, state.acc_count
+    if state.accumulating:
+        copy.acc_mean, copy.acc_m2 = state.acc_mean.copy(), state.acc_m2.copy()
+    return copy
+
+
+def _state_bytes(state):
+    fields = [state.running_mean, state.running_var, state.acc_mean, state.acc_m2]
+    return [f.tobytes() for f in fields if f is not None] + [state.acc_count, state.mode]
+
+
+def _assert_bitwise_like_chain(composite, chain, arrays, taped=None, make_states=None, scalarize=True):
+    """Run ``composite`` and ``chain`` on leaves holding copies of ``arrays``
+    (constants where ``taped`` is False) and fresh copies of the same norm
+    states; the outputs, every input adjoint and the states must agree bit
+    for bit."""
+    taped = [True] * len(arrays) if taped is None else taped
+    proto = make_states() if make_states is not None else []
+    runs = []
+    for fn in (composite, chain):
+        tape = Tape()
+        inputs = [tape.leaf(a.copy()) if t else Tensor(a.copy()) for a, t in zip(arrays, taped)]
+        states = [_clone_state(st) for st in proto]
+        out = fn(inputs, *states)
+        loss = out
+        if scalarize:
+            coeffs = np.random.default_rng(out.size).normal(size=out.shape)
+            loss = reduce_sum(mul(out, Tensor(coeffs)))
+        grads = backward(loss)
+        adjoints = [grads[t.tape_id].values for t in inputs if t.tape_id is not None]
+        runs.append((out.values, adjoints, [_state_bytes(st) for st in states], len(tape)))
+    (out_a, grads_a, states_a, nodes_a), (out_b, grads_b, states_b, nodes_b) = runs
+    assert out_a.tobytes() == out_b.tobytes()
+    assert len(grads_a) == len(grads_b) == sum(taped)
+    for got, want in zip(grads_a, grads_b):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert states_a == states_b
+    assert nodes_a <= nodes_b  # the composite is one node where the chain has one or more
+
+
+class TestComposites:
+    """Each composite against the primitive chain it replaces (bit for bit) and
+    against finite differences."""
+
+    rng = np.random.default_rng(99)
+
+    def _scalarize(self, t):
+        coeffs = np.random.default_rng(t.size).normal(size=t.shape)
+        return reduce_sum(mul(t, Tensor(coeffs)))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("mode", [None, "train", "eval", "accumulating"])
+    @pytest.mark.parametrize("x_taped", [True, False])
+    def test_dense_bn_relu_bitwise(self, bias, mode, x_taped):
+        x, w, b = self.rng.normal(size=(7, 5)), self.rng.normal(size=(5, 6)), self.rng.normal(size=6)
+        gamma, beta = 1.0 + 0.1 * self.rng.normal(size=6), 0.1 * self.rng.normal(size=6)
+        arrays, taped = [x, w, b, gamma, beta], [x_taped, True, True, True, True]
+        if not bias:
+            arrays, taped = [x, w, gamma, beta], [x_taped, True, True, True]
+        seed = int(self.rng.integers(1 << 30))
+
+        def make_states():
+            return [] if mode is None else [_norm_state(np.random.default_rng(seed), 6, mode)]
+
+        def split(p):
+            return p[0], p[1], (p[2] if bias else None), p[-2], p[-1]
+
+        def composite(p, *state):
+            x, w, b, gamma, beta = split(p)
+            return dense_bn_relu(x, w, b, (state[0], gamma, beta) if state else None, momentum=0.1)
+
+        def chain(p, *state):
+            x, w, b, gamma, beta = split(p)
+            h = matmul(x, w) if b is None else affine(x, w, b)
+            if state:
+                h = batch_norm(h, state[0], gamma, beta, momentum=0.1)
+            return relu(h)
+
+        if mode is None:  # gamma and beta then feed nothing: leave them out
+            arrays, taped = arrays[:-2], taped[:-2]
+        _assert_bitwise_like_chain(composite, chain, arrays, taped, make_states)
+
+    @pytest.mark.parametrize("mode", ["train", "eval", "accumulating"])
+    def test_dense_bn_relu_without_affine_bitwise(self, mode):
+        z = self.rng.normal(size=(6, 4))
+        gamma, beta = 1.0 + 0.1 * self.rng.normal(size=4), 0.1 * self.rng.normal(size=4)
+        seed = int(self.rng.integers(1 << 30))
+        _assert_bitwise_like_chain(
+            lambda p, st: dense_bn_relu(p[0], None, None, (st, p[1], p[2])),
+            lambda p, st: relu(batch_norm(p[0], st, p[1], p[2], momentum=0.1)),
+            [z, gamma, beta], make_states=lambda: [_norm_state(np.random.default_rng(seed), 4, mode)],
+        )
+
+    def test_dense_bn_relu_overwrites_only_an_untaped_affine_output(self):
+        z, w = self.rng.normal(size=(6, 4)), self.rng.normal(size=(4, 4))
+        norm = (NormStatsState.for_features(4), np.ones(4), np.zeros(4))
+        before = z.copy()
+        dense_bn_relu(z, w, None, norm)
+        dense_bn_relu(z, None)
+        dense_bn_relu(Tape().leaf(z), None, None, norm)
+        assert z.tobytes() == before.tobytes()
+        # The statistics pass hands over its own buffers: those are reused.
+        dense_bn_relu(Tensor(z), None, None, norm)
+        assert z.tobytes() != before.tobytes()
+        with pytest.raises(ContractError, match="bias needs weights"):
+            dense_bn_relu(z, None, np.ones(4))
+
+    @pytest.mark.parametrize("num_experts", [1, 2, 4])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_expert_block_bitwise(self, num_experts, bias):
+        h = self.rng.normal(size=(6, 5))
+        w, b = self.rng.normal(size=(num_experts, 5, 3)), self.rng.normal(size=(num_experts, 3))
+        arrays = [h, w, b] if bias else [h, w]
+
+        def chain(p):
+            z = affine(p[0], p[1], p[2]) if bias else matmul(p[0], p[1])
+            return l2_normalize(relu(z), axis=-1)
+
+        _assert_bitwise_like_chain(lambda p: expert_block(*p), chain, arrays)
+
+    def test_expert_block_two_d_weights_bitwise(self):
+        h, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(5, 3)), self.rng.normal(size=3)
+        _assert_bitwise_like_chain(lambda p: expert_block(*p),
+                                   lambda p: l2_normalize(relu(affine(*p)), axis=-1), [h, w, b])
+
+    @pytest.mark.parametrize("num_experts", [None, 1, 2, 4])
+    @pytest.mark.parametrize("x_taped", [True, False])
+    def test_cosine_logits_bitwise(self, num_experts, x_taped):
+        stack = () if num_experts is None else (num_experts,)
+        x = l2_normalize(self.rng.normal(size=stack + (6, 3)), axis=-1).values
+        w = self.rng.normal(size=stack + (3, 4))
+        # A scale that is not a power of two, so that where it is applied shows.
+        _assert_bitwise_like_chain(
+            lambda p: cosine_logits(p[0], p[1], 13.7),
+            lambda p: 13.7 * matmul(p[0], l2_normalize(p[1], axis=-2)),
+            [x, w], [x_taped, True],
+        )
+
+    @pytest.mark.parametrize("num_experts", [1, 2, 4])
+    @pytest.mark.parametrize("weight", [None, 1.3, 0.0])
+    def test_loss_fold_bitwise(self, num_experts, weight):
+        terms, extra = self.rng.uniform(size=num_experts), np.asarray(self.rng.uniform())
+        if weight is None:
+            _assert_bitwise_like_chain(lambda p: loss_fold(p[0]), lambda p: reduce_sum(p[0]),
+                                       [terms], scalarize=False)
+        else:
+            _assert_bitwise_like_chain(lambda p: loss_fold(p[0], p[1], weight),
+                                       lambda p: reduce_sum(p[0]) + weight * p[1],
+                                       [terms, extra], scalarize=False)
+
+    def test_loss_fold_adds_terms_as_a_left_fold(self):
+        v = np.array([1e16] + [1.0] * 8 + [-1e16])
+        assert loss_fold(Tensor(v)).item() == reduce_sum(Tensor(v)).item() == 0.0
+        with pytest.raises(ShapeError, match="loss_fold"):
+            loss_fold(Tensor(v), Tensor(np.ones(2)))
+
+    @pytest.mark.parametrize("mode", [None, "train", "eval"])
+    def test_dense_bn_relu_gradients(self, mode):
+        x = self.rng.normal(size=(5, 3))
+        w, b = self.rng.normal(size=(3, 4)), self.rng.normal(size=4)
+        gamma, beta = 1.0 + 0.1 * self.rng.normal(size=4), 0.1 * self.rng.normal(size=4)
+        seed = int(self.rng.integers(1 << 30))
+
+        def f(p):
+            norm = None
+            if mode is not None:
+                norm = (_norm_state(np.random.default_rng(seed), 4, mode), p[3], p[4])
+            return self._scalarize(dense_bn_relu(p[0], p[1], p[2], norm, momentum=0.1))
+
+        arrays = [x, w, b, gamma, beta] if mode is not None else [x, w, b]
+        check_function_gradients(f, arrays)
+
+    @pytest.mark.parametrize("num_experts", [1, 2, 4])
+    def test_expert_block_gradients(self, num_experts):
+        h = self.rng.normal(size=(4, 3))
+        w, b = self.rng.normal(size=(num_experts, 3, 2)), self.rng.normal(size=(num_experts, 2))
+        check_function_gradients(lambda p: self._scalarize(expert_block(*p)), [h, w, b])
+        check_function_gradients(lambda p: self._scalarize(expert_block(*p)), [h, w])
+
+    @pytest.mark.parametrize("num_experts", [None, 2])
+    def test_cosine_logits_gradients(self, num_experts):
+        stack = () if num_experts is None else (num_experts,)
+        x, w = self.rng.normal(size=stack + (4, 3)), self.rng.normal(size=stack + (3, 5))
+        check_function_gradients(lambda p: self._scalarize(cosine_logits(p[0], p[1], 8.0)), [x, w])
+
+    def test_loss_fold_gradients(self):
+        terms, extra = self.rng.normal(size=3), np.asarray(self.rng.normal())
+        check_function_gradients(lambda p: loss_fold(p[0], p[1], 1.7), [terms, extra])
+        check_function_gradients(lambda p: loss_fold(p[0]), [terms])
+
+    def test_untaped_inputs_record_nothing(self):
+        h, w = Tensor(self.rng.normal(size=(4, 3))), Tensor(self.rng.normal(size=(2, 3, 5)))
+        cls = Tensor(self.rng.normal(size=(2, 5, 6)))
+        for out in (dense_bn_relu(h, w.values[0]), expert_block(h, w), cosine_logits(expert_block(h, w), cls, 4.0),
+                    loss_fold(Tensor(np.ones(2)), Tensor(1.0), 0.5)):
+            assert out.tape is None
