@@ -330,7 +330,10 @@ def load_csv_dataset(path) -> Dataset:
         raise ContractError(f"{path}: not a numeric CSV table ({err})") from None
     if table.shape[1] < 2:
         raise ContractError(f"{path}: CSV needs at least one feature column plus a label")
-    labels = table[:, -1]
-    if not np.allclose(labels, np.round(labels)):
+    features, labels = table[:, :-1], table[:, -1]
+    if not np.isfinite(features).all():
+        raise ContractError(f"{path}: CSV features must be finite numbers")
+    # Exact integers that fit int64; nan and inf fail the bound.
+    if not ((labels == np.round(labels)) & (np.abs(labels) < 2.0 ** 63)).all():
         raise ContractError(f"{path}: final CSV column must hold integer class labels")
-    return dataset_from_arrays(table[:, :-1], labels.astype(np.int64))
+    return dataset_from_arrays(features, labels.astype(np.int64))

@@ -78,11 +78,6 @@ _DATASET_KEYS = {
             "csv_path", "test_per_class", "base_seed"},
 }
 _SOURCE_FILES = {"synthetic": (), "idx": ("images", "labels"), "csv": ("csv_path",)}
-_MODEL_KEYS = {"num_experts", "hidden_dim", "rep_dim", "scale", "variant",
-               "use_norm_layers", "use_bias", "ref_experts"}
-_TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "cb_loss_weight",
-               "ema_rate", "ema_frequency", "averaging", "decoupled", "cb_loss_enabled"}
-_TOP_KEYS = {"dataset", "model", "train", "seeds", "output_dir"}
 
 
 @dataclass
@@ -121,6 +116,10 @@ class ExperimentConfig:
     output_dir: str
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
 def _check_keys(block: dict, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
@@ -142,12 +141,13 @@ def _value_fits(kind, value) -> bool:
     return isinstance(value, kind)
 
 
-def _typed_block(cls, block, allowed: set, where: str):
+def _typed_block(cls, block, where: str, allowed: Optional[set] = None):
     """A config dataclass from one JSON object; unknown or missing keys and
-    values that do not fit their field's annotation are ConfigErrors."""
+    values that do not fit their field's annotation are ConfigErrors. The
+    keys allowed are the class's fields unless ``allowed`` narrows them."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    _check_keys(block, allowed, where)
+    _check_keys(block, _field_names(cls) if allowed is None else allowed, where)
     hints = get_type_hints(cls)
     for f in fields(cls):
         if f.name not in block:
@@ -167,7 +167,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     wrongly typed values, so any malformed config is one ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw, _field_names(ExperimentConfig), "config")
     for required in ("dataset", "model", "train"):
         if required not in raw:
             raise ConfigError(f"config: missing block {required!r}")
@@ -179,10 +179,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"dataset.source must be one of {_SOURCES}, got {source!r}")
     # config_to_dict writes every DatasetBlock field; another source's fields
     # come back as null, which means unset.
-    known = {f.name for f in fields(DatasetBlock)}
+    known = _field_names(DatasetBlock)
     block = {key: value for key, value in raw["dataset"].items()
              if value is not None or key in _DATASET_KEYS[source] or key not in known}
-    dataset = _typed_block(DatasetBlock, block, _DATASET_KEYS[source], f"dataset ({source})")
+    dataset = _typed_block(DatasetBlock, block, f"dataset ({source})", _DATASET_KEYS[source])
     if source == "synthetic":
         if dataset.feature_dim is None or dataset.class_sep is None:
             raise ConfigError("dataset (synthetic): feature_dim and class_sep are required")
@@ -199,8 +199,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except DamelError as err:
         raise ConfigError(f"dataset: {err}") from None
 
-    model = _typed_block(ModelBlock, raw["model"], _MODEL_KEYS, "model")
-    train_block = _typed_block(TrainConfig, raw["train"], _TRAIN_KEYS, "train")
+    model = _typed_block(ModelBlock, raw["model"], "model")
+    train_block = _typed_block(TrainConfig, raw["train"], "train")
     try:
         train_cfg = train_block.validate()
     except DamelError as err:

@@ -36,10 +36,11 @@ sweep. Tensors and the tape they link to are confined to one thread.
 
 Forward ops compute only their output; whatever only the adjoint needs (the
 relu mask, the l2_normalize dead-slice mask) is built inside the backward
-closure, so forward-only passes never pay for it. Closures capture arrays and
-shapes, never Tensors, so the only reference cycle a tape takes part in runs
-through its leaves; ``Tape.release`` breaks it, and the tape and every saved
-activation are then freed as soon as the caller drops its last Tensor.
+closure, so forward-only passes never pay for it. A Tensor points at its tape,
+but the tape points at no Tensor: its leaves are kept as value arrays and its
+adjoint closures capture arrays, shapes and flags only. A tape is thus never
+part of a reference cycle, and reference counting frees it, with every saved
+activation, as soon as the caller drops its last Tensor on it.
 An op whose inputs are all detached records no node: nothing upstream of it
 can receive a gradient through it.
 """
@@ -67,14 +68,14 @@ class Tensor:
     """A dense float64 value, optionally linked to a node on a Tape.
 
     Tensors are treated as immutable once created; ops return new tensors.
-    ``grad`` is populated on tape leaves by :func:`backward`.
+    A Tensor keeps its tape alive, never the other way round; gradients are
+    read from the map that :func:`backward` returns.
     """
 
-    __slots__ = ("values", "grad", "tape", "tape_id")
+    __slots__ = ("values", "tape", "tape_id")
 
     def __init__(self, values, tape: Optional["Tape"] = None, tape_id: Optional[int] = None):
         self.values = _as_array(values)
-        self.grad: Optional[Array] = None
         self.tape = tape
         self.tape_id = tape_id
 
@@ -126,7 +127,6 @@ def _new(values, tape: Optional["Tape"] = None, tape_id: Optional[int] = None) -
     """
     t = Tensor.__new__(Tensor)
     t.values = values if type(values) is np.ndarray else np.asarray(values, dtype=np.float64)
-    t.grad = None
     t.tape = tape
     t.tape_id = tape_id
     return t
@@ -136,16 +136,15 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-# Backward callbacks receive the output adjoint and return one gradient
-# array per recorded (tape-linked) input, in input order.
-BackwardFn = Callable[[Array], tuple]
-
-
 @dataclass(slots=True)
 class TapeNode:
+    """One recorded op. ``backward_fn`` maps the output adjoint to one
+    gradient array per recorded (tape-linked) input, in input order; a leaf
+    has none."""
+
     op_kind: str
     input_ids: tuple
-    backward_fn: Optional[BackwardFn]
+    backward_fn: Optional[Callable[[Array], tuple]]
 
 
 class Tape:
@@ -153,12 +152,13 @@ class Tape:
 
     Every node's inputs appear earlier in the sequence, so reverse insertion
     order is a valid order for the backward sweep. Saved activations live in
-    each node's backward closure.
+    each node's backward closure. The tape holds arrays only (leaf values and
+    what the closures saved), never a Tensor.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
-        self._leaves: dict[int, Tensor] = {}
+        self._leaves: dict[int, Array] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -167,53 +167,13 @@ class Tape:
         """Register ``values`` as a differentiable leaf (parameter or input)."""
         arr = values.values if isinstance(values, Tensor) else _as_array(values)
         t = _new(arr, self, self._append("leaf", (), None))
-        self._leaves[t.tape_id] = t
+        self._leaves[t.tape_id] = arr
         return t
-
-    def release(self) -> None:
-        """Drop every node and leaf once the graph is no longer needed.
-
-        Leaves point back at their tape, so without this the tape and all
-        the activations its closures saved wait for the cyclic collector.
-        """
-        self.nodes = []
-        self._leaves = {}
 
     def _append(self, op_kind: str, input_ids: tuple, backward_fn) -> int:
         nodes = self.nodes
         nodes.append(TapeNode(op_kind, input_ids, backward_fn))
         return len(nodes) - 1
-
-
-def _record1(op_kind: str, x: Tensor, out_values, backward_fn: BackwardFn) -> Tensor:
-    """Record a one-input op; ``backward_fn`` returns a 1-tuple."""
-    tape = x.tape
-    if tape is None:
-        return _new(out_values)
-    if x.tape_id is None:
-        return _new(out_values, tape)
-    return _new(out_values, tape, tape._append(op_kind, (x.tape_id,), backward_fn))
-
-
-def _record2(op_kind: str, a: Tensor, b: Tensor, out_values, ga, gb) -> Tensor:
-    """Record a two-input op; ``ga``/``gb`` map the adjoint to each input's gradient."""
-    tape = a.tape
-    if tape is None:
-        tape = b.tape
-        if tape is None:
-            return _new(out_values)
-    elif b.tape is not None and b.tape is not tape:
-        raise ContractError(f"{op_kind}: operands belong to different tapes")
-    ia, ib = a.tape_id, b.tape_id
-    if ia is None:
-        if ib is None:
-            return _new(out_values, tape)
-        node_id = tape._append(op_kind, (ib,), lambda g: (gb(g),))
-    elif ib is None:
-        node_id = tape._append(op_kind, (ia,), lambda g: (ga(g),))
-    else:
-        node_id = tape._append(op_kind, (ia, ib), lambda g: (ga(g), gb(g)))
-    return _new(out_values, tape, node_id)
 
 
 def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, adjoints) -> Tensor:
@@ -223,7 +183,9 @@ def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, adjoints)
     in input order; ``need[i]`` says whether input i is tape-linked, and the
     gradients of the others are dropped, so they need not be computed.
     Detached tensors keep tape provenance but no node id; they anchor the
-    result to the tape without contributing a gradient path.
+    result to the tape without contributing a gradient path. ``adjoints``
+    must capture arrays, shapes and flags only, never a Tensor: a Tensor
+    points at its tape, and the tape would then be part of a cycle.
     """
     tape = None
     for t in inputs:
@@ -254,8 +216,7 @@ def backward(loss: Tensor) -> dict:
     """Reverse sweep from a scalar, tape-linked loss.
 
     Returns a map from tape_id to gradient Tensor covering every leaf on the
-    tape; leaves unreachable from the loss get exact zeros. Each leaf's
-    ``grad`` slot is populated as well.
+    tape; leaves unreachable from the loss get exact zeros.
     """
     if loss.tape is None:
         raise ContractError("backward: loss is not linked to a tape")
@@ -281,12 +242,9 @@ def backward(loss: Tensor) -> dict:
             prev = adjoint.get(input_id)
             adjoint[input_id] = g if prev is None else prev + g
     grads: dict[int, Tensor] = {}
-    for node_id, leaf in tape._leaves.items():
+    for node_id, values in tape._leaves.items():
         g = adjoint.get(node_id)
-        if g is None:
-            g = np.zeros_like(leaf.values)
-        leaf.grad = g
-        grads[node_id] = Tensor(g)
+        grads[node_id] = Tensor(np.zeros_like(values) if g is None else g)
     return grads
 
 
@@ -319,10 +277,8 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     sa, sb = a.values.shape, b.values.shape
     _check_elementwise("add", sa, sb)
-    return _record2(
-        "add", a, b, a.values + b.values,
-        lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb),
-    )
+    return _record("add", (a, b), a.values + b.values,
+                   _each((lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb))))
 
 
 def mul(a, b) -> Tensor:
@@ -330,10 +286,8 @@ def mul(a, b) -> Tensor:
     av, bv = a.values, b.values
     sa, sb = av.shape, bv.shape
     _check_elementwise("mul", sa, sb)
-    return _record2(
-        "mul", a, b, av * bv,
-        lambda g: _reduce_to(g * bv, sa), lambda g: _reduce_to(g * av, sb),
-    )
+    return _record("mul", (a, b), av * bv,
+                   _each((lambda g: _reduce_to(g * bv, sa), lambda g: _reduce_to(g * av, sb))))
 
 
 def _matmul_parts(op_kind: str, av: Array, bv: Array) -> tuple:
@@ -365,7 +319,7 @@ def _matmul_parts(op_kind: str, av: Array, bv: Array) -> tuple:
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out, ga, gb = _matmul_parts("matmul", a.values, b.values)
-    return _record2("matmul", a, b, out, ga, gb)
+    return _record("matmul", (a, b), out, _each((ga, gb)))
 
 
 def _affine_parts(op_kind: str, x, w, b) -> tuple:
@@ -380,10 +334,11 @@ def _affine_parts(op_kind: str, x, w, b) -> tuple:
             raise ShapeError(f"{op_kind}: bias shape {b.shape} does not match weights {w.shape}")
         out += b.values[..., None, :]
         inputs.append(b)
+    has_bias = b is not None
 
     def adjoints(g: Array, need: tuple) -> list:
         grads = [gx(g) if need[0] else None, gw(g) if need[1] else None]
-        if b is not None:
+        if has_bias:
             grads.append(g.sum(axis=-2) if need[2] else None)
         return grads
 
@@ -405,7 +360,7 @@ def relu(x) -> Tensor:
     # fmax(v, 0) is bit-identical to where(v > 0, v, 0) (-0.0, NaN and inf
     # included) and much faster; out > 0 exactly where v > 0.
     out = np.fmax(x.values, 0.0)
-    return _record1("relu", x, out, lambda g: (g * (out > 0),))
+    return _record("relu", (x,), out, _each((lambda g: g * (out > 0),)))
 
 
 def concat_last_axis(tensors: Sequence[Tensor]) -> Tensor:
@@ -436,8 +391,8 @@ def concat_last_axis(tensors: Sequence[Tensor]) -> Tensor:
 def reduce_mean(x) -> Tensor:
     x = _wrap(x)
     n, shape = x.values.size, x.values.shape
-    return _record1("mean", x, np.asarray(x.values.mean()),
-                    lambda g: (np.full(shape, float(g) / n),))
+    return _record("mean", (x,), np.asarray(x.values.mean()),
+                   _each((lambda g: np.full(shape, float(g) / n),)))
 
 
 def reduce_sum(x) -> Tensor:
@@ -449,7 +404,8 @@ def reduce_sum(x) -> Tensor:
     """
     x = _wrap(x)
     shape = x.values.shape
-    return _record1("sum", x, np.asarray(_left_fold(x.values)), lambda g: (np.full(shape, float(g)),))
+    return _record("sum", (x,), np.asarray(_left_fold(x.values)),
+                   _each((lambda g: np.full(shape, float(g)),)))
 
 
 def _left_fold(values: Array):
@@ -500,7 +456,7 @@ def l2_normalize(x, axis: int = -1, eps: float = DEFAULT_NORM_EPS) -> Tensor:
     _check_eps("l2_normalize", eps)
     x = _wrap(x)
     out, gx = _l2_parts(x.values, axis, eps)
-    return _record1("l2_normalize", x, out, lambda g: (gx(g),))
+    return _record("l2_normalize", (x,), out, _each((gx,)))
 
 
 def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
@@ -550,12 +506,12 @@ def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
     picked = np.ascontiguousarray(log_probs[..., rows, labels])
     out = np.asarray((per_sample_w * -picked).mean(axis=-1))
 
-    def glogits(g: Array) -> tuple:
+    def glogits(g: Array) -> Array:
         grad = np.exp(log_probs) * (per_sample_w / batch)[:, None]
         grad[..., rows, labels] -= per_sample_w / batch
-        return (np.asarray(g)[..., None, None] * grad,)
+        return np.asarray(g)[..., None, None] * grad
 
-    return _record1("softmax_cross_entropy", logits, out, glogits)
+    return _record("softmax_cross_entropy", (logits,), out, _each((glogits,)))
 
 
 @dataclass
@@ -704,7 +660,8 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
         raise ContractError("dense_bn_relu: a bias needs weights")
     else:
         out, inputs, gaffine = x.values, [x], None
-    if norm is not None:
+    has_norm = norm is not None
+    if has_norm:
         state, gamma, beta = norm
         gamma, beta = _wrap(gamma), _wrap(beta)
         out, gnorm, ggamma, gbeta = _bn_parts(
@@ -720,7 +677,7 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
     def adjoints(g: Array, need: tuple) -> list:
         g = g * (out > 0)
         tail = []
-        if norm is not None:
+        if has_norm:
             tail = [ggamma(g) if need[-2] else None, gbeta(g) if need[-1] else None]
             g = gnorm(g)
         return ([g] if gaffine is None else gaffine(g, need)) + tail
@@ -778,10 +735,11 @@ def loss_fold(terms, extra=None, weight: float = 1.0) -> Tensor:
             raise ShapeError(f"loss_fold: extra term must be a scalar, got shape {extra.shape}")
         total = total + extra.values * w
         inputs.append(extra)
+    has_extra = extra is not None
 
     def adjoints(g: Array, need: tuple) -> list:
         return [np.full(shape, float(g)) if need[0] else None] + (
-            [] if extra is None else [g * w if need[1] else None]
+            [g * w if need[1] else None] if has_extra else []
         )
 
     return _record("loss_fold", inputs, np.asarray(total), adjoints)

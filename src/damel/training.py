@@ -232,9 +232,6 @@ def train(
                 avg_state = update_average(avg_state, model.buffer, cfg.averaging)
             if step_hook is not None:
                 step_hook(StepContext(epoch, iteration, bundle, params, model))
-            # Free the step's graph and saved activations now, not at the
-            # next cyclic collection.
-            tape.release()
 
             batch_n = len(yb)
             n_seen += batch_n

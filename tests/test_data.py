@@ -265,6 +265,24 @@ class TestIngestion:
         assert ds.spec.counts == (2, 1)
         np.testing.assert_allclose(ds.features, [[1, 2], [3, 4], [5, 6]])
 
+    def test_csv_non_integer_label_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,2.99999\n")
+        with pytest.raises(ContractError, match="integer class labels"):
+            load_csv_dataset(path)
+
+    def test_csv_infinite_label_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,inf\n")
+        with pytest.raises(ContractError, match="integer class labels"):
+            load_csv_dataset(path)
+
+    def test_csv_nan_feature_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("1.0,2.0,0\n3.0,nan,1\n5.0,6.0,0\n")
+        with pytest.raises(ContractError, match="finite"):
+            load_csv_dataset(path)
+
     def test_holdout_split(self):
         src = synthesize_gaussian_longtail(balanced_spec(3, 10), 3, 2.0, seed=4)
         test, rest = split_balanced_holdout(src, per_class=4, seed=0)

@@ -252,8 +252,11 @@ class TestStackedMatchesPerExpertReference:
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("use_norm_layers", [True, False])
-    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_bias, use_norm_layers):
-        cfg = small_config(**_model_kwargs(variant, num_experts, use_bias, use_norm_layers))
+    # 13.7 is no power of two, so where the scale is applied shows in the bits.
+    @pytest.mark.parametrize("scale", [16.0, 13.7])
+    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_bias, use_norm_layers,
+                                                  scale):
+        cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_bias, use_norm_layers))
         model = init_model(cfg, seed=11)
         reference = model.clone()
         rng = np.random.default_rng(num_experts)
