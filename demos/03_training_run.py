@@ -35,7 +35,7 @@ for m in log:
         f"{m.test_acc_raw:>9.3f} {m.test_acc_ema:>9.3f}"
     )
 
-eval_model = load_eval_model(model, export_eval_weights(avg_state, cfg.averaging, model.flatten()), train_ds)
+eval_model = load_eval_model(model, export_eval_weights(avg_state, model.flatten()), train_ds)
 report = evaluate(eval_model, test_ds, group_partition(spec))
 print("\nfinal (averaged weights):")
 print(f"  overall {report.overall_acc:.3f}")

@@ -2,11 +2,13 @@
 
 EMA keeps an exponentially weighted aggregate of parameter snapshots,
 weights_new = (1 - rate) * weights + rate * snapshot, initialized from the
-first snapshot. SWA keeps their plain arithmetic mean. Both operate on the
-flat parameter vector (norm-layer scale/shift included, running statistics
-excluded; those are recomputed exactly from the training set). A snapshot
-may be the model's live parameter buffer itself: it is only read, the state
-keeps its own copy, and later updates fold into that copy in place.
+first snapshot. SWA keeps their plain arithmetic mean. The state's type is
+the scheme: an EmaState, a SwaState, or None for no averaging. Both operate
+on the flat parameter vector (norm-layer scale/shift included, running
+statistics excluded; those are recomputed exactly from the training set,
+here and nowhere else). A snapshot may be the model's live parameter buffer
+itself: it is only read, the state keeps its own copy, and later updates
+fold into that copy in place.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import DamelModel, backbone_layers, constant_params
-from .tensor import affine, dense_bn_relu, matmul
+from .tensor import affine, dense_bn_relu
 
 
 @dataclass
@@ -90,43 +92,34 @@ def swa_update(state: SwaState, snapshot: np.ndarray) -> SwaState:
     return state
 
 
-def update_average(avg_state, snapshot: np.ndarray, averaging: str):
-    """Dispatch one snapshot to whichever averaging scheme is active."""
-    if averaging == "none":
-        return avg_state
-    if averaging == "ema":
-        if not isinstance(avg_state, EmaState):
-            raise ContractError("averaging=ema requires an EmaState")
-        return ema_update(avg_state, snapshot)
-    if averaging == "swa":
-        if not isinstance(avg_state, SwaState):
-            raise ContractError("averaging=swa requires a SwaState")
-        return swa_update(avg_state, snapshot)
-    raise ContractError(f"unknown averaging scheme {averaging!r}")
+_UPDATES = {EmaState: ema_update, SwaState: swa_update}
 
 
-def export_eval_weights(avg_state, averaging: str, trained: np.ndarray) -> np.ndarray:
-    """The parameter vector the evaluation path consumes."""
-    if averaging == "none":
+def update_average(avg_state, snapshot: np.ndarray):
+    """Fold one snapshot into ``avg_state`` by its scheme; None averages nothing."""
+    return None if avg_state is None else _UPDATES[type(avg_state)](avg_state, snapshot)
+
+
+def export_eval_weights(avg_state, trained: np.ndarray) -> np.ndarray:
+    """The parameter vector the evaluation path consumes: a copy of the
+    averaged weights once a snapshot is in, else of ``trained``."""
+    if avg_state is None or not avg_state.initialized:
         return np.array(trained, dtype=np.float64, copy=True)
-    if averaging in ("ema", "swa"):
-        if avg_state is None or not avg_state.initialized:
-            raise ContractError(f"averaging={averaging}: state has received no snapshots")
-        return avg_state.weights.copy()
-    raise ContractError(f"unknown averaging scheme {averaging!r}")
+    return avg_state.weights.copy()
 
 
 def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[int] = None) -> DamelModel:
     """Replace every norm layer's running statistics with exact aggregates.
 
     The backbone runs layer by layer over the chunks of the training set.
-    Each layer computes its affine output once per chunk and merges it into
-    its norm layer's statistics; once every chunk is in, the same outputs are
-    normalized in place with the final statistics and go on to the next layer.
-    So the accumulated mean/variance are exact population statistics of each
-    layer's true eval-time input for any chunking (equal up to the merge's
-    rounding), and each layer runs once per recompute. The pass holds at most
-    two activation-sized buffers per chunk at a time.
+    Each layer computes its affine output once per chunk and merges the
+    chunks' means and M2s in order (Chan et al.'s parallel merge); once every
+    chunk is in, the same outputs are normalized in place with the final
+    statistics and go on to the next layer. So the mean/variance are exact
+    population statistics of each layer's true eval-time input for any
+    chunking (equal up to the merge's rounding), and each layer runs once
+    per recompute. The pass holds at most two activation-sized buffers per
+    chunk at a time.
     """
     if not model.norm_states:
         return model
@@ -140,13 +133,21 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     layers = backbone_layers(model, constant_params(model))
     for i, (w, b, norm) in enumerate(layers):
         state = norm[0]
-        state.begin_accumulation()
         # The affine outputs replace the layer's inputs, which are done with.
-        chunks = [matmul(h, w) if b is None else affine(h, w, b) for h in chunks]
+        chunks = [affine(h, w, b) for h in chunks]
+        count, mean, m2 = 0, np.zeros_like(state.running_mean), np.zeros_like(state.running_var)
         for z in chunks:
-            state.merge_batch(z.values)
-        del z  # else the last chunk's outputs stay alive into the next layer
-        state.finish_accumulation()
+            n_b = len(z.values)
+            mean_b = z.values.mean(axis=0)
+            dev = z.values - mean_b
+            m2_b = np.square(dev, out=dev).sum(axis=0)  # the bits of dev ** 2, one buffer
+            total = count + n_b
+            delta = mean_b - mean
+            mean = mean + delta * (n_b / total)
+            m2 = m2 + m2_b + delta * delta * (count * n_b / total)
+            count = total
+        del z, dev  # else the last chunk's buffers stay alive into the next layer
+        state.running_mean, state.running_var, state.mode = mean, m2 / count, "eval"
         if i + 1 < len(layers):  # the last layer's output feeds no statistics
             chunks = [dense_bn_relu(z, None, None, norm) for z in chunks]
     return model

@@ -68,16 +68,10 @@ WORKERS_ENV_VAR = "DAMEL_WORKERS"
 
 SUITES = ("table5", "table7", "table8", "table9", "table10", "table11", "table12")
 
-_SOURCES = ("synthetic", "idx", "csv")
-_DATASET_KEYS = {
-    "synthetic": {"source", "num_classes", "head_count", "imbalance_ratio",
-                  "feature_dim", "class_sep", "test_per_class", "base_seed"},
-    "idx": {"source", "num_classes", "head_count", "imbalance_ratio",
-            "images", "labels", "test_per_class", "base_seed"},
-    "csv": {"source", "num_classes", "head_count", "imbalance_ratio",
-            "csv_path", "test_per_class", "base_seed"},
-}
-_SOURCE_FILES = {"synthetic": (), "idx": ("images", "labels"), "csv": ("csv_path",)}
+# Each source's own dataset fields, every one required; an idx or csv
+# source's fields are the paths of its files, in its loader's argument order.
+_SOURCE_FIELDS = {"synthetic": ("feature_dim", "class_sep"), "idx": ("images", "labels"),
+                  "csv": ("csv_path",)}
 
 
 @dataclass
@@ -174,28 +168,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if not isinstance(raw["dataset"], dict):
         raise ConfigError(f"dataset must be a JSON object, got {raw['dataset']!r}")
-    source = raw["dataset"].get("source")
-    if source not in _SOURCES:
-        raise ConfigError(f"dataset.source must be one of {_SOURCES}, got {source!r}")
+    source, sources = raw["dataset"].get("source"), tuple(_SOURCE_FIELDS)
+    if source not in sources:
+        raise ConfigError(f"dataset.source must be one of {sources}, got {source!r}")
     # config_to_dict writes every DatasetBlock field; another source's fields
     # come back as null, which means unset.
-    known = _field_names(DatasetBlock)
+    known, own = _field_names(DatasetBlock), _SOURCE_FIELDS[source]
+    allowed = known.difference(*_SOURCE_FIELDS.values()) | set(own)
     block = {key: value for key, value in raw["dataset"].items()
-             if value is not None or key in _DATASET_KEYS[source] or key not in known}
-    dataset = _typed_block(DatasetBlock, block, f"dataset ({source})", _DATASET_KEYS[source])
-    if source == "synthetic":
-        if dataset.feature_dim is None or dataset.class_sep is None:
-            raise ConfigError("dataset (synthetic): feature_dim and class_sep are required")
-    if source == "idx" and (dataset.images is None or dataset.labels is None):
-        raise ConfigError("dataset (idx): images and labels paths are required")
-    if source == "csv" and dataset.csv_path is None:
-        raise ConfigError("dataset (csv): csv_path is required")
+             if value is not None or key in allowed or key not in known}
+    dataset = _typed_block(DatasetBlock, block, f"dataset ({source})", allowed)
+    if any(getattr(dataset, field) is None for field in own):
+        names = " and ".join(own) + (" paths" if source == "idx" else "")
+        raise ConfigError(f"dataset ({source}): {names} {'are' if len(own) > 1 else 'is'} required")
     if dataset.test_per_class < 1:
         raise ConfigError(f"dataset: test_per_class must be >= 1, got {dataset.test_per_class}")
     _check_seed(dataset.base_seed, "dataset: base_seed")
     # Surface count-profile domain errors before any run starts.
     try:
-        long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
+        spec = long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
     except DamelError as err:
         raise ConfigError(f"dataset: {err}") from None
 
@@ -211,6 +202,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
         build_damel_config(model, dataset, probe_dim).validate()
     except DamelError as err:
         raise ConfigError(f"model: {err}") from None
+    # Every source trains on exactly the profile's samples, so a batch size
+    # that no run could train with fails here, before any data is built.
+    total, batch = sum(spec.counts), train_cfg.batch_size
+    if train_cfg.epochs > 0 and batch > total:
+        raise ConfigError(f"train.batch_size {batch} exceeds the {total} training samples")
+    if train_cfg.epochs > 0 and model.use_norm_layers and (total - 1) % batch == 0:
+        raise ConfigError(
+            f"train.batch_size {batch} leaves a single-sample final batch for {total} "
+            "samples, which norm layers cannot train on"
+        )
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(_value_fits(int, s) and s >= 0 for s in seeds):
@@ -230,7 +231,9 @@ def _check_seed(seed, where: str) -> None:
 def _check_source_files(dataset: DatasetBlock) -> None:
     """Every file an idx/csv source names must open for reading; otherwise a
     ConfigError names the field, before any run starts."""
-    for field in _SOURCE_FILES[dataset.source]:
+    if dataset.source == "synthetic":
+        return
+    for field in _SOURCE_FIELDS[dataset.source]:
         path = getattr(dataset, field)
         try:
             with open(path, "rb"):
@@ -321,7 +324,7 @@ def _file_source(dataset: DatasetBlock) -> Dataset:
     size or mtime. The loaders are looked up at call time, so a wrapped
     loader sees only real parses. The arrays are read-only: every run
     indexes fresh copies out of them."""
-    paths = (dataset.images, dataset.labels) if dataset.source == "idx" else (dataset.csv_path,)
+    paths = tuple(getattr(dataset, field) for field in _SOURCE_FIELDS[dataset.source])
     key = (dataset.source, paths, tuple(_sha256(path) for path in paths))
     source = _parsed_source.get(key)
     if source is None:
@@ -497,12 +500,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
             model, train_ds, cfg.train, avg_state, seed=seed, test_ds=test_ds
         )
         trained = model.flatten()
-        averaging = cfg.train.averaging
-        averaged = None
-        if averaging != "none" and avg_state.initialized:
-            averaged = export_eval_weights(avg_state, averaging, trained)
-        # zero-epoch runs have no snapshots; evaluate the raw weights
-        eval_model = load_eval_model(model, trained if averaged is None else averaged, train_ds)
+        eval_model = load_eval_model(model, export_eval_weights(avg_state, trained), train_ds)
         report = evaluate(eval_model, test_ds, partition)
         onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
 
@@ -516,6 +514,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         )
         _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
         checkpoint_cfg = dict(config_to_dict(cfg), seed=seed)
+        averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
         save_checkpoint(run_dir / "checkpoint.bin", checkpoint_cfg, trained, averaged)
         report.save_json(run_dir / "eval.json")
         report.save_confusion_csv(run_dir / "confusion.csv")

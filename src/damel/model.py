@@ -277,7 +277,7 @@ def backbone_layers(model: DamelModel, p: dict) -> list:
 def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> Tensor:
     """Shared backbone: two affine(+norm)+relu layers, [B, input_dim] -> [B, hidden_dim].
 
-    Sets every norm layer that is not accumulating to ``mode``.
+    Sets every norm layer to ``mode``.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -287,8 +287,7 @@ def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional
         raise ShapeError(f"forward: input must be [B, {cfg.input_dim}], got {x.shape}")
     p = params if params is not None else constant_params(model)
     for state in model.norm_states.values():
-        if not state.accumulating:
-            state.mode = mode
+        state.mode = mode
 
     h = x
     for w, b, norm in backbone_layers(model, p):

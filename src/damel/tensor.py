@@ -345,13 +345,13 @@ def _affine_parts(op_kind: str, x, w, b) -> tuple:
     return out, inputs, adjoints
 
 
-def affine(x, w, b) -> Tensor:
+def affine(x, w, b=None) -> Tensor:
     """x @ w + b, with b added to every row of each block: one node for both.
 
     b has w's shape without its input axis: [R] for w [H, R], [K, R] for a
-    stack w [K, H, R].
+    stack w [K, H, R]. With b None the output is the bits of matmul(x, w).
     """
-    out, inputs, adjoints = _affine_parts("affine", x, w, _wrap(b))
+    out, inputs, adjoints = _affine_parts("affine", x, w, b)
     return _record("affine", inputs, out, adjoints)
 
 
@@ -519,52 +519,16 @@ class NormStatsState:
     """Per-feature running statistics for one normalization layer.
 
     ``mode`` selects batch statistics (train) or running statistics (eval)
-    at forward time. Exact whole-set recomputation uses the accumulator
-    fields via begin/finish_accumulation and a parallel mean/M2 merge.
+    at forward time.
     """
 
     running_mean: Array
     running_var: Array
     mode: str = "train"  # "train" | "eval"
-    accumulating: bool = False
-    acc_count: int = 0
-    acc_mean: Optional[Array] = None
-    acc_m2: Optional[Array] = None
 
     @classmethod
     def for_features(cls, num_features: int) -> "NormStatsState":
         return cls(np.zeros(num_features), np.ones(num_features))
-
-    def begin_accumulation(self) -> None:
-        self.accumulating = True
-        self.acc_count = 0
-        self.acc_mean = np.zeros_like(self.running_mean)
-        self.acc_m2 = np.zeros_like(self.running_var)
-
-    def merge_batch(self, batch: Array) -> None:
-        """Merge one chunk's statistics into the accumulator (order-exact)."""
-        n_b = batch.shape[0]
-        if n_b == 0:
-            return
-        mean_b = batch.mean(axis=0)
-        dev = batch - mean_b
-        m2_b = np.square(dev, out=dev).sum(axis=0)  # the bits of dev ** 2, one buffer
-        n_a = self.acc_count
-        total = n_a + n_b
-        delta = mean_b - self.acc_mean
-        self.acc_mean = self.acc_mean + delta * (n_b / total)
-        self.acc_m2 = self.acc_m2 + m2_b + delta * delta * (n_a * n_b / total)
-        self.acc_count = total
-
-    def finish_accumulation(self) -> None:
-        if self.acc_count == 0:
-            raise ContractError("norm stats accumulation saw no data")
-        self.running_mean = self.acc_mean
-        self.running_var = self.acc_m2 / self.acc_count
-        self.accumulating = False
-        self.acc_mean = None
-        self.acc_m2 = None
-        self.mode = "eval"
 
     def clone(self) -> "NormStatsState":
         return NormStatsState(self.running_mean.copy(), self.running_var.copy(), self.mode)
@@ -581,15 +545,9 @@ def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, bet
         raise ShapeError(f"{op_kind}: norm input must be [B, F], got {v.shape}")
     batch = v.shape[0]
 
-    if state.accumulating:
-        state.merge_batch(v)
-        train = False
-    elif state.mode == "train":
-        if batch < 2:
-            raise ContractError(f"{op_kind}: train mode requires a batch of at least 2 samples")
-        train = True
-    else:
-        train = False
+    train = state.mode == "train"
+    if train and batch < 2:
+        raise ContractError(f"{op_kind}: train mode requires a batch of at least 2 samples")
 
     centred = v if owned else None
     if train:
@@ -624,9 +582,7 @@ def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: floa
 
     Train mode uses batch statistics (population variance) and folds them
     into the running statistics as running <- (1-momentum)*running +
-    momentum*batch. Eval mode normalizes by running statistics only. While
-    a state is accumulating, the op behaves like eval and merges the raw
-    input into the state's exact aggregate.
+    momentum*batch. Eval mode normalizes by running statistics only.
     """
     x, gamma_scale, beta_shift = _wrap(x), _wrap(gamma_scale), _wrap(beta_shift)
     out, gx, ggamma, gbeta = _bn_parts(
@@ -644,11 +600,11 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
     """relu(batch_norm(x @ w + b)) as one node: a backbone layer.
 
     ``b`` is None for a bias-free layer. ``norm`` is None for no norm layer,
-    else (state, gamma, beta) as batch_norm takes them, with its train, eval
-    and accumulating modes. ``w`` is None when ``x`` already is the layer's
-    affine output: the statistics pass normalizes the outputs it has
-    accumulated that way, and the op may then overwrite an ``x`` that is on
-    no tape.
+    else (state, gamma, beta) as batch_norm takes them, in train or eval
+    mode. ``w`` is None when ``x`` already is the layer's affine output: the
+    statistics pass normalizes each layer's outputs that way once their
+    statistics are in, and the op may then overwrite an ``x`` that is on no
+    tape.
 
     Unlike the chain, the op writes its intermediates in place where nothing
     reads them again, so it holds fewer activation-sized buffers at once.

@@ -184,9 +184,11 @@ def train(
     auxiliary-only phase (everything else frozen, velocity reset).
     """
     cfg.validate()
-    if cfg.averaging != "none" and avg_state is None:
-        raise ContractError(f"averaging={cfg.averaging} requires an initialized averaging state")
-    if model.norm_states and cfg.epochs > 0 and len(ds) % cfg.batch_size == 1:
+    if type(avg_state) is not type(make_avg_state(cfg)):
+        raise ContractError(
+            f"averaging={cfg.averaging} does not take a {type(avg_state).__name__} state"
+        )
+    if model.norm_states and cfg.epochs > 0 and (len(ds) - 1) % cfg.batch_size == 0:
         raise ContractError(
             f"batch_size {cfg.batch_size} leaves a single-sample final batch for "
             f"{len(ds)} samples, which norm layers cannot train on; pick a batch "
@@ -229,7 +231,7 @@ def train(
             except NumericError as err:
                 raise NumericError(f"{err} (epoch {epoch}, iteration {iteration})") from None
             if cfg.ema_frequency == "iteration":
-                avg_state = update_average(avg_state, model.buffer, cfg.averaging)
+                avg_state = update_average(avg_state, model.buffer)
             if step_hook is not None:
                 step_hook(StepContext(epoch, iteration, bundle, params, model))
 
@@ -243,10 +245,10 @@ def train(
             sums["total"] += bundle.total_value() * batch_n
 
         if cfg.ema_frequency == "epoch":
-            avg_state = update_average(avg_state, model.buffer, cfg.averaging)
+            avg_state = update_average(avg_state, model.buffer)
 
         test_acc_ema = float("nan")
-        if test_ds is not None and cfg.averaging != "none" and avg_state.initialized:
+        if test_ds is not None and avg_state is not None and avg_state.initialized:
             shadow = load_eval_model(model, avg_state.weights, ds, shadow)
             test_acc_ema = _accuracy(shadow, test_ds)
         has_balanced = model.config.aux_input_dim is not None

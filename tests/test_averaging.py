@@ -16,7 +16,9 @@ from damel.averaging import (
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
 from damel.errors import ContractError
-from damel.model import DamelConfig, forward_backbone, forward_experts, init_model, predict
+from damel.model import DamelConfig, init_model, predict
+from damel.tensor import BATCH_NORM_EPS
+from damel.training import TrainConfig, train
 
 
 def ema_closed_form(snapshots, rate):
@@ -112,15 +114,23 @@ class TestSwa:
 
 
 class TestExport:
-    def test_none_returns_trained_weights(self):
+    def test_no_averaging_exports_trained_weights(self):
         trained = np.array([1.0, 2.0, 3.0])
-        out = export_eval_weights(None, "none", trained)
+        out = export_eval_weights(None, trained)
+        assert out.tobytes() == trained.tobytes() and out is not trained
+
+    @pytest.mark.parametrize("state", [EmaState(rate=0.1), SwaState()])
+    def test_state_without_snapshot_exports_trained_weights(self, state):
+        trained = np.array([4.0, -5.0])
+        out = export_eval_weights(state, trained)
         assert out.tobytes() == trained.tobytes() and out is not trained
 
     def test_ema_first_update_equals_snapshot(self):
         theta = np.array([4.0, 5.0])
         state = ema_update(EmaState(rate=0.1), theta)
-        np.testing.assert_array_equal(export_eval_weights(state, "ema", theta * 0), theta)
+        out = export_eval_weights(state, theta * 0)
+        np.testing.assert_array_equal(out, theta)
+        assert out is not state.weights
 
     def test_ema_and_swa_differ_on_streams(self):
         snaps = [np.array([0.0]), np.array([3.0]), np.array([9.0])]
@@ -128,20 +138,26 @@ class TestExport:
         for s in snaps:
             ema_update(ema, s)
             swa_update(swa, s)
-        assert export_eval_weights(ema, "ema", snaps[-1])[0] != export_eval_weights(
-            swa, "swa", snaps[-1]
-        )[0]
+        assert export_eval_weights(ema, snaps[-1])[0] != export_eval_weights(swa, snaps[-1])[0]
 
-    def test_uninitialized_state_rejected(self):
-        with pytest.raises(ContractError, match="no snapshots"):
-            export_eval_weights(EmaState(rate=0.1), "ema", np.zeros(2))
+    def test_update_average_follows_the_state_type(self):
+        ema = update_average(EmaState(rate=0.5, weights=np.array([0.0])), np.array([2.0]))
+        np.testing.assert_array_equal(ema.weights, [1.0])
+        swa = update_average(SwaState(weights=np.array([0.0]), count=1), np.array([2.0]))
+        np.testing.assert_array_equal(swa.weights, [1.0])
+        assert swa.count == 2
+        assert update_average(None, np.array([2.0])) is None
 
-    def test_update_average_dispatch(self):
-        state = update_average(EmaState(rate=1.0), np.array([2.0]), "ema")
-        np.testing.assert_array_equal(state.weights, [2.0])
-        assert update_average(None, np.array([2.0]), "none") is None
-        with pytest.raises(ContractError, match="EmaState"):
-            update_average(SwaState(), np.array([2.0]), "ema")
+    @pytest.mark.parametrize("averaging, state", [
+        ("ema", None), ("ema", SwaState()), ("swa", EmaState(rate=0.1)), ("none", SwaState()),
+    ])
+    def test_train_rejects_a_wrong_typed_state_before_its_first_step(self, averaging, state):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=0)
+        steps = []
+        with pytest.raises(ContractError, match=f"averaging={averaging}"):
+            train(_norm_model(), ds, TrainConfig(epochs=1, batch_size=8, averaging=averaging), state,
+                  step_hook=steps.append)
+        assert steps == []
 
 
 def _norm_model(use_bias=True):
@@ -150,6 +166,23 @@ def _norm_model(use_bias=True):
         use_norm_layers=True, use_bias=use_bias,
     )
     return init_model(cfg, seed=0)
+
+
+def _oracle_norm_stats(model, x):
+    """Independent oracle: each norm layer's (mean, population variance) over
+    its eval-mode pre-norm input, the backbone rebuilt from numpy alone, each
+    layer normalized by the statistics the oracle found for it."""
+    p, h, stats = model.params, x, []
+    for i in (1, 2):
+        z = h @ p[f"backbone.w{i}"]
+        if f"backbone.b{i}" in p:
+            z = z + p[f"backbone.b{i}"]
+        mean = z.mean(0)
+        var = np.square(z - mean).sum(0) / len(z)
+        stats.append((mean, var))
+        x_hat = (z - mean) * (1.0 / np.sqrt(var + BATCH_NORM_EPS))
+        h = np.maximum(p[f"backbone.bn{i}.gamma"] * x_hat + p[f"backbone.bn{i}.beta"], 0.0)
+    return stats
 
 
 class TestRecomputeRunningStats:
@@ -198,36 +231,18 @@ class TestRecomputeRunningStats:
                 atol=1e-10,
             )
 
-    @pytest.mark.parametrize("chunk_size", [None, 5])
-    def test_backbone_passes_match_full_expert_passes_bitwise(self, chunk_size):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=4)
-        reference = _norm_model()
-        n = len(ds)
-        step = n if chunk_size is None else chunk_size
-        for state in reference.norm_states.values():
-            state.begin_accumulation()
-            for start in range(0, n, step):
-                forward_experts(reference, ds.features[start:start + step], mode="eval")
-            state.finish_accumulation()
-        model = recompute_running_stats(_norm_model(), ds, chunk_size=chunk_size)
-        for name, ref in reference.norm_states.items():
-            got = model.norm_states[name]
-            assert got.running_mean.tobytes() == ref.running_mean.tobytes()
-            assert got.running_var.tobytes() == ref.running_var.tobytes()
-
-    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 5, 7])
     @pytest.mark.parametrize("use_bias", [True, False])
-    def test_one_layer_walk_matches_two_backbone_passes_bitwise(self, chunk_size, use_bias, monkeypatch):
+    def test_layer_walk_matches_numpy_oracle(self, chunk_size, use_bias, monkeypatch):
         ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=6)
         n = len(ds)
         step = n if chunk_size is None else chunk_size
-        reference = _norm_model(use_bias)
-        # The former recompute: one whole-backbone pass per norm layer.
-        for state in reference.norm_states.values():
-            state.begin_accumulation()
-            for start in range(0, n, step):
-                forward_backbone(reference, ds.features[start:start + step], mode="eval")
-            state.finish_accumulation()
+        model = _norm_model(use_bias)
+        rng = np.random.default_rng(8)
+        for name, value in model.params.items():
+            if name.startswith("backbone."):  # gamma, beta and biases off their init values
+                value += 0.3 * rng.normal(size=value.shape)
+        expected = _oracle_norm_stats(model, ds.features)
 
         products = []
         real = damel.tensor._matmul_parts
@@ -237,16 +252,18 @@ class TestRecomputeRunningStats:
             return real(op_kind, a, b)
 
         monkeypatch.setattr(damel.tensor, "_matmul_parts", counted)
-        model = recompute_running_stats(_norm_model(use_bias), ds, chunk_size=chunk_size)
-        chunks = -(-n // step)
+        recompute_running_stats(model, ds, chunk_size=chunk_size)
         # Each backbone affine once per chunk: the rows of layer 1, then of layer 2.
         assert products == [min(step, n - start) for start in range(0, n, step)] * 2
-        assert len(products) == 2 * chunks
-        for name, ref in reference.norm_states.items():
-            got = model.norm_states[name]
-            assert got.mode == "eval" and not got.accumulating
-            assert got.running_mean.tobytes() == ref.running_mean.tobytes()
-            assert got.running_var.tobytes() == ref.running_var.tobytes()
+        for i, (mean, var) in enumerate(expected, start=1):
+            got = model.norm_states[f"backbone.bn{i}"]
+            assert got.mode == "eval"
+            if chunk_size is None:
+                assert got.running_mean.tobytes() == mean.tobytes()
+                assert got.running_var.tobytes() == var.tobytes()
+            else:
+                np.testing.assert_allclose(got.running_mean, mean, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got.running_var, var, rtol=0, atol=1e-10)
 
     def test_empty_dataset_rejected(self):
         model = _norm_model()

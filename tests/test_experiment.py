@@ -179,6 +179,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             parse_config(small_raw(tmp_path, **overrides))
 
+    @pytest.mark.parametrize("model, train, message", [
+        ({}, {"batch_size": 54}, "batch_size 54 exceeds the 53 training samples"),
+        ({"use_norm_layers": False}, {"batch_size": 500}, "batch_size 500 exceeds"),
+        ({}, {"batch_size": 4}, "batch_size 4 leaves a single-sample final batch for 53"),
+        ({}, {"batch_size": 1}, "batch_size 1 leaves a single-sample final batch"),
+    ])
+    def test_batch_size_no_run_can_train_with_is_config_error(self, tmp_path, model, train, message):
+        # small_raw's profile holds 53 samples, and every source trains on exactly those.
+        with pytest.raises(ConfigError, match=f"^train.{message}"):
+            parse_config(small_raw(tmp_path, model=model, train=train))
+
+    @pytest.mark.parametrize("model, train", [
+        ({}, {"batch_size": 53}),
+        ({"use_norm_layers": False}, {"batch_size": 4}),
+        ({"use_norm_layers": False}, {"batch_size": 1}),
+        ({}, {"batch_size": 500, "epochs": 0}),
+    ])
+    def test_batch_size_every_run_can_train_with_is_accepted(self, tmp_path, model, train):
+        parse_config(small_raw(tmp_path, model=model, train=train))
+
     def test_hash_ignores_seeds_and_output(self, tmp_path):
         a = parse_config(small_raw(tmp_path, seeds=[0, 1]))
         b = parse_config(small_raw(tmp_path, seeds=[5, 6], output_dir=str(tmp_path / "other")))
@@ -314,6 +334,7 @@ class TestDatasetSources:
             "num_classes": 5, "head_count": 4, "imbalance_ratio": 2,
             "test_per_class": 5, "base_seed": 0,
         }
+        raw["train"]["batch_size"] = 8  # the profile holds 14 samples
         cfg = parse_config(raw)
         with pytest.raises(ConfigError, match="4 classes"):
             experiment.build_datasets(cfg.dataset, seed=0)
@@ -814,6 +835,18 @@ class TestCli:
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
         assert not Path(raw["output_dir"]).exists()
 
+    @pytest.mark.parametrize("batch_size", [500, 4])
+    @pytest.mark.parametrize("command", [
+        ["run", "--seed", "0"], ["sweep", "--seeds", "0,1", "--workers", "2"],
+        ["ablate", "--suite", "table7", "--workers", "2"],
+    ])
+    def test_degenerate_batch_size_exits_1_before_any_run(self, tmp_path, capsys, command, batch_size):
+        path, raw = self._write_cfg(tmp_path, train={"batch_size": batch_size})
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: train.batch_size {batch_size} ") and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dataset": {"source": "synthetic"}}))
@@ -845,6 +878,7 @@ class TestCli:
             "source": "csv", "csv_path": str(data), "num_classes": 2, "head_count": 1,
             "imbalance_ratio": 1, "test_per_class": 1, "base_seed": 0,
         }
+        raw["train"]["batch_size"] = 2  # the profile holds 2 samples
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2

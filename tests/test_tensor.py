@@ -462,26 +462,16 @@ class TestRandomNetworks:
 
 
 def _norm_state(rng, width, mode):
-    """A norm state in ``mode``: train, eval, or accumulating over a started aggregate."""
-    state = NormStatsState(rng.normal(size=width), 0.5 + rng.uniform(size=width),
-                           "eval" if mode == "accumulating" else mode)
-    if mode == "accumulating":
-        state.begin_accumulation()
-        state.merge_batch(rng.normal(size=(3, width)))
-    return state
+    """A norm state in ``mode``: train or eval."""
+    return NormStatsState(rng.normal(size=width), 0.5 + rng.uniform(size=width), mode)
 
 
 def _clone_state(state):
-    copy = NormStatsState(state.running_mean.copy(), state.running_var.copy(), state.mode)
-    copy.accumulating, copy.acc_count = state.accumulating, state.acc_count
-    if state.accumulating:
-        copy.acc_mean, copy.acc_m2 = state.acc_mean.copy(), state.acc_m2.copy()
-    return copy
+    return NormStatsState(state.running_mean.copy(), state.running_var.copy(), state.mode)
 
 
 def _state_bytes(state):
-    fields = [state.running_mean, state.running_var, state.acc_mean, state.acc_m2]
-    return [f.tobytes() for f in fields if f is not None] + [state.acc_count, state.mode]
+    return [state.running_mean.tobytes(), state.running_var.tobytes(), state.mode]
 
 
 def _assert_bitwise_like_chain(composite, chain, arrays, taped=None, make_states=None, scalarize=True):
@@ -524,7 +514,7 @@ class TestComposites:
         return reduce_sum(mul(t, Tensor(coeffs)))
 
     @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("mode", [None, "train", "eval", "accumulating"])
+    @pytest.mark.parametrize("mode", [None, "train", "eval"])
     @pytest.mark.parametrize("x_taped", [True, False])
     def test_dense_bn_relu_bitwise(self, bias, mode, x_taped):
         x, w, b = self.rng.normal(size=(7, 5)), self.rng.normal(size=(5, 6)), self.rng.normal(size=6)
@@ -555,7 +545,7 @@ class TestComposites:
             arrays, taped = arrays[:-2], taped[:-2]
         _assert_bitwise_like_chain(composite, chain, arrays, taped, make_states)
 
-    @pytest.mark.parametrize("mode", ["train", "eval", "accumulating"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_dense_bn_relu_without_affine_bitwise(self, mode):
         z = self.rng.normal(size=(6, 4))
         gamma, beta = 1.0 + 0.1 * self.rng.normal(size=4), 0.1 * self.rng.normal(size=4)
@@ -592,6 +582,12 @@ class TestComposites:
             return l2_normalize(relu(z), axis=-1)
 
         _assert_bitwise_like_chain(lambda p: expert_block(*p), chain, arrays)
+
+    @pytest.mark.parametrize("w_shape", [(5, 3), (2, 5, 3)])
+    def test_affine_without_bias_is_matmul_bitwise(self, w_shape):
+        rng = np.random.default_rng(len(w_shape))
+        x, w = rng.normal(size=(6, 5)), rng.normal(size=w_shape)
+        _assert_bitwise_like_chain(lambda p: affine(*p), lambda p: matmul(*p), [x, w])
 
     def test_expert_block_two_d_weights_bitwise(self):
         h, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(5, 3)), self.rng.normal(size=3)
