@@ -60,7 +60,7 @@ from .evaluation import (
     evaluate,
     labels_one_hot,
 )
-from .model import DamelConfig, init_model
+from .model import DamelConfig, init_model, param_count
 from .training import TrainConfig, make_avg_state, train
 
 CHECKPOINT_MAGIC = b"DAMELCKP"
@@ -386,12 +386,38 @@ def save_checkpoint(path, config_dict: dict, trained: np.ndarray, averaged: Opti
             fh.write(np.asarray(averaged, dtype="<f8").tobytes())
 
 
+def _check_checkpoint_count(path, config_dict, count: int) -> None:
+    """``count`` must be the parameter count of the run config in ``config_dict``.
+
+    An idx or csv source's input width lives in its data file, and only
+    ``backbone.w1`` depends on it, so there the count must exceed the count at
+    input width 1 by a multiple of ``hidden_dim``.
+    """
+    if not isinstance(config_dict, dict):
+        raise ConfigError(f"{path}: checkpoint config is not a JSON object")
+    try:
+        cfg = parse_config({key: value for key, value in config_dict.items() if key != "seed"})
+    except ConfigError as err:
+        raise ConfigError(f"{path}: checkpoint config is invalid ({err})") from None
+    base = param_count(build_damel_config(cfg.model, cfg.dataset, cfg.dataset.feature_dim or 1))
+    if cfg.dataset.source == "synthetic":
+        if count != base:
+            raise ConfigError(f"{path}: checkpoint holds {count} parameters, its config needs {base}")
+    elif count < base or (count - base) % cfg.model.hidden_dim:
+        raise ConfigError(
+            f"{path}: checkpoint holds {count} parameters, its {cfg.dataset.source} config "
+            f"needs {base} plus a multiple of hidden_dim {cfg.model.hidden_dim}"
+        )
+
+
 def load_checkpoint(path):
     """Returns (config_dict, trained, averaged-or-None).
 
     The file must be exactly header + 8 * count bytes of trained weights,
-    optionally followed by as many averaged weights; anything else (a
-    truncated file, trailing bytes) is a ConfigError.
+    optionally followed by as many averaged weights, and the embedded config
+    (a run config plus its ``seed``) must parse and hold ``count``
+    parameters; anything else (a truncated file, trailing bytes, a count
+    the config disagrees with) is a ConfigError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -408,6 +434,7 @@ def load_checkpoint(path):
     except ValueError as err:
         raise ConfigError(f"{path}: checkpoint config is not valid JSON ({err})") from None
     (count,) = struct.unpack_from("<Q", raw, offset - 8)
+    _check_checkpoint_count(path, config_dict, count)
     payload = len(raw) - offset
     if payload not in (8 * count, 16 * count):
         raise ConfigError(
@@ -727,6 +754,23 @@ def run_ablation_suite(cfg: ExperimentConfig, suite: str, workers=None):
     return _write_summary_csv(suite_dir / "summary.csv", groups)
 
 
+def _load_run_record(path) -> RunRecord:
+    """A run.json read back; a file that holds no run record is a ConfigError."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError(f"a JSON {type(payload).__name__}, not an object")
+        return RunRecord.from_json_dict(payload)
+    except json.JSONDecodeError as err:
+        reason = f"invalid JSON: {err}"
+    except KeyError as err:
+        reason = f"missing field {err}"
+    except (ValueError, TypeError, AttributeError) as err:
+        reason = str(err)
+    raise ConfigError(f"report: {path}: not a damel run record ({reason})")
+
+
 def aggregate_report(root_dir):
     """Rebuild the per-cell summary CSV from run.json records under a directory."""
     root = Path(root_dir)
@@ -737,9 +781,7 @@ def aggregate_report(root_dir):
         rel = run_json.relative_to(root).parts
         # layout <suite>/<cell>/<seed>/run.json
         suite, cell = (rel[0], rel[1]) if len(rel) >= 4 else ("", "")
-        with open(run_json) as fh:
-            record = RunRecord.from_json_dict(json.load(fh))
-        groups.setdefault((suite, cell), []).append(record)
+        groups.setdefault((suite, cell), []).append(_load_run_record(run_json))
     return _write_summary_csv(root / "report.csv", [
         (key, sorted(records, key=lambda record: record.seed))
         for key, records in sorted(groups.items())

@@ -17,7 +17,8 @@ Every forward runs on the tensor module's composite ops, one tape node per
 fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
 the K stacked experts and a ``cosine_logits`` per classifier head, so the
 tape length does not depend on K. Training steps and evaluation predicts
-take this one path.
+take this one path; ``predict`` walks its input in fixed blocks of
+``PREDICT_BLOCK_ROWS`` rows, so its memory does not depend on the set size.
 
 ``forward_backbone`` is the shared trunk alone. ``backbone_layers`` lists its
 layers for the norm-statistics pass, which walks them one at a time and
@@ -57,6 +58,12 @@ from .tensor import (
 VARIANTS = ("standard", "aggregate_predictions", "average_representations", "capacity_controlled")
 
 BN_MOMENTUM = 0.1
+
+# Rows per forward in ``predict``. At the default widths (K=3, R=32) a
+# block's largest transient array, the [K, rows, R] expert affine, is 96 KiB:
+# under glibc's 128 KiB mmap threshold, so every block reuses the same heap
+# memory. With 256-row blocks a K=4 run still faulted most of it back in.
+PREDICT_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -327,7 +334,8 @@ def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[di
     if cfg.variant == "average_representations":
         merged = reps.sum(axis=0) * (1.0 / cfg.num_experts)
     else:
-        merged = reps.transpose(1, 0, 2).reshape(reps.shape[1], -1)
+        k, rows, width = reps.shape  # spelt out: -1 cannot be inferred at zero rows
+        merged = reps.transpose(1, 0, 2).reshape(rows, k * width)
     aux_w = p["aux.cls"]
     if merged.shape[1] != aux_w.shape[0]:
         raise ConfigError(
@@ -351,16 +359,29 @@ def _softmax_rows(values: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def predict(model: DamelModel, x) -> np.ndarray:
-    """Class indices in eval mode; ties resolve to the lowest index.
-
-    Variants with an auxiliary head skip the expert cosine heads, whose
-    logits that head never reads.
-    """
+def _predict_block(model: DamelModel, x, p: dict) -> np.ndarray:
+    """Class indices for one block of rows; ``predict`` is the entry."""
     if model.config.variant == "aggregate_predictions":
-        out = forward_experts(model, x, mode="eval")
+        out = forward_experts(model, x, mode="eval", params=p)
         return _softmax_rows(out.expert_logits.values).mean(axis=0).argmax(axis=1)
-    p = constant_params(model)
     reps = _expert_reps(forward_backbone(model, x, mode="eval", params=p), p)
     out = ForwardOutput(expert_logits=None, normalized_reps=reps)
     return forward_auxiliary(model, out, params=p).values.argmax(axis=1)
+
+
+def predict(model: DamelModel, x) -> np.ndarray:
+    """Class indices in eval mode; ties resolve to the lowest index.
+
+    The rows go through the forward in blocks of ``PREDICT_BLOCK_ROWS``, so
+    its transient memory does not grow with the number of rows. A block's
+    matmuls may round a logit differently from one whole-batch matmul, in
+    the last bits only. Variants with an auxiliary head skip the expert
+    cosine heads, whose logits that head never reads.
+    """
+    x = x.values if isinstance(x, Tensor) else np.asarray(x)
+    p = constant_params(model)
+    # One block at zero rows, so an empty input is still shape-checked.
+    return np.concatenate([
+        _predict_block(model, x[start:start + PREDICT_BLOCK_ROWS], p)
+        for start in range(0, max(len(x), 1), PREDICT_BLOCK_ROWS)
+    ])

@@ -534,25 +534,36 @@ class TestFileSourceParsedOnce:
             assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+def tiny_checkpoint_config(tmp_path):
+    """A one-unit-wide run config as a checkpoint embeds it, and its parameter
+    count: w1 5 + b1 + w2 + b2, one expert (w, b, 4 class columns), aux 4."""
+    raw = small_raw(tmp_path, model={"num_experts": 1, "hidden_dim": 1, "rep_dim": 1,
+                                     "use_norm_layers": False})
+    return dict(config_to_dict(parse_config(raw)), seed=3), 18
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ck.bin"
-        trained = np.arange(5, dtype=np.float64)
+        config, count = tiny_checkpoint_config(tmp_path)
+        trained = np.arange(count, dtype=np.float64)
         averaged = trained * 0.5
-        save_checkpoint(path, {"seed": 3}, trained, averaged)
+        save_checkpoint(path, config, trained, averaged)
         blob = path.read_bytes()
         assert blob[:8] == b"DAMELCKP"
         (json_len,) = struct.unpack("<I", blob[8:12])
-        assert json.loads(blob[12:12 + json_len]) == {"seed": 3}
+        assert json.loads(blob[12:12 + json_len]) == config
         cfg, t, a = load_checkpoint(path)
+        assert cfg == config
         np.testing.assert_array_equal(t, trained)
         np.testing.assert_array_equal(a, averaged)
 
     def test_without_averaged(self, tmp_path):
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, {}, np.ones(3), None)
+        config, count = tiny_checkpoint_config(tmp_path)
+        save_checkpoint(path, config, np.ones(count), None)
         _, t, a = load_checkpoint(path)
-        assert a is None and t.size == 3
+        assert a is None and t.size == count
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -563,8 +574,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("with_averaged", [False, True])
     def test_every_truncation_is_config_error(self, tmp_path, with_averaged):
         path = tmp_path / "ck.bin"
-        trained = np.arange(4, dtype=np.float64)
-        save_checkpoint(path, {"seed": 1}, trained,
+        config, count = tiny_checkpoint_config(tmp_path)
+        trained = np.arange(count, dtype=np.float64)
+        save_checkpoint(path, config, trained,
                         trained * 0.5 if with_averaged else None)
         blob = path.read_bytes()
         trained_only_len = len(blob) - 8 * trained.size if with_averaged else None
@@ -582,11 +594,48 @@ class TestCheckpoint:
     @pytest.mark.parametrize("with_averaged", [False, True])
     def test_trailing_byte_is_config_error(self, tmp_path, with_averaged):
         path = tmp_path / "ck.bin"
-        trained = np.arange(4, dtype=np.float64)
-        save_checkpoint(path, {"seed": 1}, trained, trained if with_averaged else None)
+        config, count = tiny_checkpoint_config(tmp_path)
+        trained = np.arange(count, dtype=np.float64)
+        save_checkpoint(path, config, trained, trained if with_averaged else None)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ConfigError, match="weight bytes"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [{}, {"seed": 3}, [], {"seed": 3, "model": {}}])
+    def test_config_that_does_not_parse_is_config_error(self, tmp_path, config):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, config, np.ones(18), None)
+        with pytest.raises(ConfigError, match="ck.bin: checkpoint config"):
+            load_checkpoint(path)
+
+    def test_count_must_match_synthetic_config(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        run_single(cfg, seed=0, run_dir=tmp_path / "run")
+        config, trained, averaged = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert averaged is not None
+        path = tmp_path / "ck.bin"
+        hidden = cfg.model.hidden_dim
+        for count in (trained.size - 1, trained.size + 1, trained.size + hidden):
+            save_checkpoint(path, config, np.zeros(count), np.zeros(count))
+            with pytest.raises(ConfigError, match=f"ck.bin: checkpoint holds {count} parameters"):
+                load_checkpoint(path)
+
+    def test_count_must_fit_csv_config(self, tmp_path):
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv"))
+        run_single(cfg, seed=0, run_dir=tmp_path / "run")
+        config, trained, _ = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        path = tmp_path / "ck.bin"
+        # The input width is the data file's: any width's count loads.
+        hidden = cfg.model.hidden_dim
+        for count in (trained.size + hidden, trained.size - 3 * hidden):
+            save_checkpoint(path, config, np.zeros(count), None)
+            assert load_checkpoint(path)[1].size == count
+        # Width 4 is the file's, so 4 * hidden fewer is no width at all.
+        for count in (trained.size + 1, trained.size - 1, trained.size - 4 * hidden):
+            save_checkpoint(path, config, np.zeros(count), None)
+            with pytest.raises(ConfigError, match=f"ck.bin: checkpoint holds {count} parameters"):
+                load_checkpoint(path)
 
 
 class TestSweep:
@@ -809,6 +858,24 @@ class TestCli:
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1}, seeds=[0])
         assert cli_main(["ablate", "--config", str(path), "--suite", "table7"]) == 0
         assert cli_main(["report", "--dir", raw["output_dir"]]) == 0
+
+    def test_report_on_malformed_record_exits_1_naming_the_file(self, tmp_path, capsys):
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1}, seeds=[0])
+        assert cli_main(["ablate", "--config", str(path), "--suite", "table7"]) == 0
+        root = Path(raw["output_dir"])
+        record = root / "table7" / "epoch" / "0" / "run.json"
+        payload = json.loads(record.read_text())
+        del payload["eval"]
+        for text, reason in ((record.read_text()[:40], "invalid JSON: "),
+                             ("[1, 2]", "a JSON list, not an object"),
+                             (json.dumps(payload), "missing field 'eval'")):
+            record.write_text(text)
+            capsys.readouterr()
+            assert cli_main(["report", "--dir", str(root)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: report: {record}: not a damel run record ({reason}")
+            assert err.count("\n") == 1
+            assert not (root / "report.csv").exists()
 
     def test_duplicate_seeds_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})

@@ -1,11 +1,14 @@
 """Model tests: init determinism, cosine paths, detach wall, variants, predict."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from damel.data import LongTailSpec
 from damel.errors import ConfigError, ShapeError
 from damel.model import (
+    PREDICT_BLOCK_ROWS,
     VARIANTS,
     DamelConfig,
     bind_params,
@@ -235,6 +238,62 @@ class TestPredict:
 
         probs = np.mean([softmax(l) for l in out.expert_logits.values], axis=0)
         np.testing.assert_array_equal(predict(m, x), probs.argmax(axis=1))
+
+
+def _whole_batch_logits(model, x):
+    """The logits predict reads, from one forward over all rows of ``x``."""
+    out = full_forward(model, x, mode="eval")
+    return out.expert_logits.values if out.aux_logits is None else out.aux_logits.values
+
+
+class TestPredictRowBlocks:
+    """predict walks its rows in fixed blocks; the result is the whole batch's."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("use_norm_layers", [True, False])
+    @pytest.mark.parametrize("use_bias", [True, False])
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 257, 1242])
+    def test_blocks_match_whole_batch(self, variant, use_norm_layers, use_bias, rows):
+        cfg = small_config(**_model_kwargs(variant, 3, use_bias, use_norm_layers))
+        model = init_model(cfg, seed=rows)
+        rng = np.random.default_rng(rows)
+        for state in model.norm_states.values():
+            state.running_mean[:] = rng.normal(size=state.running_mean.shape)
+            state.running_var[:] = rng.uniform(0.5, 2.0, size=state.running_var.shape)
+        x = rng.normal(size=(rows, 6))
+
+        whole = _whole_batch_logits(model, x)
+        if variant == "aggregate_predictions":
+            e = np.exp(whole - whole.max(axis=-1, keepdims=True))
+            expected = (e / e.sum(axis=-1, keepdims=True)).mean(axis=0).argmax(axis=1)
+        else:
+            expected = whole.argmax(axis=1)
+        labels = predict(model, x)
+        assert labels.shape == (rows,)
+        np.testing.assert_array_equal(labels, expected)
+
+        starts = range(0, rows, PREDICT_BLOCK_ROWS)
+        blocks = [_whole_batch_logits(model, x[i:i + PREDICT_BLOCK_ROWS]) for i in starts]
+        if blocks:
+            np.testing.assert_allclose(np.concatenate(blocks, axis=-2), whole, rtol=0, atol=1e-12)
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        cfg = DamelConfig(num_experts=3, input_dim=20, hidden_dim=64, rep_dim=32, num_classes=10)
+        model = init_model(cfg, seed=0)
+        rng = np.random.default_rng(0)
+
+        def traced_peak(rows):
+            x = rng.normal(size=(rows, cfg.input_dim))
+            predict(model, x)
+            tracemalloc.start()
+            try:
+                predict(model, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(PREDICT_BLOCK_ROWS), traced_peak(5000)
+        assert large <= 1.25 * small, (small, large)
 
 
 def _model_kwargs(variant, num_experts, use_bias, use_norm_layers):
