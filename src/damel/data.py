@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -325,7 +326,12 @@ def load_idx_dataset(images_path, labels_path) -> Dataset:
 def load_csv_dataset(path) -> Dataset:
     """CSV with one row per sample, features first, integer label last."""
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns, and returns no rows, on a file without data lines.
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except UserWarning:
+        raise ContractError(f"{path}: CSV holds no rows") from None
     except ValueError as err:
         raise ContractError(f"{path}: not a numeric CSV table ({err})") from None
     if table.shape[1] < 2:

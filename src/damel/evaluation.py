@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,12 +48,23 @@ class EvalReport:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "EvalReport":
-        return cls(
-            overall_acc=payload["overall_acc"],
-            group_acc={g: payload["group_acc"].get(g) for g in GROUP_NAMES},
-            test_size=payload["test_size"],
-            confusion=np.asarray(payload["confusion"]),
-        )
+        """A report read back from JSON; a field of the wrong type is a
+        ValueError naming it."""
+        group_acc = {g: payload["group_acc"].get(g) for g in GROUP_NAMES}
+        accuracies = [("overall_acc", payload["overall_acc"])]
+        accuracies += [(f"group_acc.{g}", acc) for g, acc in group_acc.items() if acc is not None]
+        for name, acc in accuracies:
+            if isinstance(acc, bool) or not isinstance(acc, numbers.Real) or not 0 <= acc <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1], got {acc!r}")
+        test_size = payload["test_size"]
+        if isinstance(test_size, bool) or not isinstance(test_size, numbers.Integral) or test_size < 0:
+            raise ValueError(f"test_size must be a non-negative integer, got {test_size!r}")
+        confusion = np.asarray(payload["confusion"])
+        if confusion.ndim != 2 or confusion.dtype.kind not in "iu":
+            raise ValueError(
+                f"confusion must be an integer matrix, got {confusion.dtype} of shape {confusion.shape}"
+            )
+        return cls(payload["overall_acc"], group_acc, test_size, confusion)
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:

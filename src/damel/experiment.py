@@ -14,7 +14,12 @@ idx/csv source must be readable before any run starts. The first failure
 stops the fan-out once the running runs finish, and records come back in
 memory, so a sweep's summary reads no artifact and builds no data again. A
 file-backed source (idx/csv) is parsed once per process and content, not once
-per run.
+per run. A CSV source is also parsed once per content across processes: the
+first parse writes a table cache beside the file,
+<csv dir>/.damel-cache/<csv name>.npz, keyed by the sha256 of the CSV bytes,
+and pool workers and later commands load that instead. A cache that fails
+validation is parsed over and rewritten, an unwritable directory means no
+cache, and deleting .damel-cache/ is always safe.
 
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
@@ -23,6 +28,7 @@ weights, then the averaged weights when an averaging scheme was active.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -32,7 +38,9 @@ import numbers
 import os
 import shutil
 import struct
+import tempfile
 import time
+import zipfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import islice
@@ -44,6 +52,7 @@ import numpy as np
 from .averaging import export_eval_weights, load_eval_model
 from .data import (
     Dataset,
+    LongTailSpec,
     group_partition,
     load_csv_dataset,
     load_idx_dataset,
@@ -309,6 +318,9 @@ def build_damel_config(model: ModelBlock, dataset: DatasetBlock, input_dim: int)
 # At most one parsed file-backed source per process: {key: read-only Dataset}.
 _parsed_source: dict = {}
 
+# A CSV source's table cache lives beside it: <csv dir>/.damel-cache/<csv name>.npz.
+CSV_CACHE_DIR = ".damel-cache"
+
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
@@ -321,20 +333,69 @@ def _sha256(path) -> str:
 def _file_source(dataset: DatasetBlock) -> Dataset:
     """The parsed idx/csv source, keyed by its kind, its paths and the sha256
     of each file's bytes, so a rewritten file is parsed again whatever its
-    size or mtime. The loaders are looked up at call time, so a wrapped
-    loader sees only real parses. The arrays are read-only: every run
-    indexes fresh copies out of them."""
+    size or mtime. Lookup order: this process's memo, then (csv only) the
+    table cache beside the file, then a parse. The loaders are looked up at
+    call time, so a wrapped loader sees only real parses. The arrays are
+    read-only: every run indexes fresh copies out of them."""
     paths = tuple(getattr(dataset, field) for field in _SOURCE_FIELDS[dataset.source])
-    key = (dataset.source, paths, tuple(_sha256(path) for path in paths))
+    digests = tuple(_sha256(path) for path in paths)
+    key = (dataset.source, paths, digests)
     source = _parsed_source.get(key)
     if source is None:
         _parsed_source.clear()  # never hold two sources at once
-        loader = load_idx_dataset if dataset.source == "idx" else load_csv_dataset
-        source = loader(*paths)
+        if dataset.source == "idx":
+            source = load_idx_dataset(*paths)
+        else:
+            source = _cached_csv(paths[0], digests[0])
         source.features.flags.writeable = False
         source.labels.flags.writeable = False
         _parsed_source[key] = source
     return source
+
+
+def _cached_csv(path, digest: str) -> Dataset:
+    """The CSV source from its table cache when that holds ``digest``, else
+    parsed and then cached. The cache is an npz of the CSV bytes' sha256 and
+    the ``features`` and canonical ``labels`` the parse returned. Any fault in
+    it (missing, truncated, failing its zip CRC, another sha256, a wrong dtype
+    or shape) is a miss, and a directory that cannot be written means no
+    cache; neither is an error or a warning. Deleting the cache is always safe."""
+    path = Path(path)
+    cache = path.parent / CSV_CACHE_DIR / f"{path.name}.npz"
+    try:
+        with np.load(cache, allow_pickle=False) as npz:
+            sha, features, labels = npz["sha256"], npz["features"], npz["labels"]
+        if (str(sha) == digest
+                and features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1
+                and labels.dtype == np.int64 and labels.shape == features.shape[:1]):
+            return Dataset(features, labels, LongTailSpec(tuple(np.bincount(labels).tolist())))
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, DamelError):
+        pass
+    source = load_csv_dataset(path)
+    if _sha256(path) == digest:  # cache only what the bytes that were hashed parse to
+        _write_csv_cache(cache, path, digest, source)
+    return source
+
+
+def _write_csv_cache(cache: Path, path: Path, digest: str, source: Dataset) -> None:
+    """Write the cache atomically: a temp file in its directory, then os.replace,
+    so a reader sees the old file or the new one whole. The cache takes the
+    CSV's permission bits, so whoever can read the CSV can read its cache."""
+    try:
+        cache.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=f"{cache.name}.", suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, sha256=np.array(digest), features=source.features, labels=source.labels)
+        os.chmod(tmp, os.stat(path).st_mode & 0o666)
+        os.replace(tmp, cache)
+    except OSError:
+        pass
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after the replace
 
 
 def build_datasets(dataset: DatasetBlock, seed: int):
@@ -344,7 +405,9 @@ def build_datasets(dataset: DatasetBlock, seed: int):
     from base_seed only, so every seed of a sweep shares one test set while
     training data resamples per seed. An idx/csv source is parsed once per
     process and file content, kept read-only, and shared by every run that
-    names the same content.
+    names the same content. A CSV source is read from its table cache
+    (``.damel-cache/<csv name>.npz`` beside it) when that holds the same
+    sha256, so other processes skip the parse too; see ``_cached_csv``.
     """
     spec = long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
     if dataset.source == "synthetic":
@@ -475,6 +538,13 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunRecord":
+        """A record read back from JSON; a field of the wrong type is a
+        ConfigError or, inside ``eval``, a ValueError naming it."""
+        _check_seed(payload["seed"], "seed")
+        for name, kind in (("config_hash", str), ("wall_seconds", float),
+                           ("metrics_csv", str), ("checkpoint", str)):
+            if not _value_fits(kind, payload[name]):
+                raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {payload[name]!r}")
         return cls(
             config_hash=payload["config_hash"],
             seed=payload["seed"],
@@ -766,7 +836,7 @@ def _load_run_record(path) -> RunRecord:
         reason = f"invalid JSON: {err}"
     except KeyError as err:
         reason = f"missing field {err}"
-    except (ValueError, TypeError, AttributeError) as err:
+    except (ConfigError, ValueError, TypeError, AttributeError) as err:
         reason = str(err)
     raise ConfigError(f"report: {path}: not a damel run record ({reason})")
 

@@ -2,7 +2,10 @@
 
 import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +525,7 @@ class TestFileSourceParsedOnce:
 
         def fresh(dataset, seed):
             experiment._parsed_source.clear()
+            shutil.rmtree(tmp_path / experiment.CSV_CACHE_DIR, ignore_errors=True)
             return real(dataset, seed)
 
         monkeypatch.setattr(experiment, "build_datasets", fresh)
@@ -532,6 +536,120 @@ class TestFileSourceParsedOnce:
         assert len(names) == 4 * 5 + 2
         for name in names:
             assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @staticmethod
+    def _artifacts(sweep_dir):
+        """Every file a sweep wrote but run.json (it holds the wall time)."""
+        return {p.relative_to(sweep_dir): p.read_bytes() for p in sorted(sweep_dir.rglob("*"))
+                if p.is_file() and p.name != "run.json"}
+
+    @staticmethod
+    def _cached(cache):
+        with np.load(cache) as npz:
+            return str(npz["sha256"]), npz["features"].tobytes(), npz["labels"].tobytes()
+
+    def test_cache_hit_equals_a_fresh_parse(self, tmp_path, parses):
+        path = tmp_path / "pool.csv"
+        rng = np.random.default_rng(0)
+        labels = rng.permutation(np.repeat([0, 1, 2], [10, 30, 20]))  # relabeled 1, 2, 0 -> 0, 1, 2
+        path.write_text("".join(",".join(f"{v:.3f}" for v in rng.normal(size=4)) + f",{label}\n"
+                                for label in labels))
+        cfg = parse_config(csv_raw(tmp_path, path))
+        experiment._file_source(cfg.dataset)
+        experiment._parsed_source.clear()
+        hit = experiment._file_source(cfg.dataset)
+        assert len(parses) == 1
+        fresh = load_csv_dataset(path)
+        for got, want in ((hit.features, fresh.features), (hit.labels, fresh.labels)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable
+        assert hit.spec == fresh.spec and hit.spec.counts == (30, 20, 10)
+        assert os.listdir(tmp_path / experiment.CSV_CACHE_DIR) == ["pool.csv.npz"]
+
+    @pytest.mark.parametrize("fault", ["empty", "truncated", "bit_flip", "other_sha",
+                                       "wrong_dtype", "wrong_shape"])
+    def test_faulty_cache_is_parsed_again_and_rewritten(self, tmp_path, parses, capfd, fault):
+        path = tmp_path / "pool.csv"
+        write_csv_pool(path, seed=0)
+        cfg = parse_config(csv_raw(tmp_path, path))
+        run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "cold")
+        cache = tmp_path / experiment.CSV_CACHE_DIR / "pool.csv.npz"
+        good = cache.read_bytes()
+        with np.load(cache) as npz:
+            sha, features, labels = npz["sha256"], npz["features"], npz["labels"]
+        cached = (str(sha), features.tobytes(), labels.tobytes())
+        if fault in ("empty", "truncated"):
+            cache.write_bytes(good[:len(good) // 2 if fault == "truncated" else 0])
+        elif fault == "bit_flip":  # inside the features payload, so only the zip CRC sees it
+            at = good.index(features.tobytes()[:64]) + 3
+            cache.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
+        else:
+            np.savez(cache, **{
+                "other_sha": dict(sha256=np.array("0" * 64), features=features + 1.0, labels=labels),
+                "wrong_dtype": dict(sha256=sha, features=features.astype(np.float32), labels=labels),
+                "wrong_shape": dict(sha256=sha, features=features, labels=labels[:-1]),
+            }[fault])
+        experiment._parsed_source.clear()
+        capfd.readouterr()
+        run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "again")
+        assert capfd.readouterr() == ("", "")
+        assert len(parses) == 2
+        assert self._cached(cache) == cached
+        assert self._artifacts(tmp_path / "cold") == self._artifacts(tmp_path / "again")
+
+    @pytest.mark.parametrize("blocked", ["denied", "file_in_the_way"])
+    def test_unwritable_cache_directory_parses_as_today_and_prints_nothing(
+            self, tmp_path, parses, capfd, monkeypatch, blocked):
+        path = tmp_path / "pool.csv"
+        write_csv_pool(path, seed=0)
+        cfg = parse_config(csv_raw(tmp_path, path))
+        run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "cached")
+        cache_dir = tmp_path / experiment.CSV_CACHE_DIR
+        shutil.rmtree(cache_dir)
+        if blocked == "denied":  # root ignores a read-only mode, so the refusal is simulated
+            def denied(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(experiment.tempfile, "mkstemp", denied)
+        else:
+            cache_dir.write_text("a file, not a directory")
+        capfd.readouterr()
+        for sweep_dir in ("uncached", "uncached_again"):
+            experiment._parsed_source.clear()
+            run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / sweep_dir)
+            assert self._artifacts(tmp_path / sweep_dir) == self._artifacts(tmp_path / "cached")
+        assert capfd.readouterr() == ("", "")
+        assert len(parses) == 3
+        if blocked == "denied":
+            assert os.listdir(cache_dir) == []
+        else:
+            assert cache_dir.read_text() == "a file, not a directory"
+
+    def test_two_pool_workers_on_a_cold_cache_leave_one_valid_npz(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.csv"
+        write_csv_pool(path, seed=0)
+        cfg = parse_config(csv_raw(tmp_path, path, seeds=[0, 1, 2, 3]))
+        log = tmp_path / "parses.log"
+        real = experiment.load_csv_dataset
+
+        def logged(csv_path):  # forked workers inherit it; each parse appends a line
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(csv_path)
+
+        monkeypatch.setattr(experiment, "load_csv_dataset", logged)
+        run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "cold")
+        cold_parses = log.read_text().count("\n") if log.exists() else 0
+        cache_dir = tmp_path / experiment.CSV_CACHE_DIR
+        assert os.listdir(cache_dir) == ["pool.csv.npz"]
+        fresh = load_csv_dataset(path)
+        assert self._cached(cache_dir / "pool.csv.npz") == (
+            experiment._sha256(path), fresh.features.tobytes(), fresh.labels.tobytes())
+        run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "warm")
+        assert 1 <= cold_parses <= 2  # each worker parses at most once
+        assert (log.read_text().count("\n") if log.exists() else 0) == cold_parses
+        assert os.listdir(cache_dir) == ["pool.csv.npz"]
+        assert self._artifacts(tmp_path / "cold") == self._artifacts(tmp_path / "warm")
 
 
 def tiny_checkpoint_config(tmp_path):
@@ -876,6 +994,58 @@ class TestCli:
             assert err.startswith(f"config error: report: {record}: not a damel run record ({reason}")
             assert err.count("\n") == 1
             assert not (root / "report.csv").exists()
+
+    @pytest.mark.parametrize("field, value, reason", [
+        (("seed",), "1", "seed must be a non-negative integer, got '1'"),
+        (("seed",), -1, "seed must be a non-negative integer, got -1"),
+        (("seed",), True, "seed must be a non-negative integer, got True"),
+        (("seed",), 1.5, "seed must be a non-negative integer, got 1.5"),
+        (("wall_seconds",), "slow", "wall_seconds must be a finite number, got 'slow'"),
+        (("eval", "overall_acc"), "high", "overall_acc must be a number in [0, 1], got 'high'"),
+        (("eval", "overall_acc"), True, "overall_acc must be a number in [0, 1], got True"),
+        (("eval", "group_acc", "few"), "x", "group_acc.few must be a number in [0, 1], got 'x'"),
+        (("eval", "test_size"), "40", "test_size must be a non-negative integer, got '40'"),
+        (("eval", "confusion"), [[1.5, 0], [0, 1]],
+         "confusion must be an integer matrix, got float64 of shape (2, 2)"),
+        (("eval", "confusion"), [1, 2], "confusion must be an integer matrix, got int64 of shape (2,)"),
+        (("eval", "confusion"), "abc", "confusion must be an integer matrix, got <U3 of shape ()"),
+    ])
+    def test_report_on_wrongly_typed_field_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                                   field, value, reason):
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1}, seeds=[0])
+        assert cli_main(["ablate", "--config", str(path), "--suite", "table7"]) == 0
+        root = Path(raw["output_dir"])
+        record = root / "table7" / "epoch" / "0" / "run.json"
+        payload = json.loads(record.read_text())
+        target = payload
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        record.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli_main(["report", "--dir", str(root)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: report: {record}: not a damel run record ({reason})\n")
+        assert not (root / "report.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    @pytest.mark.parametrize("command", [["run", "--seed", "0"],
+                                         ["sweep", "--seeds", "0,1", "--workers", "2"]])
+    def test_empty_csv_is_one_stderr_line(self, tmp_path, text, command):
+        """A real process, so pool workers' stderr counts too."""
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        raw = csv_raw(tmp_path, data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        env = {key: value for key, value in os.environ.items() if key != "DAMEL_WORKERS"}
+        src = str(Path(experiment.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "damel.cli", command[0], "--config", str(path),
+                               *command[1:]], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("run failed: ")
+        assert proc.stderr.endswith(f"{data}: CSV holds no rows\n")
 
     def test_duplicate_seeds_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
