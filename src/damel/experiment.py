@@ -8,13 +8,13 @@ output_dir/<suite>/<cell>/<seed>/ and is reproducible from its config hash
 plus seed.
 
 Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
-a process pool of at most one worker per run that holds no more runs than it
-has workers. Each run needs its own non-negative seed, and the files of an
-idx/csv source must be readable before any run starts. The first failure
-stops the fan-out once the running runs finish, and records come back in
-memory, so a sweep's summary reads no artifact and builds no data again. A
-file-backed source (idx/csv) is parsed once per process and content, not once
-per run. A CSV source is also parsed once per content across processes: the
+a process pool of at most one worker per run and per usable CPU that holds no
+more runs than it has workers. Each run needs its own non-negative seed, and
+the files of an idx/csv source must be readable before any run starts. The
+first failure stops the fan-out once the running runs finish, and records
+come back in memory, so a sweep's summary reads no artifact and builds no
+data again. A file-backed source (idx/csv) is parsed once per process and
+content, not once per run. A CSV source is also parsed once per content across processes: the
 first parse writes a table cache beside the file,
 <csv dir>/.damel-cache/<csv name>.npz, keyed by the sha256 of the CSV bytes,
 and pool workers and later commands load that instead. A cache that fails
@@ -616,8 +616,11 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         report.save_json(run_dir / "eval.json")
         report.save_confusion_csv(run_dir / "confusion.csv")
         np.save(run_dir / "onehot.npy", onehot)
-        with open(run_dir / "run.json", "w") as fh:
+        # Last and atomic: ``damel report`` finds runs by run.json, so a
+        # process killed mid-write leaves a stray temp file, not a torn record.
+        with open(run_dir / "run.json.tmp", "w") as fh:
             json.dump(record.to_json_dict(), fh, sort_keys=True, indent=1)
+        os.replace(run_dir / "run.json.tmp", run_dir / "run.json")
         return record
     except Exception:
         shutil.rmtree(run_dir, ignore_errors=True)
@@ -629,9 +632,17 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         raise
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(requested: Optional[int] = None, jobs: Optional[int] = None) -> int:
     """DAMEL_WORKERS overrides the requested worker count (default 1); below 1
-    is a ConfigError, and the count is capped at ``jobs`` when given."""
+    is a ConfigError. The count is capped at the usable CPU count, since a
+    pool starts all its workers at once, and at ``jobs`` when given."""
     source, value = "workers", 1 if requested is None else requested
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
@@ -642,6 +653,7 @@ def resolve_workers(requested: Optional[int] = None, jobs: Optional[int] = None)
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if value < 1:
         raise ConfigError(f"{source} must be >= 1, got {value}")
+    value = min(value, _usable_cpus())
     return value if jobs is None else min(value, jobs)
 
 

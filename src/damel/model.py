@@ -16,15 +16,23 @@ the flat vector (and a checkpoint) is laid out expert by expert.
 Every forward runs on the tensor module's composite ops, one tape node per
 fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
 the K stacked experts and a ``cosine_logits`` per classifier head, so the
-tape length does not depend on K. Training steps and evaluation predicts
-take this one path; ``predict`` walks its input in fixed blocks of
-``PREDICT_BLOCK_ROWS`` rows, so its memory does not depend on the set size.
+tape length does not depend on K. Training steps and the norm-statistics
+pass take this one path, and these forwards stay the reference for eval.
+
+``predict`` does not: it runs a plain-numpy argmax-only kernel. Once per call
+it folds each backbone layer's eval norm into its affine, lays the K expert
+affines side by side as one matrix, and scales the head columns to unit
+norm; then it walks its input in fixed blocks of ``PREDICT_BLOCK_ROWS`` rows,
+so its memory does not depend on the set size. With an auxiliary head the
+kernel skips the expert cosine heads and the row renormalization, 1/K and
+scale of that head, all positive row factors the argmax cannot see. Its
+scores may thus differ from the composite logits in the last bits, and a
+prediction only at an exact near-tie. It sets no norm state's mode.
 
 ``forward_backbone`` is the shared trunk alone. ``backbone_layers`` lists its
 layers for the norm-statistics pass, which walks them one at a time and
-normalizes each with ``dense_bn_relu`` as well. ``forward_experts`` adds the
-expert blocks and their cosine heads; ``predict`` skips those heads when the
-auxiliary head makes the prediction.
+normalizes each with ``dense_bn_relu`` as well, and for ``predict``'s fold.
+``forward_experts`` adds the expert blocks and their cosine heads.
 
 Variants:
   standard                concatenated detached representations -> aux head
@@ -46,6 +54,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import (
+    BATCH_NORM_EPS,
+    DEFAULT_NORM_EPS,
     NormStatsState,
     Tape,
     Tensor,
@@ -59,8 +69,8 @@ VARIANTS = ("standard", "aggregate_predictions", "average_representations", "cap
 
 BN_MOMENTUM = 0.1
 
-# Rows per forward in ``predict``. At the default widths (K=3, R=32) a
-# block's largest transient array, the [K, rows, R] expert affine, is 96 KiB:
+# Rows per block in ``predict``. At the default widths (K=3, R=32) a
+# block's largest transient array, the [rows, K*R] expert affine, is 96 KiB:
 # under glibc's 128 KiB mmap threshold, so every block reuses the same heap
 # memory. With 256-row blocks a K=4 run still faulted most of it back in.
 PREDICT_BLOCK_ROWS = 128
@@ -302,15 +312,10 @@ def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional
     return h
 
 
-def _expert_reps(h: Tensor, p: dict) -> Tensor:
-    """Unit-row representations of all K expert blocks at once: [K, B, R]."""
-    return expert_block(h, p["experts.w"], p.get("experts.b"))
-
-
 def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
     """Backbone + stacked expert blocks; cosine logits [K, B, L], softmax left to the loss."""
     p = params if params is not None else constant_params(model)
-    reps = _expert_reps(forward_backbone(model, x, mode=mode, params=p), p)
+    reps = expert_block(forward_backbone(model, x, mode=mode, params=p), p["experts.w"], p.get("experts.b"))
     logits = cosine_logits(reps, p["experts.cls"], model.config.scale)
     return ForwardOutput(expert_logits=logits, normalized_reps=reps)
 
@@ -359,29 +364,81 @@ def _softmax_rows(values: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _predict_block(model: DamelModel, x, p: dict) -> np.ndarray:
-    """Class indices for one block of rows; ``predict`` is the entry."""
-    if model.config.variant == "aggregate_predictions":
-        out = forward_experts(model, x, mode="eval", params=p)
-        return _softmax_rows(out.expert_logits.values).mean(axis=0).argmax(axis=1)
-    reps = _expert_reps(forward_backbone(model, x, mode="eval", params=p), p)
-    out = ForwardOutput(expert_logits=None, normalized_reps=reps)
-    return forward_auxiliary(model, out, params=p).values.argmax(axis=1)
+def _l2_divisor(v: np.ndarray, axis: int) -> np.ndarray:
+    """max(norm, eps) of the slices along ``axis``: l2_normalize's divisor."""
+    return np.maximum(np.sqrt(np.square(v).sum(axis=axis, keepdims=True)), DEFAULT_NORM_EPS)
+
+
+def _eval_kernel(model: DamelModel):
+    """The scores ``predict`` takes the argmax of, as a function of a block of rows.
+
+    The constants are built here, once per call, and nothing is written into
+    ``model.params``: each backbone layer's eval norm folded into its affine
+    (a zero bias for a bias-free model), the K expert affines side by side as
+    one [H, K*R] matrix laid out expert by expert, and the unit-column head
+    weights. A block then runs on plain numpy. Where an auxiliary head
+    predicts, the scores are the unit expert rows, laid side by side or
+    summed, against its unit columns: the row renormalization, the 1/K and
+    the scale of ``forward_auxiliary`` are positive factors on a row, which
+    no argmax sees. aggregate_predictions keeps the scale and returns the
+    mean expert softmax, which the scale does change.
+    """
+    cfg = model.config
+    layers = []
+    for w, b, norm in backbone_layers(model, model.params):
+        b = np.zeros(w.shape[1]) if b is None else b
+        if norm is not None:
+            state, gamma, beta = norm
+            s = gamma / np.sqrt(state.running_var + BATCH_NORM_EPS)
+            w, b = w * s, (b - state.running_mean) * s + beta
+        layers.append((w, b))
+    stack = model.params["experts.w"]  # [K, H, R]
+    k, hidden, rep = stack.shape
+    expert_w = stack.transpose(1, 0, 2).reshape(hidden, k * rep)
+    expert_b = model.params["experts.b"].reshape(-1) if cfg.use_bias else np.zeros(k * rep)
+    head = model.params["experts.cls" if cfg.variant == "aggregate_predictions" else "aux.cls"]
+    head = head / _l2_divisor(head, -2)
+
+    def scores(x: np.ndarray) -> np.ndarray:
+        h = x
+        for w, b in layers:
+            h = h @ w
+            h += b
+            np.fmax(h, 0.0, out=h)
+        z = h @ expert_w
+        z += expert_b
+        np.fmax(z, 0.0, out=z)
+        reps = z.reshape(len(x), k, rep)  # a view: z holds the unit rows side by side
+        reps /= _l2_divisor(reps, -1)
+        if cfg.variant == "aggregate_predictions":
+            logits = np.matmul(reps.swapaxes(0, 1), head)
+            logits *= cfg.scale
+            return _softmax_rows(logits).mean(axis=0)
+        if cfg.variant == "average_representations":
+            return reps.sum(axis=1) @ head
+        return z @ head
+
+    return scores
 
 
 def predict(model: DamelModel, x) -> np.ndarray:
-    """Class indices in eval mode; ties resolve to the lowest index.
+    """Class indices of the eval-mode model; ties resolve to the lowest index.
 
-    The rows go through the forward in blocks of ``PREDICT_BLOCK_ROWS``, so
-    its transient memory does not grow with the number of rows. A block's
-    matmuls may round a logit differently from one whole-batch matmul, in
-    the last bits only. Variants with an auxiliary head skip the expert
-    cosine heads, whose logits that head never reads.
+    The rows run through ``_eval_kernel`` in blocks of ``PREDICT_BLOCK_ROWS``,
+    each writing its argmax into one preallocated output, so the transient
+    memory does not grow with the number of rows. The kernel folds each norm
+    layer into its affine and skips what the argmax cannot see, so its scores
+    may differ from the composite forward's logits in the last bits, and a
+    prediction can differ only at an exact near-tie. ``predict`` reads the
+    parameters and norm statistics and writes nothing, the norm states'
+    mode included.
     """
-    x = x.values if isinstance(x, Tensor) else np.asarray(x)
-    p = constant_params(model)
-    # One block at zero rows, so an empty input is still shape-checked.
-    return np.concatenate([
-        _predict_block(model, x[start:start + PREDICT_BLOCK_ROWS], p)
-        for start in range(0, max(len(x), 1), PREDICT_BLOCK_ROWS)
-    ])
+    x = np.asarray(x.values if isinstance(x, Tensor) else x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
+        raise ShapeError(f"predict: input must be [B, {model.config.input_dim}], got {x.shape}")
+    scores = _eval_kernel(model)
+    labels = np.empty(len(x), dtype=np.intp)
+    for start in range(0, len(x), PREDICT_BLOCK_ROWS):
+        stop = start + PREDICT_BLOCK_ROWS
+        np.argmax(scores(x[start:stop]), axis=1, out=labels[start:stop])
+    return labels

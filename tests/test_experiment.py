@@ -35,6 +35,14 @@ from damel.experiment import (
 from damel.model import init_model
 
 
+@pytest.fixture(autouse=True)
+def many_usable_cpus(monkeypatch):
+    """resolve_workers caps a pool at the usable CPU count, so every test here
+    sees 64 CPUs: a 2-worker pool is a real one on any host. A test of the
+    cap patches its own count."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 64)
+
+
 def small_raw(tmp_path, **overrides):
     raw = {
         "dataset": {
@@ -260,6 +268,32 @@ class TestRunSingle:
         accs = [run_single(cfg, seed=s, run_dir=tmp_path / f"z{s}").eval_report.overall_acc
                 for s in (0, 1, 2)]
         assert abs(np.mean(accs) - 0.25) <= 0.15
+
+    def test_interrupted_run_json_write_leaves_no_record(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        root = tmp_path / "tree"
+        run_single(cfg, seed=0, run_dir=root / "table7" / "epoch" / "0")
+
+        class Killed(BaseException):
+            """Not an Exception, so run_single's cleanup lets it through."""
+
+        real_dump = json.dump
+
+        def dump_then_die(obj, fh, **kwargs):
+            if "run.json" not in Path(fh.name).name:
+                return real_dump(obj, fh, **kwargs)
+            fh.write(json.dumps(obj, **kwargs)[:40])
+            fh.flush()
+            raise Killed
+
+        monkeypatch.setattr(json, "dump", dump_then_die)
+        with pytest.raises(Killed):
+            run_single(cfg, seed=1, run_dir=root / "table7" / "epoch" / "1")
+        monkeypatch.undo()
+        assert (root / "table7" / "epoch" / "1" / "eval.json").exists()
+        assert not (root / "table7" / "epoch" / "1" / "run.json").exists()
+        _, rows = aggregate_report(root)
+        assert [row[:3] for row in rows] == [["table7", "epoch", "0"]]
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = parse_config(small_raw(tmp_path))
@@ -868,6 +902,44 @@ class TestWorkers:
         monkeypatch.setenv("DAMEL_WORKERS", "6")
         assert resolve_workers(1, jobs=4) == 4
 
+    def test_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        assert resolve_workers(8) == 2
+        assert resolve_workers(8, jobs=5) == 2
+        assert resolve_workers(8, jobs=1) == 1
+        assert resolve_workers(None, jobs=5) == 1
+        monkeypatch.setenv("DAMEL_WORKERS", "6")
+        assert resolve_workers(1, jobs=4) == 2
+        monkeypatch.setenv("DAMEL_WORKERS", "0")
+        with pytest.raises(ConfigError, match="DAMEL_WORKERS must be >= 1"):
+            resolve_workers(1)
+
+    def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.undo()  # the real _usable_cpus, on patched OS calls
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert experiment._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiment._usable_cpus() == 16
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert experiment._usable_cpus() == 1
+
+    def test_pool_gets_the_capped_count(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_raw(tmp_path, seeds=[0, 1, 2]))
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+        started = []
+
+        class NoPool:  # records the worker count and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_seed_sweep(cfg, workers=8, sweep_dir=tmp_path / "sweep")
+        assert started == [2]
+
 
 class TestSuites:
     def test_expansions(self, tmp_path):
@@ -1041,7 +1113,10 @@ class TestCli:
         env = {key: value for key, value in os.environ.items() if key != "DAMEL_WORKERS"}
         src = str(Path(experiment.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "damel.cli", command[0], "--config", str(path),
+        # The child sees 64 usable CPUs as well, so `--workers 2` is a real pool on any host.
+        launch = ("import damel.experiment as e; e._usable_cpus = lambda: 64; "
+                  "from damel.cli import console_main; console_main()")
+        proc = subprocess.run([sys.executable, "-c", launch, command[0], "--config", str(path),
                                *command[1:]], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("run failed: ")

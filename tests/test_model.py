@@ -11,6 +11,7 @@ from damel.model import (
     PREDICT_BLOCK_ROWS,
     VARIANTS,
     DamelConfig,
+    _eval_kernel,
     bind_params,
     forward_experts,
     full_forward,
@@ -240,6 +241,10 @@ class TestPredict:
         np.testing.assert_array_equal(predict(m, x), probs.argmax(axis=1))
 
 
+def _unit_rows(v):
+    return v / np.maximum(np.sqrt(np.square(v).sum(axis=1, keepdims=True)), 1e-300)
+
+
 def _whole_batch_logits(model, x):
     """The logits predict reads, from one forward over all rows of ``x``."""
     out = full_forward(model, x, mode="eval")
@@ -253,8 +258,9 @@ class TestPredictRowBlocks:
     @pytest.mark.parametrize("use_norm_layers", [True, False])
     @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 257, 1242])
-    def test_blocks_match_whole_batch(self, variant, use_norm_layers, use_bias, rows):
-        cfg = small_config(**_model_kwargs(variant, 3, use_bias, use_norm_layers))
+    @pytest.mark.parametrize("scale", [16.0, 13.7])
+    def test_blocks_match_whole_batch(self, variant, use_norm_layers, use_bias, rows, scale):
+        cfg = small_config(scale=scale, **_model_kwargs(variant, 3, use_bias, use_norm_layers))
         model = init_model(cfg, seed=rows)
         rng = np.random.default_rng(rows)
         for state in model.norm_states.values():
@@ -262,6 +268,8 @@ class TestPredictRowBlocks:
             state.running_var[:] = rng.uniform(0.5, 2.0, size=state.running_var.shape)
         x = rng.normal(size=(rows, 6))
 
+        buffer = model.buffer.tobytes()
+        stats = [(st.running_mean.tobytes(), st.running_var.tobytes()) for st in model.norm_states.values()]
         whole = _whole_batch_logits(model, x)
         if variant == "aggregate_predictions":
             e = np.exp(whole - whole.max(axis=-1, keepdims=True))
@@ -276,6 +284,29 @@ class TestPredictRowBlocks:
         blocks = [_whole_batch_logits(model, x[i:i + PREDICT_BLOCK_ROWS]) for i in starts]
         if blocks:
             np.testing.assert_allclose(np.concatenate(blocks, axis=-2), whole, rtol=0, atol=1e-12)
+
+        # The kernel's scores drift from the composite logits in the last
+        # bits only, up to the positive row factors that no argmax sees.
+        scores = _eval_kernel(model)
+        for i in starts:
+            block = x[i:i + PREDICT_BLOCK_ROWS]
+            logits = _whole_batch_logits(model, block)
+            if variant == "aggregate_predictions":
+                e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                np.testing.assert_allclose(scores(block), (e / e.sum(axis=-1, keepdims=True)).mean(axis=0),
+                                           rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(_unit_rows(scores(block)), _unit_rows(logits), rtol=0, atol=1e-12)
+        assert model.buffer.tobytes() == buffer
+        assert [(st.running_mean.tobytes(), st.running_var.tobytes())
+                for st in model.norm_states.values()] == stats
+
+    def test_input_rank_and_width_checked(self):
+        model = init_model(small_config(), seed=0)
+        with pytest.raises(ShapeError, match=r"predict: input must be \[B, 6\], got \(6,\)"):
+            predict(model, np.ones(6))
+        with pytest.raises(ShapeError, match=r"predict: input must be \[B, 6\], got \(0, 7\)"):
+            predict(model, np.ones((0, 7)))
 
     def test_peak_memory_does_not_grow_with_rows(self):
         cfg = DamelConfig(num_experts=3, input_dim=20, hidden_dim=64, rep_dim=32, num_classes=10)
