@@ -122,8 +122,18 @@ class Dataset:
         return self.labels.shape[0]
 
 
+def check_class_geometry(feature_dim: int, class_sep: float) -> None:
+    """Synthetic classes need at least two feature dimensions and a positive
+    separation; the synthesizers reach this through ``class_centers``."""
+    if feature_dim < 2:
+        raise ContractError(f"synthesize: feature_dim must be >= 2, got {feature_dim}")
+    if class_sep <= 0:
+        raise ContractError(f"synthesize: class_sep must be positive, got {class_sep}")
+
+
 def class_centers(num_classes: int, feature_dim: int, class_sep: float, seed: int) -> np.ndarray:
     """Deterministic unit directions scaled by class_sep, one row per class."""
+    check_class_geometry(feature_dim, class_sep)
     rng = np.random.default_rng([seed, _CENTER_STREAM])
     directions = rng.normal(size=(num_classes, feature_dim))
     directions /= np.sqrt((directions**2).sum(axis=1, keepdims=True))
@@ -143,10 +153,6 @@ def synthesize_gaussian_longtail(
     from the sample noise, so repeated draws for different runs can share one
     underlying class geometry and test set.
     """
-    if feature_dim < 2:
-        raise ContractError(f"synthesize: feature_dim must be >= 2, got {feature_dim}")
-    if class_sep <= 0:
-        raise ContractError(f"synthesize: class_sep must be positive, got {class_sep}")
     centers = class_centers(
         spec.num_classes, feature_dim, class_sep, seed if center_seed is None else center_seed
     )

@@ -53,6 +53,7 @@ from .averaging import export_eval_weights, load_eval_model
 from .data import (
     Dataset,
     LongTailSpec,
+    check_class_geometry,
     group_partition,
     load_csv_dataset,
     load_idx_dataset,
@@ -64,6 +65,7 @@ from .data import (
 )
 from .errors import ConfigError, DamelError
 from .evaluation import (
+    GROUP_NAMES,
     EvalReport,
     bias_variance_decompose,
     evaluate,
@@ -75,7 +77,8 @@ from .training import TrainConfig, make_avg_state, train
 CHECKPOINT_MAGIC = b"DAMELCKP"
 WORKERS_ENV_VAR = "DAMEL_WORKERS"
 
-SUITES = ("table5", "table7", "table8", "table9", "table10", "table11", "table12")
+# The blocks that define a run, and so its config_hash; seeds and output_dir do not.
+_RUN_BLOCKS = ("dataset", "model", "train")
 
 # Each source's own dataset fields, every one required; an idx or csv
 # source's fields are the paths of its files, in its loader's argument order.
@@ -171,7 +174,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(raw, _field_names(ExperimentConfig), "config")
-    for required in ("dataset", "model", "train"):
+    for required in _RUN_BLOCKS:
         if required not in raw:
             raise ConfigError(f"config: missing block {required!r}")
 
@@ -193,9 +196,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if dataset.test_per_class < 1:
         raise ConfigError(f"dataset: test_per_class must be >= 1, got {dataset.test_per_class}")
     _check_seed(dataset.base_seed, "dataset: base_seed")
-    # Surface count-profile domain errors before any run starts.
+    # Surface count-profile and class-geometry domain errors before any run starts.
     try:
         spec = long_tail_counts(dataset.num_classes, dataset.head_count, dataset.imbalance_ratio)
+        if source == "synthetic":
+            check_class_geometry(dataset.feature_dim, dataset.class_sep)
     except DamelError as err:
         raise ConfigError(f"dataset: {err}") from None
 
@@ -291,11 +296,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable digest of the three run-defining blocks (seed-independent)."""
-    payload = {
-        "dataset": asdict(cfg.dataset),
-        "model": asdict(cfg.model),
-        "train": asdict(cfg.train),
-    }
+    blocks = config_to_dict(cfg)
+    payload = {name: blocks[name] for name in _RUN_BLOCKS}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -658,12 +660,14 @@ def resolve_workers(requested: Optional[int] = None, jobs: Optional[int] = None)
 
 
 def _run_job(job) -> RunRecord:
-    """One job, inline or in a pool worker; a failure names the job's seed."""
+    """One job, inline or in a pool worker; a failure names the job's seed. A
+    ConfigError stays one, so it exits as a config error under every command."""
     cfg, seed, run_dir, where = job
     try:
         return run_single(cfg, seed, run_dir)
     except Exception as err:
-        raise DamelError(f"{where}: seed {seed} failed: {err}") from err
+        kind = ConfigError if isinstance(err, ConfigError) else DamelError
+        raise kind(f"{where}: seed {seed} failed: {err}") from err
 
 
 def _run_jobs(jobs, workers=None) -> list:
@@ -733,59 +737,46 @@ def vary_config(cfg: ExperimentConfig, model_updates=None, train_updates=None) -
     return out
 
 
+def _suite_cells(model: ModelBlock) -> dict:
+    """Every suite's cells in table order, each (cell name, model updates,
+    train updates); an unchanged cell has no updates. Only table11 reads the
+    config, for the expert count its single expert stands in for."""
+    return {
+        "table5": [(f"{variant}_k{k}", {"variant": variant, "num_experts": k}, {})
+                   for variant in ("aggregate_predictions", "standard") for k in (2, 3, 4)],
+        "table7": [(freq, {}, {"ema_frequency": freq}) for freq in ("iteration", "epoch")],
+        "table8": [(f"experts_{k}", {"num_experts": k}, {}) for k in (1, 2, 3, 4)],
+        "table9": [(f"rate_{rate}", {}, {"ema_rate": rate}) for rate in (0.01, 0.05, 0.1, 0.2, 0.3)],
+        "table10": [(f"scale_{scale}", {"scale": float(scale)}, {}) for scale in (8, 16, 20, 24)],
+        "table11": [
+            ("capacity_controlled", {"variant": "capacity_controlled", "num_experts": 1,
+                                     "ref_experts": model.num_experts}, {}),
+            ("standard", {}, {}),
+        ],
+        "table12": [
+            ("proposed", {}, {}),
+            ("no_ema", {}, {"averaging": "none"}),
+            ("single_expert", {"num_experts": 1}, {}),
+            ("no_cb_loss", {}, {"cb_loss_enabled": False}),
+            ("average_representations", {"variant": "average_representations"}, {}),
+            ("iteration_ema", {}, {"ema_frequency": "iteration"}),
+            ("swa", {}, {"averaging": "swa"}),
+            ("high_ema_rate", {}, {"ema_rate": 0.3}),
+            ("low_ema_rate", {}, {"ema_rate": 0.01}),
+            ("decoupled", {}, {"decoupled": True}),
+        ],
+    }
+
+
+SUITES = tuple(_suite_cells(ModelBlock()))
+
+
 def expand_suite(cfg: ExperimentConfig, suite: str):
-    """Pure expansion of a suite into (cell_name, config) pairs, fixed order."""
-    if suite == "table5":
-        return [
-            (f"{variant}_k{k}", vary_config(cfg, model_updates={"variant": variant, "num_experts": k}))
-            for variant in ("aggregate_predictions", "standard")
-            for k in (2, 3, 4)
-        ]
-    if suite == "table7":
-        return [
-            (freq, vary_config(cfg, train_updates={"ema_frequency": freq}))
-            for freq in ("iteration", "epoch")
-        ]
-    if suite == "table8":
-        return [
-            (f"experts_{k}", vary_config(cfg, model_updates={"num_experts": k}))
-            for k in (1, 2, 3, 4)
-        ]
-    if suite == "table9":
-        return [
-            (f"rate_{rate}", vary_config(cfg, train_updates={"ema_rate": rate}))
-            for rate in (0.01, 0.05, 0.1, 0.2, 0.3)
-        ]
-    if suite == "table10":
-        return [
-            (f"scale_{scale}", vary_config(cfg, model_updates={"scale": float(scale)}))
-            for scale in (8, 16, 20, 24)
-        ]
-    if suite == "table11":
-        return [
-            (
-                "capacity_controlled",
-                vary_config(cfg, model_updates={
-                    "variant": "capacity_controlled", "num_experts": 1,
-                    "ref_experts": cfg.model.num_experts,
-                }),
-            ),
-            ("standard", copy.deepcopy(cfg)),
-        ]
-    if suite == "table12":
-        return [
-            ("proposed", copy.deepcopy(cfg)),
-            ("no_ema", vary_config(cfg, train_updates={"averaging": "none"})),
-            ("single_expert", vary_config(cfg, model_updates={"num_experts": 1})),
-            ("no_cb_loss", vary_config(cfg, train_updates={"cb_loss_enabled": False})),
-            ("average_representations", vary_config(cfg, model_updates={"variant": "average_representations"})),
-            ("iteration_ema", vary_config(cfg, train_updates={"ema_frequency": "iteration"})),
-            ("swa", vary_config(cfg, train_updates={"averaging": "swa"})),
-            ("high_ema_rate", vary_config(cfg, train_updates={"ema_rate": 0.3})),
-            ("low_ema_rate", vary_config(cfg, train_updates={"ema_rate": 0.01})),
-            ("decoupled", vary_config(cfg, train_updates={"decoupled": True})),
-        ]
-    raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    """Pure expansion of a suite into (cell_name, config) pairs, in table order."""
+    cells = _suite_cells(cfg.model).get(suite)
+    if cells is None:
+        raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    return [(cell, vary_config(cfg, model, train)) for cell, model, train in cells]
 
 
 def _mean_sd(values):
@@ -797,18 +788,16 @@ def _mean_sd(values):
     return repr(float(arr.mean())), repr(sd)
 
 
-SUMMARY_COLUMNS = [
-    "suite", "cell", "seeds",
-    "overall_mean", "overall_sd", "many_mean", "many_sd",
-    "medium_mean", "medium_sd", "few_mean", "few_sd",
+SUMMARY_COLUMNS = ["suite", "cell", "seeds", "overall_mean", "overall_sd"] + [
+    f"{group}_{stat}" for group in GROUP_NAMES for stat in ("mean", "sd")
 ]
 
 
 def _summary_row(suite: str, cell: str, records) -> list:
     row = [suite, cell, " ".join(str(r.seed) for r in records)]
-    row += list(_mean_sd([r.eval_report.overall_acc for r in records]))
-    for group in ("many", "medium", "few"):
-        row += list(_mean_sd([r.eval_report.group_acc.get(group) for r in records]))
+    row += _mean_sd([r.eval_report.overall_acc for r in records])
+    for group in GROUP_NAMES:
+        row += _mean_sd([r.eval_report.group_acc.get(group) for r in records])
     return row
 
 
@@ -854,16 +843,17 @@ def _load_run_record(path) -> RunRecord:
 
 
 def aggregate_report(root_dir):
-    """Rebuild the per-cell summary CSV from run.json records under a directory."""
+    """Rebuild the per-cell summary CSV from run.json records under a directory,
+    which may be any level of a <suite>/<cell>/<seed>/run.json tree: each run's
+    suite and cell are the two directory names above its seed directory."""
     root = Path(root_dir)
     if not root.is_dir():
         raise ConfigError(f"report: {root} is not a directory")
     groups: dict[tuple, list] = {}
     for run_json in sorted(root.glob("**/run.json")):
-        rel = run_json.relative_to(root).parts
-        # layout <suite>/<cell>/<seed>/run.json
-        suite, cell = (rel[0], rel[1]) if len(rel) >= 4 else ("", "")
-        groups.setdefault((suite, cell), []).append(_load_run_record(run_json))
+        cell_dir = run_json.absolute().parent.parent
+        key = (cell_dir.parent.name, cell_dir.name)
+        groups.setdefault(key, []).append(_load_run_record(run_json))
     return _write_summary_csv(root / "report.csv", [
         (key, sorted(records, key=lambda record: record.seed))
         for key, records in sorted(groups.items())

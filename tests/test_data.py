@@ -117,6 +117,10 @@ class TestSynthesize:
             synthesize_gaussian_longtail(balanced_spec(2, 3), 1, 1.0, seed=0)
         with pytest.raises(ContractError, match="class_sep"):
             synthesize_gaussian_longtail(balanced_spec(2, 3), 2, 0.0, seed=0)
+        with pytest.raises(ContractError, match="feature_dim"):
+            synthesize_balanced_test(2, 3, 1, 1.0, seed=0)
+        with pytest.raises(ContractError, match="class_sep"):
+            synthesize_balanced_test(2, 3, 2, -1.0, seed=0)
 
 
 class TestSubsample:

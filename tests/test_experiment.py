@@ -18,6 +18,7 @@ from damel.averaging import recompute_running_stats
 from damel.data import load_csv_dataset, load_idx_dataset, split_balanced_holdout
 from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot, one_hot_predictions
 from damel.experiment import (
+    SUITES,
     RunRecord,
     aggregate_report,
     config_hash,
@@ -101,6 +102,10 @@ class TestConfigParsing:
             parse_config(small_raw(tmp_path, train={"lr": -1.0}))
         with pytest.raises(ConfigError, match="variant"):
             parse_config(small_raw(tmp_path, model={"variant": "bagging"}))
+        with pytest.raises(ConfigError, match="^dataset: synthesize: feature_dim must be >= 2, got 1$"):
+            parse_config(small_raw(tmp_path, dataset={"feature_dim": 1}))
+        with pytest.raises(ConfigError, match="^dataset: synthesize: class_sep must be positive"):
+            parse_config(small_raw(tmp_path, dataset={"class_sep": 0.0}))
 
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -954,6 +959,18 @@ class TestSuites:
         table11 = dict(expand_suite(cfg, "table11"))
         assert table11["capacity_controlled"].model.ref_experts == cfg.model.num_experts
         assert len(expand_suite(cfg, "table12")) == 10
+        assert {suite: [cell for cell, _ in expand_suite(cfg, suite)] for suite in SUITES} == {
+            "table5": ["aggregate_predictions_k2", "aggregate_predictions_k3",
+                       "aggregate_predictions_k4", "standard_k2", "standard_k3", "standard_k4"],
+            "table7": ["iteration", "epoch"],
+            "table8": ["experts_1", "experts_2", "experts_3", "experts_4"],
+            "table9": ["rate_0.01", "rate_0.05", "rate_0.1", "rate_0.2", "rate_0.3"],
+            "table10": ["scale_8", "scale_16", "scale_20", "scale_24"],
+            "table11": ["capacity_controlled", "standard"],
+            "table12": ["proposed", "no_ema", "single_expert", "no_cb_loss",
+                        "average_representations", "iteration_ema", "swa", "high_ema_rate",
+                        "low_ema_rate", "decoupled"],
+        }
 
     def test_expansion_is_pure(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
@@ -996,8 +1013,12 @@ class TestSuites:
     def test_report_rows_match_suite_rows(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0, 1]))
         _, suite_rows = run_ablation_suite(cfg, "table7", workers=2)
-        _, report_rows = aggregate_report(Path(cfg.output_dir))
-        assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
+        # --dir may be any level of the tree: the root, a suite or a cell.
+        for root in (Path(cfg.output_dir), Path(cfg.output_dir) / "table7"):
+            _, report_rows = aggregate_report(root)
+            assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
+        _, cell_rows = aggregate_report(Path(cfg.output_dir) / "table7" / "epoch")
+        assert cell_rows == [row for row in suite_rows if row[1] == "epoch"]
 
     def test_report_orders_seeds_numerically(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=list(range(11))))
@@ -1158,6 +1179,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: train.batch_size {batch_size} ") and err.count("\n") == 1
         assert not Path(raw["output_dir"]).exists()
+
+    @pytest.mark.parametrize("dataset", [{"feature_dim": 1}, {"class_sep": 0.0}])
+    @pytest.mark.parametrize("command", [
+        ["run", "--seed", "0"], ["sweep", "--seeds", "0,1", "--workers", "2"],
+        ["ablate", "--suite", "table7", "--workers", "2"],
+    ])
+    def test_degenerate_synthetic_source_exits_1_before_any_run(self, tmp_path, capsys, command,
+                                                                dataset):
+        path, raw = self._write_cfg(tmp_path, dataset=dataset)
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset: synthesize: ") and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
+
+    @pytest.mark.parametrize("command, where", [
+        (["run", "--seed", "0"], ""),
+        (["sweep", "--seeds", "0,1", "--workers", "1"], "sweep: seed 0 failed: "),
+        (["sweep", "--seeds", "0,1", "--workers", "2"], "sweep: seed "),
+        (["ablate", "--suite", "table7", "--workers", "2"], "table7/"),
+    ])
+    def test_config_error_found_in_a_run_exits_1(self, tmp_path, capsys, command, where):
+        """A 4-class config over a 3-class CSV fails inside the run, under every command."""
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        raw = csv_raw(tmp_path, tmp_path / "pool.csv")
+        raw["dataset"]["num_classes"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+        assert err.endswith("dataset: file holds 3 classes, config says 4\n")
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"
