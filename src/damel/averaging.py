@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError
-from .model import DamelModel, backbone_layers, constant_params
-from .tensor import affine, dense_bn_relu
+from .model import DamelModel, backbone_layers
+from .tensor import BATCH_NORM_EPS, affine
 
 
 @dataclass
@@ -111,15 +111,14 @@ def export_eval_weights(avg_state, trained: np.ndarray) -> np.ndarray:
 def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[int] = None) -> DamelModel:
     """Replace every norm layer's running statistics with exact aggregates.
 
-    The backbone runs layer by layer over the chunks of the training set.
-    Each layer computes its affine output once per chunk and merges the
-    chunks' means and M2s in order (Chan et al.'s parallel merge); once every
-    chunk is in, the same outputs are normalized in place with the final
-    statistics and go on to the next layer. So the mean/variance are exact
-    population statistics of each layer's true eval-time input for any
-    chunking (equal up to the merge's rounding), and each layer runs once
-    per recompute. The pass holds at most two activation-sized buffers per
-    chunk at a time.
+    The backbone runs layer by layer over the chunks of the training set, in
+    plain numpy. Each layer computes its affine output once per chunk; the
+    mean is the chunks' column sums over n, the variance their summed squared
+    deviations from that mean over n. So the statistics are exact population
+    statistics of each layer's true eval-time input for any chunking (with one
+    chunk, the bits of ndarray.mean and ndarray.var). The same outputs are
+    then normalized in place as the eval-mode norm layer does and go on to the
+    next layer, so each layer runs once per recompute.
     """
     if not model.norm_states:
         return model
@@ -130,26 +129,23 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     if step < 1:
         raise ContractError(f"recompute_running_stats: chunk_size must be >= 1, got {chunk_size}")
     chunks = [train_ds.features[start:start + step] for start in range(0, n, step)]
-    layers = backbone_layers(model, constant_params(model))
-    for i, (w, b, norm) in enumerate(layers):
-        state = norm[0]
+    layers = backbone_layers(model, model.params)
+    for i, (w, b, (state, gamma, beta)) in enumerate(layers):
         # The affine outputs replace the layer's inputs, which are done with.
-        chunks = [affine(h, w, b) for h in chunks]
-        count, mean, m2 = 0, np.zeros_like(state.running_mean), np.zeros_like(state.running_var)
-        for z in chunks:
-            n_b = len(z.values)
-            mean_b = z.values.mean(axis=0)
-            dev = z.values - mean_b
-            m2_b = np.square(dev, out=dev).sum(axis=0)  # the bits of dev ** 2, one buffer
-            total = count + n_b
-            delta = mean_b - mean
-            mean = mean + delta * (n_b / total)
-            m2 = m2 + m2_b + delta * delta * (count * n_b / total)
-            count = total
-        del z, dev  # else the last chunk's buffers stay alive into the next layer
-        state.running_mean, state.running_var, state.mode = mean, m2 / count, "eval"
+        chunks = [affine(h, w, b).values for h in chunks]
+        mean = sum(z.sum(axis=0) for z in chunks) / n
+        devs = (z - mean for z in chunks)  # one at a time, squared in place: the bits of dev ** 2
+        var = sum(np.square(dev, out=dev).sum(axis=0) for dev in devs) / n
+        state.running_mean, state.running_var, state.mode = mean, var, "eval"
         if i + 1 < len(layers):  # the last layer's output feeds no statistics
-            chunks = [dense_bn_relu(z, None, None, norm) for z in chunks]
+            inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
+            for z in chunks:
+                z -= mean
+                z *= inv_std
+                z *= gamma
+                z += beta
+                np.fmax(z, 0.0, out=z)
+            del z  # else the last chunk stays alive beside the next layer's outputs
     return model
 
 

@@ -285,13 +285,7 @@ def default_config(output_dir: str = "runs") -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": asdict(cfg.dataset),
-        "model": asdict(cfg.model),
-        "train": asdict(cfg.train),
-        "seeds": list(cfg.seeds),
-        "output_dir": cfg.output_dir,
-    }
+    return asdict(cfg)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -303,18 +297,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def build_damel_config(model: ModelBlock, dataset: DatasetBlock, input_dim: int) -> DamelConfig:
-    return DamelConfig(
-        num_experts=model.num_experts,
-        input_dim=input_dim,
-        hidden_dim=model.hidden_dim,
-        rep_dim=model.rep_dim,
-        num_classes=dataset.num_classes,
-        scale=model.scale,
-        variant=model.variant,
-        use_norm_layers=model.use_norm_layers,
-        use_bias=model.use_bias,
-        ref_experts=model.ref_experts,
-    )
+    return DamelConfig(input_dim=input_dim, num_classes=dataset.num_classes, **asdict(model))
 
 
 # At most one parsed file-backed source per process: {key: read-only Dataset}.
@@ -584,11 +567,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         run_dir = Path(cfg.output_dir) / "single" / "default" / str(seed)
     run_dir = Path(run_dir)
     started = time.perf_counter()
-    new_parents = []
-    for parent in run_dir.parents:
-        if parent.exists():
-            break
-        new_parents.append(parent)
+    new_parents = _missing_parents(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     try:
         train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
@@ -626,12 +605,26 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         return record
     except Exception:
         shutil.rmtree(run_dir, ignore_errors=True)
-        for parent in new_parents:  # deepest first; one that holds other runs stays
-            try:
-                parent.rmdir()
-            except OSError:
-                break
+        _remove_empty(new_parents)
         raise
+
+
+def _missing_parents(run_dir) -> list:
+    """The parents of ``run_dir`` that do not exist yet, deepest first."""
+    missing = []
+    for parent in Path(run_dir).parents:
+        if parent.exists():
+            break
+        missing.append(parent)
+    return missing
+
+
+def _remove_empty(dirs) -> None:
+    """Remove each of ``dirs``, given deepest first, that is empty; one that
+    holds other runs stays."""
+    for d in dirs:
+        with contextlib.suppress(OSError):
+            d.rmdir()
 
 
 def _usable_cpus() -> int:
@@ -675,7 +668,10 @@ def _run_jobs(jobs, workers=None) -> list:
     seed and source file is checked, and no two jobs may share a run
     directory, before any job starts. A pool holds at most one job per worker
     and is handed the next only when one finishes, so the first failure
-    starts no further job and is raised once the running ones finish."""
+    starts no further job and is raised once the running ones finish. Then
+    the parents of the run directories that the jobs created are removed
+    where empty: a run removes only the ones it created itself, and under a
+    pool another run may still have been using them."""
     taken = set()
     for cfg, seed, run_dir, where in jobs:
         _check_seed(seed, f"{where}: seed")
@@ -684,18 +680,23 @@ def _run_jobs(jobs, workers=None) -> list:
         taken.add(str(run_dir))
         _check_source_files(cfg.dataset)
     workers = resolve_workers(workers, len(jobs))
-    if workers == 1:
-        return [_run_job(job) for job in jobs]
-    records = [None] * len(jobs)
-    queued = iter(enumerate(jobs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        running = {pool.submit(_run_job, job): i for i, job in islice(queued, workers)}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                records[running.pop(future)] = future.result()  # raises the job's DamelError
-            running.update((pool.submit(_run_job, job), i) for i, job in islice(queued, len(done)))
-    return records
+    new_parents = {d for job in jobs for d in _missing_parents(job[2])}
+    try:
+        if workers == 1:
+            return [_run_job(job) for job in jobs]
+        records = [None] * len(jobs)
+        queued = iter(enumerate(jobs))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            running = {pool.submit(_run_job, job): i for i, job in islice(queued, workers)}
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    records[running.pop(future)] = future.result()  # raises the job's DamelError
+                running.update((pool.submit(_run_job, job), i) for i, job in islice(queued, len(done)))
+        return records
+    except Exception:  # the pool has shut down: every running job has finished
+        _remove_empty(sorted(new_parents, key=lambda d: len(d.parts), reverse=True))
+        raise
 
 
 def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=None):

@@ -16,8 +16,8 @@ the flat vector (and a checkpoint) is laid out expert by expert.
 Every forward runs on the tensor module's composite ops, one tape node per
 fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
 the K stacked experts and a ``cosine_logits`` per classifier head, so the
-tape length does not depend on K. Training steps and the norm-statistics
-pass take this one path, and these forwards stay the reference for eval.
+tape length does not depend on K. Training steps take this one path, and
+these forwards stay the reference for eval.
 
 ``predict`` does not: it runs a plain-numpy argmax-only kernel. Once per call
 it folds each backbone layer's eval norm into its affine, lays the K expert
@@ -30,8 +30,8 @@ scores may thus differ from the composite logits in the last bits, and a
 prediction only at an exact near-tie. It sets no norm state's mode.
 
 ``forward_backbone`` is the shared trunk alone. ``backbone_layers`` lists its
-layers for the norm-statistics pass, which walks them one at a time and
-normalizes each with ``dense_bn_relu`` as well, and for ``predict``'s fold.
+layers for it, for the norm-statistics pass, which walks them one at a time
+in plain numpy, and for ``predict``'s fold.
 ``forward_experts`` adds the expert blocks and their cosine heads.
 
 Variants:

@@ -601,34 +601,23 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
 
     ``b`` is None for a bias-free layer. ``norm`` is None for no norm layer,
     else (state, gamma, beta) as batch_norm takes them, in train or eval
-    mode. ``w`` is None when ``x`` already is the layer's affine output: the
-    statistics pass normalizes each layer's outputs that way once their
-    statistics are in, and the op may then overwrite an ``x`` that is on no
-    tape.
+    mode.
 
     Unlike the chain, the op writes its intermediates in place where nothing
     reads them again, so it holds fewer activation-sized buffers at once.
     """
-    x = _wrap(x)
-    if w is not None:
-        out, inputs, gaffine = _affine_parts("dense_bn_relu", x, w, b)
-    elif b is not None:
-        raise ContractError("dense_bn_relu: a bias needs weights")
-    else:
-        out, inputs, gaffine = x.values, [x], None
+    out, inputs, gaffine = _affine_parts("dense_bn_relu", x, w, b)
     has_norm = norm is not None
     if has_norm:
         state, gamma, beta = norm
         gamma, beta = _wrap(gamma), _wrap(beta)
         out, gnorm, ggamma, gbeta = _bn_parts(
-            "dense_bn_relu", out, state, gamma.values, beta.values, momentum,
-            owned=out is not x.values or x.tape is None,
+            "dense_bn_relu", out, state, gamma.values, beta.values, momentum, owned=True
         )
         inputs += [gamma, beta]
     # As relu: fmax is bit-identical to where(v > 0, v, 0), and out > 0
-    # exactly where the input was. It writes over the op's own intermediate,
-    # never over x itself.
-    out = np.fmax(out, 0.0, out=None if out is x.values else out)
+    # exactly where the input was. It writes over the op's own intermediate.
+    out = np.fmax(out, 0.0, out=out)
 
     def adjoints(g: Array, need: tuple) -> list:
         g = g * (out > 0)
@@ -636,7 +625,7 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
         if has_norm:
             tail = [ggamma(g) if need[-2] else None, gbeta(g) if need[-1] else None]
             g = gnorm(g)
-        return ([g] if gaffine is None else gaffine(g, need)) + tail
+        return gaffine(g, need) + tail
 
     return _record("dense_bn_relu", inputs, out, adjoints)
 

@@ -252,9 +252,11 @@ class TestRecomputeRunningStats:
             return real(op_kind, a, b)
 
         monkeypatch.setattr(damel.tensor, "_matmul_parts", counted)
+        features = ds.features.tobytes()
         recompute_running_stats(model, ds, chunk_size=chunk_size)
         # Each backbone affine once per chunk: the rows of layer 1, then of layer 2.
         assert products == [min(step, n - start) for start in range(0, n, step)] * 2
+        assert ds.features.tobytes() == features  # normalized in place, but never the input
         for i, (mean, var) in enumerate(expected, start=1):
             got = model.norm_states[f"backbone.bn{i}"]
             assert got.mode == "eval"

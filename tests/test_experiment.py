@@ -23,6 +23,7 @@ from damel.experiment import (
     aggregate_report,
     config_hash,
     config_to_dict,
+    default_config,
     expand_suite,
     load_checkpoint,
     load_config,
@@ -221,6 +222,8 @@ class TestConfigParsing:
         assert config_hash(a) == config_hash(b)
         c = parse_config(small_raw(tmp_path, train={"lr": 0.05}))
         assert config_hash(a) != config_hash(c)
+        # Run records carry the hash: the default config's value is pinned.
+        assert config_hash(default_config()) == "8f0024b0f25a565ba4276efe96c714760a96f5a7519f7d41c5c2b814c3a8d0fc"
 
 
 class TestRunSingle:
@@ -868,6 +871,20 @@ class TestSweep:
         # every job at once runs seeds up to 4 or 5 as well.
         for seed in range(2, 8):
             assert not (sweep_dir / str(seed)).exists()
+
+    def test_parallel_failure_removes_the_directories_it_created(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_raw(tmp_path, seeds=[0, 1]))
+
+        def failing(config, seed, run_dir=None):  # forked workers inherit it
+            Path(run_dir).mkdir(parents=True)
+            shutil.rmtree(run_dir)  # as a failed run does, its own directory alone
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(experiment, "run_single", failing)
+        (tmp_path / "kept").mkdir()
+        with pytest.raises(DamelError, match="boom"):
+            run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "kept" / "sweep" / "default")
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
