@@ -16,8 +16,8 @@ from damel.averaging import (
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
 from damel.errors import ContractError
-from damel.model import DamelConfig, init_model, predict
-from damel.tensor import BATCH_NORM_EPS
+from damel.model import DamelConfig, backbone_layers, init_model, predict
+from damel.tensor import BATCH_NORM_EPS, Tensor, affine, dense_bn_relu
 from damel.training import TrainConfig, train
 
 
@@ -266,6 +266,24 @@ class TestRecomputeRunningStats:
             else:
                 np.testing.assert_allclose(got.running_mean, mean, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(got.running_var, var, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("use_bias", [True, False])
+    def test_statistics_are_of_the_eval_forward(self, use_bias):
+        """The in-place normalize has the bits of the eval-mode composite, so
+        the second layer's statistics are those of its eval-time input."""
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=6)
+        model = _norm_model(use_bias)
+        rng = np.random.default_rng(9)
+        for name, value in model.params.items():
+            if name.startswith("backbone."):
+                value += 0.3 * rng.normal(size=value.shape)
+        recompute_running_stats(model, ds)
+        (w1, b1, norm1), (w2, b2, _) = backbone_layers(model, model.params)
+        z = affine(dense_bn_relu(Tensor(ds.features), w1, b1, norm1), w2, b2).values
+        mean = z.mean(axis=0)
+        state = model.norm_states["backbone.bn2"]
+        assert state.running_mean.tobytes() == mean.tobytes()
+        assert state.running_var.tobytes() == (np.square(z - mean).sum(axis=0) / len(z)).tobytes()
 
     def test_empty_dataset_rejected(self):
         model = _norm_model()

@@ -679,6 +679,9 @@ _LIFETIME_CASES = {
     "dense_bn_relu_bias_norm": (
         lambda p: dense_bn_relu(p[0], p[1], p[2], (NormStatsState.for_features(5), p[3], p[4])),
         [(3, 4), (4, 5), (5,), (5,), (5,)]),
+    "dense_bn_relu_norm_eval": (
+        lambda p: dense_bn_relu(p[0], p[1], None, (_norm_state(np.random.default_rng(0), 5, "eval"), p[2], p[3])),
+        [(3, 4), (4, 5), (5,), (5,)]),
     "expert_block": (lambda p: expert_block(p[0], p[1]), [(3, 4), (2, 4, 5)]),
     "expert_block_bias": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (2, 4, 5), (2, 5)]),
     "cosine_logits": (lambda p: cosine_logits(p[0], p[1], 8.0), [(2, 3, 4), (2, 4, 5)]),
