@@ -114,11 +114,14 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     The backbone runs layer by layer over the chunks of the training set, in
     plain numpy. Each layer computes its affine output once per chunk; the
     mean is the chunks' column sums over n, the variance their summed squared
-    deviations from that mean over n. So the statistics are exact population
-    statistics of each layer's true eval-time input for any chunking (with one
-    chunk, the bits of ndarray.mean and ndarray.var). The same outputs are
-    then normalized in place as the eval-mode norm layer does and go on to the
-    next layer, so each layer runs once per recompute.
+    deviations from that mean over n. So for any chunking the statistics are
+    exact population statistics of each layer's input under the eval-mode
+    composite forward (with one chunk, the bits of ndarray.mean and
+    ndarray.var). The same outputs are then normalized in place as the
+    eval-mode norm layer does and go on to the next layer, so each layer runs
+    once per recompute. ``predict``'s folded kernel feeds the next layer
+    fmax(x @ (w*s) + ((b - mean)*s + beta), 0) instead, which differs from
+    that composite forward only in the last bits.
     """
     if not model.norm_states:
         return model

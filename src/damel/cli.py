@@ -6,9 +6,8 @@
     damel report --dir runs/
 
 Exit codes: 0 success, 1 configuration/usage error, 2 run failure.
-The DAMEL_WORKERS environment variable overrides any --workers value; either
-must be >= 1, and seeds must be non-negative and must not repeat. A pool gets
-no more workers than there are runs or CPUs this process may use.
+--workers must be >= 1, and seeds must be non-negative and must not repeat.
+A pool gets no more workers than there are runs or CPUs this process may use.
 """
 
 from __future__ import annotations

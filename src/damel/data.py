@@ -110,12 +110,12 @@ class Dataset:
                 f"Dataset: features {self.features.shape} and labels "
                 f"{self.labels.shape} do not align"
             )
-        tallies = np.bincount(self.labels, minlength=self.spec.num_classes)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.spec.num_classes):
             raise ContractError("Dataset: label outside [0, num_classes)")
-        if tuple(tallies) != self.spec.counts:
+        tallies = tuple(np.bincount(self.labels, minlength=self.spec.num_classes).tolist())
+        if tallies != self.spec.counts:
             raise ContractError(
-                f"Dataset: label tallies {tuple(tallies)} disagree with spec {self.spec.counts}"
+                f"Dataset: label tallies {tallies} disagree with spec {self.spec.counts}"
             )
 
     def __len__(self) -> int:

@@ -75,7 +75,6 @@ from .model import DamelConfig, init_model, param_count
 from .training import TrainConfig, make_avg_state, train
 
 CHECKPOINT_MAGIC = b"DAMELCKP"
-WORKERS_ENV_VAR = "DAMEL_WORKERS"
 
 # The blocks that define a run, and so its config_hash; seeds and output_dir do not.
 _RUN_BLOCKS = ("dataset", "model", "train")
@@ -435,7 +434,8 @@ def save_checkpoint(path, config_dict: dict, trained: np.ndarray, averaged: Opti
 
 
 def _check_checkpoint_count(path, config_dict, count: int) -> None:
-    """``count`` must be the parameter count of the run config in ``config_dict``.
+    """``config_dict`` must be a run config plus its seed, and ``count`` the
+    parameter count of that run config.
 
     An idx or csv source's input width lives in its data file, and only
     ``backbone.w1`` depends on it, so there the count must exceed the count at
@@ -447,6 +447,7 @@ def _check_checkpoint_count(path, config_dict, count: int) -> None:
         cfg = parse_config({key: value for key, value in config_dict.items() if key != "seed"})
     except ConfigError as err:
         raise ConfigError(f"{path}: checkpoint config is invalid ({err})") from None
+    _check_seed(config_dict.get("seed"), f"{path}: checkpoint seed")
     base = param_count(build_damel_config(cfg.model, cfg.dataset, cfg.dataset.feature_dim or 1))
     if cfg.dataset.source == "synthetic":
         if count != base:
@@ -463,9 +464,9 @@ def load_checkpoint(path):
 
     The file must be exactly header + 8 * count bytes of trained weights,
     optionally followed by as many averaged weights, and the embedded config
-    (a run config plus its ``seed``) must parse and hold ``count``
-    parameters; anything else (a truncated file, trailing bytes, a count
-    the config disagrees with) is a ConfigError.
+    (a run config plus its ``seed``) must parse, carry a valid seed and hold
+    ``count`` parameters; anything else (a truncated file, trailing bytes, a
+    count the config disagrees with) is a ConfigError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -635,19 +636,12 @@ def _usable_cpus() -> int:
 
 
 def resolve_workers(requested: Optional[int] = None, jobs: Optional[int] = None) -> int:
-    """DAMEL_WORKERS overrides the requested worker count (default 1); below 1
-    is a ConfigError. The count is capped at the usable CPU count, since a
-    pool starts all its workers at once, and at ``jobs`` when given."""
-    source, value = "workers", 1 if requested is None else requested
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        source = WORKERS_ENV_VAR
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    """The requested worker count (default 1); below 1 is a ConfigError. The
+    count is capped at the usable CPU count, since a pool starts all its
+    workers at once, and at ``jobs`` when given."""
+    value = 1 if requested is None else requested
     if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
+        raise ConfigError(f"workers must be >= 1, got {value}")
     value = min(value, _usable_cpus())
     return value if jobs is None else min(value, jobs)
 

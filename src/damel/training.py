@@ -211,8 +211,9 @@ def train(
         cfg_eff = replace(cfg, cb_loss_enabled=False) if (cfg.decoupled and not aux_phase) else cfg
         frozen = (freeze_rest if aux_phase else freeze_aux) if cfg.decoupled else None
 
-        n_seen = 0
-        sums = {"expert": None, "balanced": 0.0, "total": 0.0}
+        # Per-sample loss sums: the K expert terms, then balanced and total;
+        # balanced stays nan without an aux head.
+        sums = np.zeros(model.config.num_experts + 2)
         for iteration, (xb, yb) in enumerate(minibatch_iterator(ds, cfg.batch_size, seed, epoch)):
             tape = Tape()
             params = bind_params(model, tape)
@@ -234,15 +235,8 @@ def train(
                 avg_state = update_average(avg_state, model.buffer)
             if step_hook is not None:
                 step_hook(StepContext(epoch, iteration, bundle, params, model))
-
-            batch_n = len(yb)
-            n_seen += batch_n
-            expert_vals = np.array(bundle.expert_values())
-            sums["expert"] = expert_vals * batch_n if sums["expert"] is None \
-                else sums["expert"] + expert_vals * batch_n
-            bal = bundle.balanced_value()
-            sums["balanced"] += (bal if np.isfinite(bal) else 0.0) * batch_n
-            sums["total"] += bundle.total_value() * batch_n
+            sums += np.array([*bundle.expert_values(), bundle.balanced_value(),
+                              bundle.total_value()]) * len(yb)
 
         if cfg.ema_frequency == "epoch":
             avg_state = update_average(avg_state, model.buffer)
@@ -251,13 +245,13 @@ def train(
         if test_ds is not None and avg_state is not None and avg_state.initialized:
             shadow = load_eval_model(model, avg_state.weights, ds, shadow)
             test_acc_ema = _accuracy(shadow, test_ds)
-        has_balanced = model.config.aux_input_dim is not None
+        means = sums / len(ds)  # an epoch passes over every sample once
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                expert_ce=tuple(sums["expert"] / n_seen),
-                balanced_ce=sums["balanced"] / n_seen if has_balanced else float("nan"),
-                total=sums["total"] / n_seen,
+                expert_ce=tuple(means[:-2]),
+                balanced_ce=float(means[-2]),
+                total=float(means[-1]),
                 train_acc=_accuracy(model, ds),
                 test_acc_raw=_accuracy(model, test_ds) if test_ds is not None else float("nan"),
                 test_acc_ema=test_acc_ema,

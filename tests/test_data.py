@@ -69,6 +69,18 @@ class TestLongTailCounts:
             LongTailSpec((5, 10))
 
 
+class TestDataset:
+    @pytest.mark.parametrize("bad_label", [-1, 2])
+    def test_label_outside_range_is_contract_error(self, bad_label):
+        labels = np.array([0, 0, 1, bad_label])
+        with pytest.raises(ContractError, match=r"label outside \[0, num_classes\)"):
+            Dataset(np.zeros((4, 2)), labels, LongTailSpec((2, 2)))
+
+    def test_tally_mismatch_names_plain_counts(self):
+        with pytest.raises(ContractError, match=r"label tallies \(3, 0\) disagree with spec \(2, 1\)"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), LongTailSpec((2, 1)))
+
+
 class TestSynthesize:
     def test_tallies_respected(self):
         ds = synthesize_gaussian_longtail(LongTailSpec((5, 5)), 2, 1.0, seed=3)

@@ -461,13 +461,20 @@ class TestFileSourceParsedOnce:
             monkeypatch.setattr(experiment, name, counted)
         return seen
 
-    def test_inline_sweep_parses_once(self, tmp_path, parses):
+    @pytest.mark.parametrize("env_workers", [None, "2"], ids=["env_unset", "env_2"])
+    def test_inline_sweep_parses_once(self, tmp_path, parses, monkeypatch, env_workers):
+        """workers=1 goes inline whatever DAMEL_WORKERS says: damel does not read it."""
+        if env_workers is not None:
+            monkeypatch.setenv("DAMEL_WORKERS", env_workers)
         write_csv_pool(tmp_path / "pool.csv", seed=0)
         cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv", seeds=[0, 1, 2, 3]))
         run_seed_sweep(cfg, workers=1)
         assert len(parses) == 1
 
-    def test_inline_suite_parses_once(self, tmp_path, parses):
+    @pytest.mark.parametrize("env_workers", [None, "2"], ids=["env_unset", "env_2"])
+    def test_inline_suite_parses_once(self, tmp_path, parses, monkeypatch, env_workers):
+        if env_workers is not None:
+            monkeypatch.setenv("DAMEL_WORKERS", env_workers)
         write_csv_pool(tmp_path / "pool.csv", seed=0)
         cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv"))
         run_ablation_suite(cfg, "table7", workers=1)
@@ -768,6 +775,18 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="ck.bin: checkpoint config"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("seed", [-5, "abc", 1.5, True, "missing"])
+    def test_invalid_or_missing_seed_is_config_error(self, tmp_path, seed):
+        path = tmp_path / "ck.bin"
+        config, count = tiny_checkpoint_config(tmp_path)
+        if seed == "missing":
+            del config["seed"]
+        else:
+            config["seed"] = seed
+        save_checkpoint(path, config, np.zeros(count), None)
+        with pytest.raises(ConfigError, match="ck.bin: checkpoint seed"):
+            load_checkpoint(path)
+
     def test_count_must_match_synthetic_config(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
         run_single(cfg, seed=0, run_dir=tmp_path / "run")
@@ -895,47 +914,31 @@ class TestSweep:
 
 
 class TestWorkers:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("DAMEL_WORKERS", "3")
-        assert resolve_workers(8) == 3
-        monkeypatch.delenv("DAMEL_WORKERS")
-        assert resolve_workers(8) == 8
-        assert resolve_workers(None) == 1
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("DAMEL_WORKERS", "many")
-        with pytest.raises(ConfigError, match="DAMEL_WORKERS"):
-            resolve_workers()
-
     @pytest.mark.parametrize("requested", [0, -3])
-    def test_requested_below_one_is_config_error(self, monkeypatch, requested):
-        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+    def test_requested_below_one_is_config_error(self, requested):
         with pytest.raises(ConfigError, match=f"workers must be >= 1, got {requested}"):
             resolve_workers(requested)
-        monkeypatch.setenv("DAMEL_WORKERS", str(requested))
-        with pytest.raises(ConfigError, match="DAMEL_WORKERS must be >= 1"):
-            resolve_workers(2)
 
-    def test_capped_at_job_count(self, monkeypatch):
-        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+    def test_capped_at_job_count(self):
+        assert resolve_workers(8) == 8
+        assert resolve_workers(None) == 1
         assert resolve_workers(8, jobs=3) == 3
         assert resolve_workers(2, jobs=3) == 2
         assert resolve_workers(None, jobs=3) == 1
-        monkeypatch.setenv("DAMEL_WORKERS", "6")
-        assert resolve_workers(1, jobs=4) == 4
 
     def test_capped_at_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
         assert resolve_workers(8) == 2
         assert resolve_workers(8, jobs=5) == 2
         assert resolve_workers(8, jobs=1) == 1
         assert resolve_workers(None, jobs=5) == 1
-        monkeypatch.setenv("DAMEL_WORKERS", "6")
-        assert resolve_workers(1, jobs=4) == 2
-        monkeypatch.setenv("DAMEL_WORKERS", "0")
-        with pytest.raises(ConfigError, match="DAMEL_WORKERS must be >= 1"):
-            resolve_workers(1)
+
+    def test_environment_does_not_set_workers(self, monkeypatch):
+        """DAMEL_WORKERS is not read: an integer or a word changes nothing."""
+        for env in ("3", "many"):
+            monkeypatch.setenv("DAMEL_WORKERS", env)
+            assert resolve_workers(8) == 8
+            assert resolve_workers() == 1
 
     def test_usable_cpus_is_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         monkeypatch.undo()  # the real _usable_cpus, on patched OS calls
@@ -1148,7 +1151,7 @@ class TestCli:
         raw = csv_raw(tmp_path, data)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        env = {key: value for key, value in os.environ.items() if key != "DAMEL_WORKERS"}
+        env = dict(os.environ)
         src = str(Path(experiment.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         # The child sees 64 usable CPUs as well, so `--workers 2` is a real pool on any host.
@@ -1177,8 +1180,7 @@ class TestCli:
         assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("command", [["sweep", "--seeds", "0,1"], ["ablate", "--suite", "table7"]])
-    def test_workers_below_one_exit_code(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.delenv("DAMEL_WORKERS", raising=False)
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, command):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
         argv = [command[0], "--config", str(path), *command[1:], "--workers", "0"]
         assert cli_main(argv) == 1
