@@ -7,7 +7,7 @@ per epoch. The averaged weights alone drive the final evaluation; the norm
 layers' running statistics are recomputed from the training set first.
 """
 
-from damel.averaging import export_eval_weights, load_eval_model
+from damel.averaging import load_eval_model
 from damel.data import group_partition, long_tail_counts, synthesize_balanced_test, synthesize_gaussian_longtail
 from damel.evaluation import evaluate
 from damel.model import DamelConfig, init_model
@@ -35,7 +35,7 @@ for m in log:
         f"{m.test_acc_raw:>9.3f} {m.test_acc_ema:>9.3f}"
     )
 
-eval_model = load_eval_model(model, export_eval_weights(avg_state, model.flatten()), train_ds)
+eval_model = load_eval_model(model, avg_state.weights, train_ds)
 report = evaluate(eval_model, test_ds, group_partition(spec))
 print("\nfinal (averaged weights):")
 print(f"  overall {report.overall_acc:.3f}")

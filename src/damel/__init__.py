@@ -11,7 +11,6 @@ from .averaging import (
     EmaState,
     SwaState,
     ema_update,
-    export_eval_weights,
     load_eval_model,
     recompute_running_stats,
     swa_update,

@@ -8,7 +8,8 @@ on the flat parameter vector (norm-layer scale/shift included, running
 statistics excluded; those are recomputed exactly from the training set,
 here and nowhere else). A snapshot may be the model's live parameter buffer
 itself: it is only read, the state keeps its own copy, and later updates
-fold into that copy in place.
+fold into that copy in place. An eval model views the weights it evaluates,
+the state's own or the trained buffer, and copies nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import DamelModel, backbone_layers
-from .tensor import BATCH_NORM_EPS, affine
+from .tensor import BATCH_NORM_EPS, NormStatsState, affine
 
 
 @dataclass
@@ -100,14 +101,6 @@ def update_average(avg_state, snapshot: np.ndarray):
     return None if avg_state is None else _UPDATES[type(avg_state)](avg_state, snapshot)
 
 
-def export_eval_weights(avg_state, trained: np.ndarray) -> np.ndarray:
-    """The parameter vector the evaluation path consumes: a copy of the
-    averaged weights once a snapshot is in, else of ``trained``."""
-    if avg_state is None or not avg_state.initialized:
-        return np.array(trained, dtype=np.float64, copy=True)
-    return avg_state.weights.copy()
-
-
 def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[int] = None) -> DamelModel:
     """Replace every norm layer's running statistics with exact aggregates.
 
@@ -152,12 +145,14 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     return model
 
 
-def load_eval_model(model: DamelModel, weights: np.ndarray, train_ds,
-                    shadow: Optional[DamelModel] = None) -> DamelModel:
-    """``weights`` copied into ``shadow`` (a new clone of ``model`` if None),
-    norm statistics recomputed on ``train_ds``. The recompute starts from
-    zero, so a reused shadow evaluates exactly like a fresh clone."""
-    if shadow is None:
-        shadow = model.clone()
-    shadow.unflatten(weights)
-    return recompute_running_stats(shadow, train_ds)
+def load_eval_model(model: DamelModel, weights: np.ndarray, train_ds) -> DamelModel:
+    """``model``'s config over ``weights`` itself, norm statistics recomputed
+    on ``train_ds`` in fresh states.
+
+    The eval model only reads ``weights`` and copies nothing, so a caller
+    whose weights change later, as an average does when it folds in a
+    snapshot, builds a new one. A wrong length or dtype is DamelModel's
+    ShapeError."""
+    states = {name: NormStatsState.for_features(st.running_mean.size)
+              for name, st in model.norm_states.items()}
+    return recompute_running_stats(DamelModel(model.config, weights, states), train_ds)

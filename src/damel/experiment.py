@@ -49,7 +49,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .averaging import export_eval_weights, load_eval_model
+from .averaging import load_eval_model
 from .data import (
     Dataset,
     LongTailSpec,
@@ -258,11 +258,13 @@ def _check_source_files(dataset: DatasetBlock) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: invalid JSON ({err})") from None
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read config: {err.strerror or err}") from None
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path}: invalid JSON ({err})") from None
     return parse_config(raw)
 
 
@@ -557,7 +559,7 @@ def _write_metrics_csv(path, metrics, num_experts: int) -> None:
 
 
 def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
-    """Build data, train, export eval weights, evaluate, persist artifacts.
+    """Build data, train, evaluate the averaged (else trained) weights, persist artifacts.
 
     A failed run removes its run directory, and the parents of it that it
     created, as far as they are empty.
@@ -578,8 +580,8 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         model, avg_state, metrics = train(
             model, train_ds, cfg.train, avg_state, seed=seed, test_ds=test_ds
         )
-        trained = model.flatten()
-        eval_model = load_eval_model(model, export_eval_weights(avg_state, trained), train_ds)
+        averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
+        eval_model = load_eval_model(model, model.buffer if averaged is None else averaged, train_ds)
         report = evaluate(eval_model, test_ds, partition)
         onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
 
@@ -593,8 +595,7 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         )
         _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
         checkpoint_cfg = dict(config_to_dict(cfg), seed=seed)
-        averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
-        save_checkpoint(run_dir / "checkpoint.bin", checkpoint_cfg, trained, averaged)
+        save_checkpoint(run_dir / "checkpoint.bin", checkpoint_cfg, model.buffer, averaged)
         report.save_json(run_dir / "eval.json")
         report.save_confusion_csv(run_dir / "confusion.csv")
         np.save(run_dir / "onehot.npy", onehot)

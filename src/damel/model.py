@@ -185,8 +185,8 @@ class DamelModel:
 
     ``buffer`` is the flat float64 vector; ``params`` maps each name to a
     view into it and cannot be rebound, so every write goes through the
-    views. ``flatten`` is one copy of the buffer and ``unflatten`` one slice
-    assignment; the forward passes live below.
+    views. The model owns no copy of ``buffer``: two models over one vector
+    share their weights. The forward passes live below.
     """
 
     def __init__(self, config: DamelConfig, buffer: np.ndarray, norm_states: dict):
@@ -201,17 +201,6 @@ class DamelModel:
         self.params = MappingProxyType(param_views(config, buffer))
         self.norm_states = norm_states
 
-    def flatten(self) -> np.ndarray:
-        return self.buffer.copy()
-
-    def unflatten(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != self.buffer.shape:
-            raise ShapeError(
-                f"unflatten: expected {self.param_count()} values, got {flat.shape}"
-            )
-        self.buffer[:] = flat
-
     def param_count(self) -> int:
         return self.buffer.size
 
@@ -221,13 +210,6 @@ class DamelModel:
         laid out once per model for gathering a step's gradients."""
         flat = np.empty(self.buffer.size)
         return flat, param_views(self.config, flat)
-
-    def clone(self) -> "DamelModel":
-        return DamelModel(
-            self.config,
-            self.buffer.copy(),
-            {name: st.clone() for name, st in self.norm_states.items()},
-        )
 
 
 def _fan_in_uniform(rng, shape) -> np.ndarray:

@@ -530,9 +530,6 @@ class NormStatsState:
     def for_features(cls, num_features: int) -> "NormStatsState":
         return cls(np.zeros(num_features), np.ones(num_features))
 
-    def clone(self) -> "NormStatsState":
-        return NormStatsState(self.running_mean.copy(), self.running_var.copy(), self.mode)
-
 
 def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, beta_v: Array,
               momentum: float, owned: bool = False) -> tuple:

@@ -202,7 +202,6 @@ def train(
     freeze_aux, freeze_rest = slice(aux_start, None), slice(0, aux_start)
     class_weights = class_balanced_weights(ds.spec)
     metrics: list[EpochMetrics] = []
-    shadow = None  # the averaged weights' eval model, reused every epoch
 
     for epoch in range(cfg.epochs):
         aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
@@ -243,8 +242,7 @@ def train(
 
         test_acc_ema = float("nan")
         if test_ds is not None and avg_state is not None and avg_state.initialized:
-            shadow = load_eval_model(model, avg_state.weights, ds, shadow)
-            test_acc_ema = _accuracy(shadow, test_ds)
+            test_acc_ema = _accuracy(load_eval_model(model, avg_state.weights, ds), test_ds)
         means = sums / len(ds)  # an epoch passes over every sample once
         metrics.append(
             EpochMetrics(

@@ -8,16 +8,15 @@ from damel.averaging import (
     EmaState,
     SwaState,
     ema_update,
-    export_eval_weights,
     load_eval_model,
     recompute_running_stats,
     swa_update,
     update_average,
 )
 from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
-from damel.errors import ContractError
-from damel.model import DamelConfig, backbone_layers, init_model, predict
-from damel.tensor import BATCH_NORM_EPS, Tensor, affine, dense_bn_relu
+from damel.errors import ContractError, ShapeError
+from damel.model import DamelConfig, DamelModel, backbone_layers, init_model, predict
+from damel.tensor import BATCH_NORM_EPS, NormStatsState, Tensor, affine, dense_bn_relu
 from damel.training import TrainConfig, train
 
 
@@ -114,23 +113,11 @@ class TestSwa:
 
 
 class TestExport:
-    def test_no_averaging_exports_trained_weights(self):
-        trained = np.array([1.0, 2.0, 3.0])
-        out = export_eval_weights(None, trained)
-        assert out.tobytes() == trained.tobytes() and out is not trained
-
-    @pytest.mark.parametrize("state", [EmaState(rate=0.1), SwaState()])
-    def test_state_without_snapshot_exports_trained_weights(self, state):
-        trained = np.array([4.0, -5.0])
-        out = export_eval_weights(state, trained)
-        assert out.tobytes() == trained.tobytes() and out is not trained
-
     def test_ema_first_update_equals_snapshot(self):
         theta = np.array([4.0, 5.0])
         state = ema_update(EmaState(rate=0.1), theta)
-        out = export_eval_weights(state, theta * 0)
-        np.testing.assert_array_equal(out, theta)
-        assert out is not state.weights
+        np.testing.assert_array_equal(state.weights, theta)
+        assert state.weights is not theta
 
     def test_ema_and_swa_differ_on_streams(self):
         snaps = [np.array([0.0]), np.array([3.0]), np.array([9.0])]
@@ -138,7 +125,7 @@ class TestExport:
         for s in snaps:
             ema_update(ema, s)
             swa_update(swa, s)
-        assert export_eval_weights(ema, snaps[-1])[0] != export_eval_weights(swa, snaps[-1])[0]
+        assert ema.weights[0] != swa.weights[0]
 
     def test_update_average_follows_the_state_type(self):
         ema = update_average(EmaState(rate=0.5, weights=np.array([0.0])), np.array([2.0]))
@@ -189,10 +176,10 @@ class TestRecomputeRunningStats:
     def test_no_norm_layers_is_noop(self):
         cfg = DamelConfig(num_experts=1, input_dim=3, hidden_dim=4, rep_dim=3, num_classes=3)
         model = init_model(cfg, seed=0)
-        before = model.flatten().tobytes()
+        before = model.buffer.copy().tobytes()
         ds = synthesize_gaussian_longtail(balanced_spec(3, 4), 3, 2.0, seed=0)
         recompute_running_stats(model, ds)
-        assert model.flatten().tobytes() == before
+        assert model.buffer.copy().tobytes() == before
         assert not model.norm_states
 
     def test_single_feature_population_stats(self):
@@ -295,26 +282,36 @@ class TestRecomputeRunningStats:
 
 
 class TestLoadEvalModel:
-    def test_reused_shadow_matches_fresh_clone_bitwise(self):
+    def test_views_the_weights_and_matches_a_fresh_copy_bitwise(self):
         ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
         model = _norm_model()
-        shadow = None
         for step in range(3):
-            weights = model.flatten() * (1.0 + 0.1 * step)
-            fresh = load_eval_model(model, weights, ds)
-            shadow = load_eval_model(model, weights, ds, shadow)
-            assert shadow is not model and shadow.buffer is not weights
-            assert shadow.flatten().tobytes() == fresh.flatten().tobytes()
-            for name, state in fresh.norm_states.items():
-                assert shadow.norm_states[name].running_mean.tobytes() == state.running_mean.tobytes()
-                assert shadow.norm_states[name].running_var.tobytes() == state.running_var.tobytes()
-            assert predict(shadow, ds.features).tobytes() == predict(fresh, ds.features).tobytes()
+            weights = model.buffer.copy() * (1.0 + 0.1 * step)
+            eval_model = load_eval_model(model, weights, ds)
+            assert eval_model.buffer is weights
+            fresh = {name: NormStatsState.for_features(st.running_mean.size)
+                     for name, st in model.norm_states.items()}
+            reference = recompute_running_stats(DamelModel(model.config, weights.copy(), fresh), ds)
+            for name, state in reference.norm_states.items():
+                ours = eval_model.norm_states[name]
+                assert ours is not model.norm_states[name]
+                assert ours.running_mean.tobytes() == state.running_mean.tobytes()
+                assert ours.running_var.tobytes() == state.running_var.tobytes()
+            assert predict(eval_model, ds.features).tobytes() == predict(reference, ds.features).tobytes()
+
+    @pytest.mark.parametrize("weights", [lambda m: m.buffer[:-1], lambda m: m.buffer.astype(np.float32)],
+                             ids=["short", "float32"])
+    def test_wrong_length_or_dtype_is_shape_error(self, weights):
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        model = _norm_model()
+        with pytest.raises(ShapeError, match="expected a float64 vector"):
+            load_eval_model(model, weights(model), ds)
 
     def test_leaves_the_source_model_alone(self):
         ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
         model = _norm_model()
-        before = model.flatten().tobytes()
+        before = model.buffer.copy().tobytes()
         stats = {n: s.running_mean.tobytes() for n, s in model.norm_states.items()}
-        load_eval_model(model, model.flatten() * 2.0, ds)
-        assert model.flatten().tobytes() == before
+        load_eval_model(model, model.buffer.copy() * 2.0, ds)
+        assert model.buffer.copy().tobytes() == before
         assert {n: s.running_mean.tobytes() for n, s in model.norm_states.items()} == stats

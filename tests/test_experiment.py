@@ -257,15 +257,24 @@ class TestRunSingle:
             )
         assert blobs[0] == blobs[1]
 
-    def test_onehot_matches_eval_model_predictions(self, tmp_path):
-        cfg = parse_config(small_raw(tmp_path))
+    # The averaged weights drive the evaluation once a snapshot is in, else the trained ones.
+    @pytest.mark.parametrize("train, averaged_drives", [
+        ({}, True),
+        ({"averaging": "none"}, False),
+        ({"epochs": 0}, False),
+    ], ids=["ema", "no_averaging", "ema_zero_epochs"])
+    def test_onehot_matches_eval_model_predictions(self, tmp_path, train, averaged_drives):
+        cfg = parse_config(small_raw(tmp_path, train=train))
         run_dir = tmp_path / "run"
         run_single(cfg, seed=2, run_dir=run_dir)
-        _, _, averaged = load_checkpoint(run_dir / "checkpoint.bin")
+        _, trained, averaged = load_checkpoint(run_dir / "checkpoint.bin")
+        assert (averaged is not None) == averaged_drives
+        if averaged_drives:
+            assert averaged.tobytes() != trained.tobytes()
         train_ds, test_ds, _ = experiment.build_datasets(cfg.dataset, 2)
         model_cfg = experiment.build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1])
         eval_model = init_model(model_cfg, 2)
-        eval_model.unflatten(averaged)
+        eval_model.buffer[:] = averaged if averaged_drives else trained
         recompute_running_stats(eval_model, train_ds)
         saved = np.load(run_dir / "onehot.npy")
         assert saved.tobytes() == one_hot_predictions(eval_model, test_ds).tobytes()
@@ -1244,6 +1253,23 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "0"]) == 1
+
+    @pytest.mark.parametrize("config, reason", [
+        ("directory", "cannot read config: Is a directory"),
+        ("not_utf8", "invalid JSON ("),
+        ("missing", "cannot read config: No such file or directory"),
+    ], ids=["directory", "not_utf8", "missing"])
+    @pytest.mark.parametrize("command", [["run", "--seed", "0"], ["sweep", "--seeds", "0,1"]],
+                             ids=["run", "sweep"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, command, config, reason):
+        path = tmp_path / "cfg.json"
+        if config == "directory":
+            path.mkdir()
+        elif config == "not_utf8":
+            path.write_bytes(b"\xff\xfe{")
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {reason}") and err.count("\n") == 1
 
     def test_unknown_suite_exit_code(self, tmp_path, capsys):
         path, _ = self._write_cfg(tmp_path)

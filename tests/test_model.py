@@ -11,6 +11,7 @@ from damel.model import (
     PREDICT_BLOCK_ROWS,
     VARIANTS,
     DamelConfig,
+    DamelModel,
     _eval_kernel,
     bind_params,
     forward_experts,
@@ -19,7 +20,7 @@ from damel.model import (
     param_group,
     predict,
 )
-from damel.tensor import Tape, backward, softmax_cross_entropy
+from damel.tensor import NormStatsState, Tape, backward, softmax_cross_entropy
 from damel.training import TrainConfig, class_balanced_weights, compute_losses, flatten_grads
 from helpers import reference_forward, reference_losses, reference_params
 
@@ -36,7 +37,7 @@ class TestInit:
     def test_deterministic(self):
         a = init_model(small_config(), seed=5)
         b = init_model(small_config(), seed=5)
-        assert a.flatten().tobytes() == b.flatten().tobytes()
+        assert a.buffer.copy().tobytes() == b.buffer.copy().tobytes()
 
     def test_experts_differ(self):
         m = init_model(small_config(), seed=5)
@@ -54,14 +55,6 @@ class TestInit:
         aux = (3 * 32) * 10
         assert m.param_count() == backbone + experts + aux
 
-    def test_flatten_round_trip_bit_exact(self):
-        m = init_model(small_config(use_norm_layers=True), seed=1)
-        flat = m.flatten()
-        before = {k: v.copy() for k, v in m.params.items()}
-        m.unflatten(flat)
-        for k, v in m.params.items():
-            assert v.tobytes() == before[k].tobytes()
-
     def test_params_are_views_of_one_buffer_in_per_expert_order(self):
         m = init_model(small_config(use_norm_layers=True), seed=3)
         for name, view in m.params.items():
@@ -69,24 +62,10 @@ class TestInit:
         per_expert = reference_params(m, Tape())
         assert list(per_expert)[:8] == list(m.params)[:8]  # the backbone
         np.testing.assert_array_equal(
-            m.flatten(), np.concatenate([leaf.values.reshape(-1) for leaf in per_expert.values()])
+            m.buffer.copy(), np.concatenate([leaf.values.reshape(-1) for leaf in per_expert.values()])
         )
         with pytest.raises(TypeError):
             m.params["backbone.w1"] = np.zeros((6, 8))
-
-    def test_clone_and_unflatten_copy_into_own_buffers(self):
-        m = init_model(small_config(), seed=3)
-        c = m.clone()
-        assert not np.shares_memory(c.buffer, m.buffer)
-        for name, view in c.params.items():
-            assert np.shares_memory(view, c.buffer), name
-        flat = m.flatten()
-        flat[:] = 1.5
-        c.unflatten(flat)
-        flat[:] = 0.0
-        assert (c.params["experts.cls"] == 1.5).all() and not (m.params["experts.cls"] == 1.5).any()
-        with pytest.raises(ShapeError, match="unflatten"):
-            c.unflatten(flat[:-1])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -348,7 +327,9 @@ class TestStackedMatchesPerExpertReference:
                                                   scale):
         cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_bias, use_norm_layers))
         model = init_model(cfg, seed=11)
-        reference = model.clone()
+        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
+                  for name, st in model.norm_states.items()}
+        reference = DamelModel(cfg, model.buffer.copy(), states)
         rng = np.random.default_rng(num_experts)
         x = rng.normal(size=(9, 6))
         labels = rng.integers(0, 5, size=9)

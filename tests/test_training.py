@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
+import damel.training as training
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
-from damel.model import DamelConfig, DamelModel, bind_params, full_forward, init_model, param_group
+from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
 from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
     OptimizerState,
@@ -112,14 +113,14 @@ class TestComputeLosses:
 class TestSgdStep:
     def _flat_model(self):
         model = init_model(tiny_config(num_experts=1), seed=0)
-        model.unflatten(np.zeros(model.param_count()))
+        model.buffer[:] = np.zeros(model.param_count())
         return model
 
     def test_plain_step(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
         sgd_step(model, np.ones(model.param_count()), opt, lr=0.1, momentum=0.0)
-        np.testing.assert_allclose(model.flatten(), -0.1)
+        np.testing.assert_allclose(model.buffer.copy(), -0.1)
 
     def test_two_step_momentum_recursion(self):
         model = self._flat_model()
@@ -127,16 +128,16 @@ class TestSgdStep:
         g = np.ones(model.param_count())
         sgd_step(model, g, opt, lr=1.0, momentum=0.9)
         sgd_step(model, g, opt, lr=1.0, momentum=0.9)
-        np.testing.assert_allclose(model.flatten(), -2.9)
+        np.testing.assert_allclose(model.buffer.copy(), -2.9)
 
     def test_zero_gradient_decays_velocity(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
         sgd_step(model, np.ones(model.param_count()), opt, lr=0.0 + 0.1, momentum=0.5)
-        theta = model.flatten().copy()
+        theta = model.buffer.copy()
         sgd_step(model, np.zeros(model.param_count()), opt, lr=0.1, momentum=0.5)
         np.testing.assert_allclose(opt.velocity, 0.5)
-        assert not np.array_equal(model.flatten(), theta)  # velocity still moving
+        assert not np.array_equal(model.buffer.copy(), theta)  # velocity still moving
 
     def test_non_finite_gradient_aborts(self):
         model = self._flat_model()
@@ -158,15 +159,15 @@ def quick_train_setup(seed=0, epochs=3, **cfg_overrides):
 class TestTrain:
     def test_zero_epochs_is_identity(self):
         model, ds, cfg = quick_train_setup(epochs=0)
-        before = model.flatten().tobytes()
+        before = model.buffer.copy().tobytes()
         _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0)
-        assert model.flatten().tobytes() == before
+        assert model.buffer.copy().tobytes() == before
         assert metrics == []
 
     def test_full_rate_ema_tracks_model(self):
         model, ds, cfg = quick_train_setup(epochs=3, ema_rate=1.0)
         _, avg, _ = train(model, ds, cfg, make_avg_state(cfg), seed=0)
-        assert avg.weights.tobytes() == model.flatten().tobytes()
+        assert avg.weights.tobytes() == model.buffer.copy().tobytes()
 
     def test_expert_loss_decreases_early(self):
         spec = long_tail_counts(4, 50, 10)
@@ -177,18 +178,19 @@ class TestTrain:
         sums = [sum(m.expert_ce) for m in metrics]
         assert all(a > b for a, b in zip(sums[:5], sums[1:6]))
 
-    def test_averaged_score_reuses_one_shadow_model(self, monkeypatch):
-        clones = []
-        real_clone = DamelModel.clone
+    @pytest.mark.parametrize("averaging", ["ema", "swa"])
+    def test_averaged_score_views_the_state_weights(self, monkeypatch, averaging):
+        seen = []
+        real_load = training.load_eval_model
 
-        def counting_clone(model):
-            clones.append(model)
-            return real_clone(model)
+        def recording_load(model, weights, train_ds):
+            seen.append(weights)
+            return real_load(model, weights, train_ds)
 
-        model, ds, cfg = quick_train_setup(epochs=3)
-        monkeypatch.setattr(DamelModel, "clone", counting_clone)
-        _, _, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
-        assert len(clones) == 1
+        model, ds, cfg = quick_train_setup(epochs=3, averaging=averaging)
+        monkeypatch.setattr(training, "load_eval_model", recording_load)
+        _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
+        assert len(seen) == 3 and all(weights is avg.weights for weights in seen)
         assert all(np.isfinite(m.test_acc_ema) for m in metrics)
 
     def test_deterministic(self):
@@ -196,7 +198,7 @@ class TestTrain:
         for _ in range(2):
             model, ds, cfg = quick_train_setup(seed=3, epochs=2)
             model, _, _ = train(model, ds, cfg, make_avg_state(cfg), seed=3)
-            runs.append(model.flatten().tobytes())
+            runs.append(model.buffer.copy().tobytes())
         assert runs[0] == runs[1]
 
     def test_disabled_balanced_loss_freezes_aux(self):
