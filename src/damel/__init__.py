@@ -57,9 +57,6 @@ from .model import (
     DamelConfig,
     DamelModel,
     ForwardOutput,
-    forward_auxiliary,
-    forward_backbone,
-    forward_experts,
     init_model,
     predict,
 )

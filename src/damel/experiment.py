@@ -349,7 +349,7 @@ def _cached_csv(path, digest: str) -> Dataset:
     path = Path(path)
     cache = path.parent / CSV_CACHE_DIR / f"{path.name}.npz"
     try:
-        with np.load(cache, allow_pickle=False) as npz:
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             sha, features, labels = npz["sha256"], npz["features"], npz["labels"]
         if (str(sha) == digest
                 and features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1

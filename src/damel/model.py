@@ -17,7 +17,7 @@ Every forward runs on the tensor module's composite ops, one tape node per
 fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
 the K stacked experts and a ``cosine_logits`` per classifier head, so the
 tape length does not depend on K. Training steps take this one path, and
-these forwards stay the reference for eval.
+it stays the reference for eval.
 
 ``predict`` does not: it runs a plain-numpy argmax-only kernel. Once per call
 it folds each backbone layer's eval norm into its affine, lays the K expert
@@ -29,10 +29,9 @@ scale of that head, all positive row factors the argmax cannot see. Its
 scores may thus differ from the composite logits in the last bits, and a
 prediction only at an exact near-tie. It sets no norm state's mode.
 
-``forward_backbone`` is the shared trunk alone. ``backbone_layers`` lists its
-layers for it, for the norm-statistics pass, which walks them one at a time
-in plain numpy, and for ``predict``'s fold.
-``forward_experts`` adds the expert blocks and their cosine heads.
+``full_forward`` is the one composite forward. ``backbone_layers`` lists the
+shared trunk's layers for it, for the norm-statistics pass, which walks them
+one at a time in plain numpy, and for ``predict``'s fold.
 
 Variants:
   standard                concatenated detached representations -> aux head
@@ -125,7 +124,7 @@ class DamelConfig:
 class ForwardOutput:
     """Stacked expert outputs: logits [K, B, L] and unit representations [K, B, R]."""
 
-    expert_logits: Optional[Tensor]
+    expert_logits: Tensor
     normalized_reps: Tensor
     aux_logits: Optional[Tensor] = None
 
@@ -186,7 +185,7 @@ class DamelModel:
     ``buffer`` is the flat float64 vector; ``params`` maps each name to a
     view into it and cannot be rebound, so every write goes through the
     views. The model owns no copy of ``buffer``: two models over one vector
-    share their weights. The forward passes live below.
+    share their weights. The forward lives below.
     """
 
     def __init__(self, config: DamelConfig, buffer: np.ndarray, norm_states: dict):
@@ -251,10 +250,6 @@ def bind_params(model: DamelModel, tape: Tape) -> dict:
     return {name: tape.leaf(p) for name, p in model.params.items()}
 
 
-def constant_params(model: DamelModel) -> dict:
-    return {name: Tensor(p) for name, p in model.params.items()}
-
-
 def param_group(name: str) -> str:
     """'backbone', 'experts' or 'aux' from a parameter name."""
     return name.split(".", 1)[0]
@@ -273,10 +268,17 @@ def backbone_layers(model: DamelModel, p: dict) -> list:
     return layers
 
 
-def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> Tensor:
-    """Shared backbone: two affine(+norm)+relu layers, [B, input_dim] -> [B, hidden_dim].
+def full_forward(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
+    """The model's forward: backbone, stacked experts and, unless the variant
+    is aggregate_predictions, the auxiliary head.
 
-    Sets every norm layer to ``mode``.
+    Sets every norm layer to ``mode``. ``params`` defaults to the model's own
+    arrays, which every op reads as untaped constants. The expert heads give
+    cosine logits [K, B, L], softmax left to the loss. The auxiliary head reads
+    the [K, B, R] representations as constants (the detach wall), lays them
+    side by side per row (standard/capacity) or averages them
+    (average_representations), re-normalizes the rows and classifies them by
+    unit-column cosine weights.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -284,59 +286,25 @@ def forward_backbone(model: DamelModel, x, mode: str = "train", params: Optional
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.values.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"forward: input must be [B, {cfg.input_dim}], got {x.shape}")
-    p = params if params is not None else constant_params(model)
+    p = model.params if params is None else params
     for state in model.norm_states.values():
         state.mode = mode
 
     h = x
     for w, b, norm in backbone_layers(model, p):
         h = dense_bn_relu(h, w, b, norm, BN_MOMENTUM)
-    return h
-
-
-def forward_experts(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
-    """Backbone + stacked expert blocks; cosine logits [K, B, L], softmax left to the loss."""
-    p = params if params is not None else constant_params(model)
-    reps = expert_block(forward_backbone(model, x, mode=mode, params=p), p["experts.w"], p.get("experts.b"))
-    logits = cosine_logits(reps, p["experts.cls"], model.config.scale)
-    return ForwardOutput(expert_logits=logits, normalized_reps=reps)
-
-
-def forward_auxiliary(model: DamelModel, out: ForwardOutput, params: Optional[dict] = None) -> Optional[Tensor]:
-    """Auxiliary logits over gradient-detached expert representations.
-
-    The [K, B, R] representations are read as constants (the detach wall),
-    then laid side by side per row (standard/capacity) or averaged
-    (average_representations), re-normalized to unit rows, and classified by
-    unit-column cosine weights. Returns None for aggregate_predictions,
-    which has no auxiliary classifier.
-    """
-    cfg = model.config
+    reps = expert_block(h, p["experts.w"], p.get("experts.b"))
+    out = ForwardOutput(expert_logits=cosine_logits(reps, p["experts.cls"], cfg.scale),
+                        normalized_reps=reps)
     if cfg.variant == "aggregate_predictions":
-        return None
-    if out.normalized_reps is None:
-        raise ConfigError("forward_auxiliary: expert representations missing")
-    p = params if params is not None else constant_params(model)
-    reps = out.normalized_reps.values
+        return out
+    values = reps.values
     if cfg.variant == "average_representations":
-        merged = reps.sum(axis=0) * (1.0 / cfg.num_experts)
+        merged = values.sum(axis=0) * (1.0 / cfg.num_experts)
     else:
-        k, rows, width = reps.shape  # spelt out: -1 cannot be inferred at zero rows
-        merged = reps.transpose(1, 0, 2).reshape(rows, k * width)
-    aux_w = p["aux.cls"]
-    if merged.shape[1] != aux_w.shape[0]:
-        raise ConfigError(
-            f"auxiliary head expects width {aux_w.shape[0]}, got {merged.shape[1]} "
-            f"(variant {cfg.variant!r})"
-        )
-    logits = cosine_logits(l2_normalize(merged, axis=1), aux_w, cfg.scale)
-    out.aux_logits = logits
-    return logits
-
-
-def full_forward(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
-    out = forward_experts(model, x, mode=mode, params=params)
-    forward_auxiliary(model, out, params=params)
+        k, rows, width = values.shape  # spelt out: -1 cannot be inferred at zero rows
+        merged = values.transpose(1, 0, 2).reshape(rows, k * width)
+    out.aux_logits = cosine_logits(l2_normalize(merged, axis=1), p["aux.cls"], cfg.scale)
     return out
 
 
@@ -361,9 +329,9 @@ def _eval_kernel(model: DamelModel):
     weights. A block then runs on plain numpy. Where an auxiliary head
     predicts, the scores are the unit expert rows, laid side by side or
     summed, against its unit columns: the row renormalization, the 1/K and
-    the scale of ``forward_auxiliary`` are positive factors on a row, which
-    no argmax sees. aggregate_predictions keeps the scale and returns the
-    mean expert softmax, which the scale does change.
+    the scale of ``full_forward``'s auxiliary head are positive factors on a
+    row, which no argmax sees. aggregate_predictions keeps the scale and
+    returns the mean expert softmax, which the scale does change.
     """
     cfg = model.config
     layers = []

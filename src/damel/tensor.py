@@ -428,34 +428,29 @@ def detach(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _l2_parts(v: Array, axis: int, eps: float) -> tuple:
+def _l2_parts(v: Array, axis: int) -> tuple:
     """l2_normalize's output and its adjoint map."""
     norm = np.sqrt((v * v).sum(axis=axis, keepdims=True))
-    denom = np.maximum(norm, eps)
+    denom = np.maximum(norm, DEFAULT_NORM_EPS)
     out = v / denom
 
     def gx(g: Array) -> Array:
-        keep = (norm >= eps).astype(np.float64)
+        keep = (norm >= DEFAULT_NORM_EPS).astype(np.float64)
         inner = (g * out).sum(axis=axis, keepdims=True)
         return (g - keep * out * inner) / denom
 
     return out, gx
 
 
-def _check_eps(op_kind: str, eps: float) -> None:
-    if eps <= 0:
-        raise ContractError(f"{op_kind}: eps must be positive, got {eps}")
-
-
-def l2_normalize(x, axis: int = -1, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+def l2_normalize(x, axis: int = -1) -> Tensor:
     """Scale slices along ``axis`` to unit Euclidean norm.
 
-    The divisor is max(norm, eps), so slices with norm below eps (dead
-    features) pass through scaled by 1/eps instead of producing NaN.
+    The divisor is max(norm, DEFAULT_NORM_EPS), so slices with a smaller norm
+    (dead features) pass through scaled by 1/DEFAULT_NORM_EPS instead of
+    producing NaN.
     """
-    _check_eps("l2_normalize", eps)
     x = _wrap(x)
-    out, gx = _l2_parts(x.values, axis, eps)
+    out, gx = _l2_parts(x.values, axis)
     return _record("l2_normalize", (x,), out, _each((gx,)))
 
 
@@ -627,28 +622,26 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
     return _record("dense_bn_relu", inputs, out, adjoints)
 
 
-def expert_block(x, w, b=None, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+def expert_block(x, w, b=None) -> Tensor:
     """l2_normalize(relu(x @ w + b), axis=-1) as one node: the stacked expert layer.
 
     x [B, H] is shared by a stack w [K, H, R] (b [K, R], or None for no bias)
     and yields K blocks of unit rows [K, B, R]; 2-D weights work as well.
     """
-    _check_eps("expert_block", eps)
     z, inputs, gaffine = _affine_parts("expert_block", x, w, b)
     r = np.fmax(z, 0.0, out=z)
-    out, gnorm = _l2_parts(r, -1, eps)
+    out, gnorm = _l2_parts(r, -1)
     return _record("expert_block", inputs, out, lambda g, need: gaffine(gnorm(g) * (r > 0), need))
 
 
-def cosine_logits(x, w, scale: float, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+def cosine_logits(x, w, scale: float) -> Tensor:
     """scale * (x @ l2_normalize(w, axis=-2)) as one node: a cosine classifier.
 
     The columns of w [R, L] (or of each block of a stack [K, R, L]) are scaled
     to unit norm; x holds the unit feature rows, [B, R] or [K, B, R].
     """
-    _check_eps("cosine_logits", eps)
     x, w = _wrap(x), _wrap(w)
-    unit_w, gnorm = _l2_parts(w.values, -2, eps)
+    unit_w, gnorm = _l2_parts(w.values, -2)
     logits, gx, gunit = _matmul_parts("cosine_logits", x.values, unit_w)
     s = _as_array(scale)
     out = logits * s

@@ -188,6 +188,10 @@ def train(
         raise ContractError(
             f"averaging={cfg.averaging} does not take a {type(avg_state).__name__} state"
         )
+    if cfg.averaging == "ema" and avg_state.rate != cfg.ema_rate:
+        raise ContractError(
+            f"EmaState rate {avg_state.rate} does not match ema_rate {cfg.ema_rate}"
+        )
     if model.norm_states and cfg.epochs > 0 and (len(ds) - 1) % cfg.batch_size == 0:
         raise ContractError(
             f"batch_size {cfg.batch_size} leaves a single-sample final batch for "
@@ -199,7 +203,6 @@ def train(
     # The aux head, when there is one, is the tail of the flat layout.
     aux = model.params.get("aux.cls")
     aux_start = model.param_count() - (0 if aux is None else aux.size)
-    freeze_aux, freeze_rest = slice(aux_start, None), slice(0, aux_start)
     class_weights = class_balanced_weights(ds.spec)
     metrics: list[EpochMetrics] = []
 
@@ -208,7 +211,7 @@ def train(
         if cfg.decoupled and epoch == rep_phase_epochs:
             opt.velocity[:] = 0.0
         cfg_eff = replace(cfg, cb_loss_enabled=False) if (cfg.decoupled and not aux_phase) else cfg
-        frozen = (freeze_rest if aux_phase else freeze_aux) if cfg.decoupled else None
+        frozen = slice(0, aux_start) if aux_phase else None
 
         # Per-sample loss sums: the K expert terms, then balanced and total;
         # balanced stays nan without an aux head.

@@ -14,7 +14,6 @@ from damel.model import (
     DamelModel,
     _eval_kernel,
     bind_params,
-    forward_experts,
     full_forward,
     init_model,
     param_group,
@@ -96,14 +95,14 @@ class TestExpertForward:
 
     def test_cosine_logit_values(self):
         m = self._identity_model()
-        out = forward_experts(m, np.array([[3.0, 0.0]]), mode="eval")
+        out = full_forward(m, np.array([[3.0, 0.0]]), mode="eval")
         # representation [1, 0] against unit class columns [1,0] and [0,1]
         np.testing.assert_allclose(out.expert_logits.values[0], [[16.0, 0.0]], atol=1e-12)
 
     def test_logits_bounded_by_scale(self):
         rng = np.random.default_rng(2)
         m = init_model(small_config(), seed=3)
-        out = forward_experts(m, rng.normal(size=(20, 6)), mode="eval")
+        out = full_forward(m, rng.normal(size=(20, 6)), mode="eval")
         for logit in out.expert_logits.values:
             assert np.abs(logit).max() <= 16.0 * (1 + 1e-9)
 
@@ -111,15 +110,15 @@ class TestExpertForward:
         rng = np.random.default_rng(4)
         m = init_model(small_config(use_bias=False), seed=7)
         x = rng.normal(size=(5, 6))
-        base = forward_experts(m, x, mode="eval")
-        scaled = forward_experts(m, 3.7 * x, mode="eval")
+        base = full_forward(m, x, mode="eval")
+        scaled = full_forward(m, 3.7 * x, mode="eval")
         for a, b in zip(base.expert_logits.values, scaled.expert_logits.values):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_input_width_checked(self):
         m = init_model(small_config(), seed=0)
         with pytest.raises(ShapeError, match="input"):
-            forward_experts(m, np.ones((2, 7)))
+            full_forward(m, np.ones((2, 7)))
 
 
 class TestAuxiliary:
@@ -136,7 +135,7 @@ class TestAuxiliary:
     def test_concat_width_and_norm(self):
         m = init_model(small_config(num_experts=2, rep_dim=3), seed=2)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        out = forward_experts(m, x, mode="eval")
+        out = full_forward(m, x, mode="eval")
         concat = np.concatenate(list(out.normalized_reps.values), axis=1)
         assert concat.shape[1] == 6
         # two unit rows concatenated have norm sqrt(2) before re-normalization
@@ -183,6 +182,48 @@ class TestAuxiliary:
                 assert np.abs(g).sum() == 0.0, f"{name} leaked gradient through detach"
 
 
+class TestFullForward:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_default_params_are_untaped_and_match_bound_leaves(self, variant):
+        model = init_model(small_config(**_model_kwargs(variant, 3, True, True)), seed=5)
+        rng = np.random.default_rng(5)
+        for state in model.norm_states.values():
+            state.running_mean[:] = rng.normal(size=state.running_mean.shape)
+            state.running_var[:] = rng.uniform(0.5, 2.0, size=state.running_var.shape)
+        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
+                  for name, st in model.norm_states.items()}
+        twin = DamelModel(model.config, model.buffer.copy(), states)
+        x = rng.normal(size=(7, 6))
+
+        out = full_forward(model, x, mode="eval")
+        bound = full_forward(twin, x, mode="eval", params=bind_params(twin, Tape()))
+        pairs = [(out.expert_logits, bound.expert_logits), (out.normalized_reps, bound.normalized_reps)]
+        if variant == "aggregate_predictions":
+            assert out.aux_logits is None and bound.aux_logits is None
+        else:
+            pairs.append((out.aux_logits, bound.aux_logits))
+        for const, leafy in pairs:
+            assert const.tape is None and leafy.tape is not None
+            assert const.values.tobytes() == leafy.values.tobytes()
+
+    def test_unknown_mode_rejected(self):
+        model = init_model(small_config(), seed=0)
+        with pytest.raises(ConfigError, match="forward mode must be"):
+            full_forward(model, np.ones((2, 6)), mode="test")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_row_eval_forward(self, variant):
+        model = init_model(small_config(**_model_kwargs(variant, 3, True, True)), seed=0)
+        out = full_forward(model, np.ones((0, 6)), mode="eval")
+        k = model.config.num_experts
+        assert out.expert_logits.shape == (k, 0, 5)
+        assert out.normalized_reps.shape == (k, 0, model.config.expert_rep_dim)
+        if variant == "aggregate_predictions":
+            assert out.aux_logits is None
+        else:
+            assert out.aux_logits.shape == (0, 5)
+
+
 class TestPredict:
     def test_argmax_and_ties(self):
         # argmax over aux logits with lowest-index tie break
@@ -210,7 +251,7 @@ class TestPredict:
     def test_aggregate_uses_mean_expert_softmax(self):
         m = init_model(small_config(variant="aggregate_predictions"), seed=8)
         x = np.random.default_rng(8).normal(size=(5, 6))
-        out = forward_experts(m, x, mode="eval")
+        out = full_forward(m, x, mode="eval")
 
         def softmax(v):
             e = np.exp(v - v.max(axis=1, keepdims=True))

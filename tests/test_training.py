@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import damel.training as training
+from damel.averaging import EmaState
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
 from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
@@ -273,6 +274,14 @@ class TestTrain:
         model, ds, cfg = quick_train_setup(epochs=1)
         with pytest.raises(ContractError, match="averaging"):
             train(model, ds, cfg, None, seed=0)
+
+    def test_ema_state_at_another_rate_rejected(self):
+        model, ds, _ = quick_train_setup()
+        cfg = TrainConfig(epochs=2, batch_size=16, ema_rate=0.3)
+        steps = []
+        with pytest.raises(ContractError, match=r"EmaState rate 0\.1 does not match ema_rate 0\.3"):
+            train(model, ds, cfg, EmaState(rate=0.1), seed=0, step_hook=steps.append)
+        assert steps == []
 
     def test_decoupled_phases_freeze_param_groups(self):
         model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
