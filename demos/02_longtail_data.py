@@ -22,7 +22,7 @@ spec = long_tail_counts(num_classes=10, head_count=500, imbalance_ratio=100)
 print("counts:", spec.counts)
 print(f"total {spec.total}, realized imbalance ratio {spec.imbalance_ratio:.1f}")
 
-part = group_partition(spec, hi=100, lo=20)
+part = group_partition(spec)
 print("many:", sorted(part.many), "medium:", sorted(part.medium), "few:", sorted(part.few))
 
 print("\n== synthetic Gaussian blobs around seed-derived class directions ==")

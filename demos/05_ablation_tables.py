@@ -13,15 +13,16 @@ from pathlib import Path
 
 from damel.experiment import default_config, expand_suite, run_ablation_suite
 
-root = Path(tempfile.mkdtemp(prefix="damel_ablate_"))
-cfg = default_config(output_dir=str(root))  # full schedule; two seeds keep it quick
-cfg.seeds = [0, 1]
+with tempfile.TemporaryDirectory(prefix="damel_ablate_") as tmp:  # removed on exit
+    root = Path(tmp)
+    cfg = default_config(output_dir=str(root))  # full schedule; two seeds keep it quick
+    cfg.seeds = [0, 1]
 
-print("table12 expands into these cells:")
-for cell, _ in expand_suite(cfg, "table12"):
-    print("  -", cell)
+    print("table12 expands into these cells:")
+    for cell, _ in expand_suite(cfg, "table12"):
+        print("  -", cell)
 
-print("\nrunning the epoch-vs-iteration EMA comparison (table7) ...")
-csv_path, rows = run_ablation_suite(cfg, "table7")
-print(f"\nwrote {csv_path}:\n")
-print(csv_path.read_text())
+    print("\nrunning the epoch-vs-iteration EMA comparison (table7) ...")
+    csv_path, rows = run_ablation_suite(cfg, "table7")
+    print(f"\nwrote {csv_path.relative_to(root)}:\n")
+    print(csv_path.read_text())

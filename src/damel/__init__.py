@@ -39,7 +39,6 @@ from .evaluation import (
     EvalReport,
     bias_variance_decompose,
     evaluate,
-    one_hot_predictions,
 )
 from .experiment import (
     ExperimentConfig,

@@ -38,10 +38,6 @@ class EmaState:
         if self.weights is not None:
             self.weights = np.array(self.weights, dtype=np.float64)
 
-    @property
-    def initialized(self) -> bool:
-        return self.weights is not None
-
 
 @dataclass
 class SwaState:
@@ -53,10 +49,6 @@ class SwaState:
     def __post_init__(self):
         if self.weights is not None:
             self.weights = np.array(self.weights, dtype=np.float64)
-
-    @property
-    def initialized(self) -> bool:
-        return self.weights is not None
 
 
 def _check_length(state_weights: np.ndarray, snapshot: np.ndarray, kind: str) -> None:

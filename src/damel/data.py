@@ -2,8 +2,9 @@
 
 Training sets follow the exponential class-count profile
 count[k] = head_count * (1/imbalance_ratio)^(k/(L-1)) with classes sorted by
-descending cardinality. Test sets are always class-balanced. All operations
-are pure functions of (inputs, seed).
+descending cardinality. Test sets are always class-balanced. Classes group
+by training count at fixed thresholds: Many above 100 samples, Few below 20,
+Medium in between. All operations are pure functions of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -233,22 +234,20 @@ def split_balanced_holdout(source: Dataset, per_class: int, seed: int):
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Many/Medium/Few class groups by training-count thresholds."""
+    """Many/Medium/Few class groups by training count."""
 
     many: frozenset
     medium: frozenset
     few: frozenset
-    thresholds: tuple  # (hi, lo)
 
 
-def group_partition(spec: LongTailSpec, hi: int = 100, lo: int = 20) -> GroupPartition:
-    """Partition classes: many > hi, few < lo, medium covers [lo, hi]."""
-    if not hi > lo >= 1:
-        raise ContractError(f"group_partition: thresholds must satisfy hi > lo >= 1, got ({hi}, {lo})")
-    many = frozenset(c for c, n in enumerate(spec.counts) if n > hi)
-    few = frozenset(c for c, n in enumerate(spec.counts) if n < lo)
+def group_partition(spec: LongTailSpec) -> GroupPartition:
+    """Partition classes by training count: many above 100, few below 20,
+    medium covers [20, 100]."""
+    many = frozenset(c for c, n in enumerate(spec.counts) if n > 100)
+    few = frozenset(c for c, n in enumerate(spec.counts) if n < 20)
     medium = frozenset(range(spec.num_classes)) - many - few
-    return GroupPartition(many, medium, few, (hi, lo))
+    return GroupPartition(many, medium, few)
 
 
 def epoch_permutation(n: int, seed: int, epoch: int) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Test-time metrics: group-wise accuracy, confusion matrices, and the
-across-runs squared-bias / variance decomposition of one-hot predictions.
+"""Test-time metrics: overall and Many/Medium/Few accuracy (the groups of
+data.group_partition), confusion matrices, and the across-runs squared-bias /
+variance decomposition of one-hot predictions (labels_one_hot of each run's
+predicted classes).
 
 With deterministic labels the squared error of one-hot predictions splits
 exactly: mse = bias_sq + variance, where the mean prediction is taken over
@@ -102,11 +104,6 @@ def evaluate(model: DamelModel, test_ds: Dataset, partition: GroupPartition) -> 
     return EvalReport(overall, group_acc, total, confusion, preds, test_ds.labels)
 
 
-def one_hot_predictions(model: DamelModel, test_ds: Dataset) -> np.ndarray:
-    """[M, L] indicator matrix of the model's predictions."""
-    return labels_one_hot(predict(model, test_ds.features), model.config.num_classes)
-
-
 def labels_one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     out = np.zeros((labels.shape[0], num_classes))
@@ -131,10 +128,6 @@ class BiasVarianceReport:
             "mse": self.mse,
             "num_runs": self.num_runs,
         }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
 
 
 def bias_variance_decompose(preds_per_run, labels_onehot, return_per_sample: bool = False) -> BiasVarianceReport:

@@ -63,7 +63,7 @@ from .data import (
     synthesize_balanced_test,
     synthesize_gaussian_longtail,
 )
-from .errors import ConfigError, DamelError
+from .errors import CapacityError, ConfigError, DamelError
 from .evaluation import (
     GROUP_NAMES,
     EvalReport,
@@ -411,8 +411,11 @@ def build_datasets(dataset: DatasetBlock, seed: int):
                 f"dataset: file holds {source_ds.spec.num_classes} classes, config says "
                 f"{dataset.num_classes}"
             )
-        test_ds, rest = split_balanced_holdout(source_ds, dataset.test_per_class, dataset.base_seed)
-        train_ds = subsample_longtail(rest, spec, seed=seed)
+        try:
+            test_ds, rest = split_balanced_holdout(source_ds, dataset.test_per_class, dataset.base_seed)
+            train_ds = subsample_longtail(rest, spec, seed=seed)
+        except CapacityError as err:
+            raise ConfigError(f"dataset: {err}") from None
     return train_ds, test_ds, group_partition(spec)
 
 

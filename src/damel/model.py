@@ -200,9 +200,6 @@ class DamelModel:
         self.params = MappingProxyType(param_views(config, buffer))
         self.norm_states = norm_states
 
-    def param_count(self) -> int:
-        return self.buffer.size
-
     @cached_property
     def grad_layout(self) -> tuple:
         """(a flat vector, name -> view of it shaped like that parameter),

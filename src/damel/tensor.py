@@ -67,17 +67,19 @@ def _as_array(values) -> Array:
 class Tensor:
     """A dense float64 value, optionally linked to a node on a Tape.
 
-    Tensors are treated as immutable once created; ops return new tensors.
+    ``Tensor(values)`` is an untaped constant; only an op or Tape.leaf
+    links a Tensor to a tape. Tensors are treated as immutable once
+    created; ops return new tensors.
     A Tensor keeps its tape alive, never the other way round; gradients are
     read from the map that :func:`backward` returns.
     """
 
     __slots__ = ("values", "tape", "tape_id")
 
-    def __init__(self, values, tape: Optional["Tape"] = None, tape_id: Optional[int] = None):
+    def __init__(self, values):
         self.values = _as_array(values)
-        self.tape = tape
-        self.tape_id = tape_id
+        self.tape = None
+        self.tape_id = None
 
     @property
     def shape(self) -> tuple:
@@ -92,15 +94,6 @@ class Tensor:
             raise ContractError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return detach(self)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
-
-    def mean(self) -> "Tensor":
-        return reduce_mean(self)
-
     def __add__(self, other) -> "Tensor":
         return add(self, _wrap(other))
 
@@ -110,9 +103,6 @@ class Tensor:
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, _wrap(other))
 
     def __repr__(self) -> str:
         link = f", tape_id={self.tape_id}" if self.tape_id is not None else ""
@@ -237,8 +227,6 @@ def backward(loss: Tensor) -> dict:
         if gout is None:
             continue
         for input_id, g in zip(node.input_ids, node.backward_fn(gout)):
-            if g is None:
-                continue
             prev = adjoint.get(input_id)
             adjoint[input_id] = g if prev is None else prev + g
     grads: dict[int, Tensor] = {}

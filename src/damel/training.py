@@ -66,7 +66,7 @@ class OptimizerState:
 
     @classmethod
     def for_model(cls, model: DamelModel) -> "OptimizerState":
-        return cls(np.zeros(model.param_count()))
+        return cls(np.zeros(model.buffer.size))
 
 
 @dataclass
@@ -202,7 +202,7 @@ def train(
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
     # The aux head, when there is one, is the tail of the flat layout.
     aux = model.params.get("aux.cls")
-    aux_start = model.param_count() - (0 if aux is None else aux.size)
+    aux_start = model.buffer.size - (0 if aux is None else aux.size)
     class_weights = class_balanced_weights(ds.spec)
     metrics: list[EpochMetrics] = []
 
@@ -244,7 +244,8 @@ def train(
             avg_state = update_average(avg_state, model.buffer)
 
         test_acc_ema = float("nan")
-        if test_ds is not None and avg_state is not None and avg_state.initialized:
+        # Every epoch folds at least one snapshot in, so a state holds weights here.
+        if test_ds is not None and avg_state is not None:
             test_acc_ema = _accuracy(load_eval_model(model, avg_state.weights, ds), test_ds)
         means = sums / len(ds)  # an epoch passes over every sample once
         metrics.append(

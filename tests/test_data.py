@@ -166,14 +166,13 @@ class TestSubsample:
 
 class TestGroupPartition:
     def test_default_thresholds(self):
-        part = group_partition(LongTailSpec((500, 50, 5)), hi=100, lo=20)
+        part = group_partition(LongTailSpec((500, 50, 5)))
         assert (part.many, part.medium, part.few) == ({0}, {1}, {2})
 
     def test_boundaries_inclusive_in_medium(self):
         part = group_partition(LongTailSpec((100, 100, 100)))
         assert part.medium == {0, 1, 2} and not part.many and not part.few
         edge = group_partition(LongTailSpec((101, 100, 20, 19)))
-        assert part.thresholds == (100, 20)
         assert (edge.many, edge.medium, edge.few) == ({0}, {1, 2}, {3})
 
     def test_matches_threshold_scan(self):
@@ -183,10 +182,6 @@ class TestGroupPartition:
             expected = "many" if n > 100 else ("few" if n < 20 else "medium")
             assert cls in getattr(part, expected)
         assert len(part.many) + len(part.medium) + len(part.few) == spec.num_classes
-
-    def test_threshold_validation(self):
-        with pytest.raises(ContractError, match="hi > lo"):
-            group_partition(LongTailSpec((5, 4)), hi=10, lo=10)
 
 
 class TestMinibatchIterator:

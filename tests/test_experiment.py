@@ -16,7 +16,7 @@ from damel.cli import main as cli_main
 from damel.errors import ConfigError, DamelError
 from damel.averaging import recompute_running_stats
 from damel.data import load_csv_dataset, load_idx_dataset, split_balanced_holdout
-from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot, one_hot_predictions
+from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot
 from damel.experiment import (
     SUITES,
     RunRecord,
@@ -34,7 +34,7 @@ from damel.experiment import (
     run_single,
     save_checkpoint,
 )
-from damel.model import init_model
+from damel.model import init_model, predict
 
 
 @pytest.fixture(autouse=True)
@@ -277,7 +277,8 @@ class TestRunSingle:
         eval_model.buffer[:] = averaged if averaged_drives else trained
         recompute_running_stats(eval_model, train_ds)
         saved = np.load(run_dir / "onehot.npy")
-        assert saved.tobytes() == one_hot_predictions(eval_model, test_ds).tobytes()
+        expected = labels_one_hot(predict(eval_model, test_ds.features), model_cfg.num_classes)
+        assert saved.tobytes() == expected.tobytes()
 
     def test_zero_epochs_near_chance(self, tmp_path):
         raw = small_raw(tmp_path, train={"epochs": 0})
@@ -1238,6 +1239,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}") and err.count("\n") == 1
         assert err.endswith("dataset: file holds 3 classes, config says 4\n")
+
+    @pytest.mark.parametrize("dataset, reason", [
+        ({"test_per_class": 30}, "holdout: class 0 has 25 samples, needs at least 31"),
+        ({"head_count": 41}, "subsample: class 0 has 21 samples, spec needs 41"),
+    ], ids=["holdout", "subsample"])
+    @pytest.mark.parametrize("command, where", [
+        (["run", "--seed", "0"], ""),
+        (["sweep", "--seeds", "0,1", "--workers", "2"], "sweep: seed "),
+    ], ids=["run", "sweep_workers_2"])
+    def test_csv_too_small_for_the_profile_exits_1(self, tmp_path, capsys, command, where,
+                                                   dataset, reason):
+        """25 rows per class cannot fill the configured holdout or training profile."""
+        write_csv_pool(tmp_path / "pool.csv", seed=0)
+        raw = csv_raw(tmp_path, tmp_path / "pool.csv")
+        raw["dataset"].update(dataset)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+        assert f"dataset: {reason}" in err
+        assert not Path(raw["output_dir"]).exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "cfg.json"

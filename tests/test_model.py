@@ -52,7 +52,7 @@ class TestInit:
         backbone = 20 * 64 + 64 + 64 * 64 + 64
         experts = 3 * (64 * 32 + 32 + 32 * 10)
         aux = (3 * 32) * 10
-        assert m.param_count() == backbone + experts + aux
+        assert m.buffer.size == backbone + experts + aux
 
     def test_params_are_views_of_one_buffer_in_per_expert_order(self):
         m = init_model(small_config(use_norm_layers=True), seed=3)

@@ -114,19 +114,19 @@ class TestComputeLosses:
 class TestSgdStep:
     def _flat_model(self):
         model = init_model(tiny_config(num_experts=1), seed=0)
-        model.buffer[:] = np.zeros(model.param_count())
+        model.buffer[:] = np.zeros(model.buffer.size)
         return model
 
     def test_plain_step(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
-        sgd_step(model, np.ones(model.param_count()), opt, lr=0.1, momentum=0.0)
+        sgd_step(model, np.ones(model.buffer.size), opt, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(model.buffer.copy(), -0.1)
 
     def test_two_step_momentum_recursion(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
-        g = np.ones(model.param_count())
+        g = np.ones(model.buffer.size)
         sgd_step(model, g, opt, lr=1.0, momentum=0.9)
         sgd_step(model, g, opt, lr=1.0, momentum=0.9)
         np.testing.assert_allclose(model.buffer.copy(), -2.9)
@@ -134,16 +134,16 @@ class TestSgdStep:
     def test_zero_gradient_decays_velocity(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
-        sgd_step(model, np.ones(model.param_count()), opt, lr=0.0 + 0.1, momentum=0.5)
+        sgd_step(model, np.ones(model.buffer.size), opt, lr=0.0 + 0.1, momentum=0.5)
         theta = model.buffer.copy()
-        sgd_step(model, np.zeros(model.param_count()), opt, lr=0.1, momentum=0.5)
+        sgd_step(model, np.zeros(model.buffer.size), opt, lr=0.1, momentum=0.5)
         np.testing.assert_allclose(opt.velocity, 0.5)
         assert not np.array_equal(model.buffer.copy(), theta)  # velocity still moving
 
     def test_non_finite_gradient_aborts(self):
         model = self._flat_model()
         opt = OptimizerState.for_model(model)
-        bad = np.ones(model.param_count())
+        bad = np.ones(model.buffer.size)
         bad[0] = np.nan
         with pytest.raises(NumericError, match="non-finite"):
             sgd_step(model, bad, opt, lr=0.1, momentum=0.9)
@@ -179,8 +179,10 @@ class TestTrain:
         sums = [sum(m.expert_ce) for m in metrics]
         assert all(a > b for a, b in zip(sums[:5], sums[1:6]))
 
-    @pytest.mark.parametrize("averaging", ["ema", "swa"])
-    def test_averaged_score_views_the_state_weights(self, monkeypatch, averaging):
+    @pytest.mark.parametrize("averaging, ema_frequency", [
+        ("ema", "epoch"), ("swa", "epoch"), ("ema", "iteration"), ("none", "epoch"),
+    ], ids=["ema", "swa", "ema_iteration", "none"])
+    def test_averaged_score_views_the_state_weights(self, monkeypatch, averaging, ema_frequency):
         seen = []
         real_load = training.load_eval_model
 
@@ -188,11 +190,14 @@ class TestTrain:
             seen.append(weights)
             return real_load(model, weights, train_ds)
 
-        model, ds, cfg = quick_train_setup(epochs=3, averaging=averaging)
+        model, ds, cfg = quick_train_setup(epochs=3, averaging=averaging, ema_frequency=ema_frequency)
         monkeypatch.setattr(training, "load_eval_model", recording_load)
         _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
-        assert len(seen) == 3 and all(weights is avg.weights for weights in seen)
-        assert all(np.isfinite(m.test_acc_ema) for m in metrics)
+        if avg is None:
+            assert not seen and all(np.isnan(m.test_acc_ema) for m in metrics)
+        else:
+            assert len(seen) == 3 and all(weights is avg.weights for weights in seen)
+            assert all(np.isfinite(m.test_acc_ema) for m in metrics)
 
     def test_deterministic(self):
         runs = []
