@@ -71,7 +71,6 @@ from .tensor import (
 )
 from .training import (
     LossBundle,
-    OptimizerState,
     TrainConfig,
     class_balanced_weights,
     compute_losses,

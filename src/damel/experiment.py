@@ -14,8 +14,8 @@ the files of an idx/csv source must be readable before any run starts. The
 first failure stops the fan-out once the running runs finish, and records
 come back in memory, so a sweep's summary reads no artifact and builds no
 data again. A file-backed source (idx/csv) is parsed once per process and
-content, not once per run. A CSV source is also parsed once per content across processes: the
-first parse writes a table cache beside the file,
+content, not once per run. A CSV source is also parsed once per content
+across processes: the first parse writes a table cache beside the file,
 <csv dir>/.damel-cache/<csv name>.npz, keyed by the sha256 of the CSV bytes,
 and pool workers and later commands load that instead. A cache that fails
 validation is parsed over and rewritten, an unwritable directory means no
@@ -811,8 +811,14 @@ def _write_summary_csv(csv_path: Path, groups):
 
 
 def run_ablation_suite(cfg: ExperimentConfig, suite: str, workers=None):
-    """Run every cell of a suite over the configured seeds; returns (csv_path, rows)."""
+    """Run every cell of a suite over the configured seeds; returns (csv_path, rows).
+    Every cell's config is checked before any run starts."""
     cells = expand_suite(cfg, suite)
+    for cell, cell_cfg in cells:
+        try:
+            parse_config(config_to_dict(cell_cfg))
+        except ConfigError as err:
+            raise ConfigError(f"{suite}/{cell}: {err}") from None
     suite_dir = Path(cfg.output_dir) / suite
     jobs = [
         (cell_cfg, seed, suite_dir / cell / str(seed), f"{suite}/{cell}")

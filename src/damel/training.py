@@ -3,9 +3,10 @@
 Each step runs one forward over experts and the auxiliary head, one backward
 over the combined objective (per-expert cross-entropy plus the weighted
 class-balanced term on the auxiliary logits), and one SGD update in place on
-the model's parameter buffer. Averaged weights are folded in per iteration or
-per epoch according to the config, read straight from that buffer; the
-averaging state never aliases it.
+the model's parameter buffer. The momentum buffer is a plain array that
+train() owns and sgd_step updates in place. Averaged weights are folded in
+per iteration or per epoch according to the config, read straight from the
+parameter buffer; the averaging state never aliases it.
 """
 
 from __future__ import annotations
@@ -59,17 +60,6 @@ class TrainConfig:
 
 
 @dataclass
-class OptimizerState:
-    """Momentum buffer aligned with the flattened parameter vector."""
-
-    velocity: np.ndarray
-
-    @classmethod
-    def for_model(cls, model: DamelModel) -> "OptimizerState":
-        return cls(np.zeros(model.buffer.size))
-
-
-@dataclass
 class LossBundle:
     """Tape-linked losses for one batch; total honors the enabled terms.
 
@@ -79,15 +69,6 @@ class LossBundle:
     expert_ce: Tensor
     balanced_ce: Optional[Tensor]
     total: Tensor
-
-    def expert_values(self) -> list:
-        return self.expert_ce.values.tolist()
-
-    def balanced_value(self) -> float:
-        return float(self.balanced_ce.values) if self.balanced_ce is not None else float("nan")
-
-    def total_value(self) -> float:
-        return float(self.total.values)
 
 
 @dataclass
@@ -127,18 +108,18 @@ def compute_losses(out, labels, spec: LongTailSpec, cfg: TrainConfig,
     return LossBundle(expert_ce=expert_ce, balanced_ce=balanced, total=total)
 
 
-def sgd_step(model: DamelModel, grad_flat: np.ndarray, opt: OptimizerState,
+def sgd_step(model: DamelModel, grad_flat: np.ndarray, velocity: np.ndarray,
              lr: float, momentum: float) -> None:
-    """v <- momentum*v + g; theta <- theta - lr*v (in place on the model)."""
+    """v <- momentum*v + g; theta <- theta - lr*v, in place on the plain
+    momentum array ``velocity`` and on the model's parameter buffer."""
     grad_flat = np.asarray(grad_flat, dtype=np.float64)
-    if grad_flat.shape != opt.velocity.shape:
+    if grad_flat.shape != velocity.shape:
         raise ContractError(
             f"sgd_step: gradient length {grad_flat.shape} does not match "
-            f"velocity {opt.velocity.shape}"
+            f"velocity {velocity.shape}"
         )
     if not np.isfinite(grad_flat).all():
         raise NumericError("sgd_step: non-finite gradient")
-    velocity = opt.velocity
     velocity *= momentum
     velocity += grad_flat
     model.buffer -= lr * velocity
@@ -198,7 +179,7 @@ def train(
             f"{len(ds)} samples, which norm layers cannot train on; pick a batch "
             "size with a different remainder"
         )
-    opt = OptimizerState.for_model(model)
+    velocity = np.zeros(model.buffer.size)
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
     # The aux head, when there is one, is the tail of the flat layout.
     aux = model.params.get("aux.cls")
@@ -209,7 +190,7 @@ def train(
     for epoch in range(cfg.epochs):
         aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
         if cfg.decoupled and epoch == rep_phase_epochs:
-            opt.velocity[:] = 0.0
+            velocity[:] = 0.0
         cfg_eff = replace(cfg, cb_loss_enabled=False) if (cfg.decoupled and not aux_phase) else cfg
         frozen = slice(0, aux_start) if aux_phase else None
 
@@ -221,7 +202,7 @@ def train(
             params = bind_params(model, tape)
             out = full_forward(model, xb, mode="train", params=params)
             bundle = compute_losses(out, yb, ds.spec, cfg_eff, class_weights)
-            if not np.isfinite(bundle.total_value()):
+            if not np.isfinite(bundle.total.values):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, iteration {iteration}"
                 )
@@ -230,15 +211,15 @@ def train(
             if frozen is not None:
                 grad_flat[frozen] = 0.0
             try:
-                sgd_step(model, grad_flat, opt, cfg.lr, cfg.momentum)
+                sgd_step(model, grad_flat, velocity, cfg.lr, cfg.momentum)
             except NumericError as err:
                 raise NumericError(f"{err} (epoch {epoch}, iteration {iteration})") from None
             if cfg.ema_frequency == "iteration":
                 avg_state = update_average(avg_state, model.buffer)
             if step_hook is not None:
                 step_hook(StepContext(epoch, iteration, bundle, params, model))
-            sums += np.array([*bundle.expert_values(), bundle.balanced_value(),
-                              bundle.total_value()]) * len(yb)
+            balanced = np.nan if bundle.balanced_ce is None else bundle.balanced_ce.values
+            sums += np.hstack([bundle.expert_ce.values, balanced, bundle.total.values]) * len(yb)
 
         if cfg.ema_frequency == "epoch":
             avg_state = update_average(avg_state, model.buffer)

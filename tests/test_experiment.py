@@ -1063,6 +1063,13 @@ class TestSuites:
             run_ablation_suite(cfg, "table7")
         assert not (Path(cfg.output_dir) / "table7").exists()
 
+    def test_empty_seed_list_rejected_before_any_run(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path))
+        cfg.seeds = []
+        with pytest.raises(ConfigError, match="table7/iteration: seeds must be a non-empty list"):
+            run_ablation_suite(cfg, "table7")
+        assert not Path(cfg.output_dir).exists()
+
     def test_run_record_json_round_trip(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
         record = run_single(cfg, seed=0, run_dir=tmp_path / "run")
@@ -1220,6 +1227,17 @@ class TestCli:
         assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: dataset: synthesize: ") and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_suite_cell_the_model_cannot_run_exits_1_before_any_run(self, tmp_path, capsys, workers):
+        """Under capacity_controlled, table8's multi-expert cells are invalid configs."""
+        path, raw = self._write_cfg(tmp_path, model={
+            "num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2})
+        argv = ["ablate", "--config", str(path), "--suite", "table8", "--workers", workers]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: table8/experts_2: model: ") and err.count("\n") == 1
         assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("command, where", [

@@ -13,7 +13,6 @@ from damel.errors import ContractError, NumericError
 from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
 from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
-    OptimizerState,
     TrainConfig,
     class_balanced_weights,
     compute_losses,
@@ -64,7 +63,7 @@ class TestComputeLosses:
         ds = tiny_dataset()
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
         bundle = compute_losses(out, ds.labels[:6], ds.spec, TrainConfig(epochs=1))
-        assert bundle.expert_values()[0] == bundle.expert_values()[1]
+        assert bundle.expert_ce.values.tolist()[0] == bundle.expert_ce.values.tolist()[1]
 
     def test_balanced_spec_matches_unweighted(self):
         model = init_model(tiny_config(), seed=2)
@@ -74,7 +73,7 @@ class TestComputeLosses:
         from damel.tensor import softmax_cross_entropy
 
         unweighted = softmax_cross_entropy(out.aux_logits, ds.labels[:6])
-        assert abs(bundle.balanced_value() - unweighted.item()) < 1e-12
+        assert abs(bundle.balanced_ce.item() - unweighted.item()) < 1e-12
 
     def test_zero_weight_drops_balanced_term(self):
         model = init_model(tiny_config(), seed=3)
@@ -83,7 +82,7 @@ class TestComputeLosses:
         bundle = compute_losses(
             out, ds.labels[:6], ds.spec, TrainConfig(epochs=1, cb_loss_weight=0.0)
         )
-        assert abs(bundle.total_value() - sum(bundle.expert_values())) < 1e-12
+        assert abs(bundle.total.item() - sum(bundle.expert_ce.values.tolist())) < 1e-12
 
     def test_total_linearity_invariant(self):
         model = init_model(tiny_config(), seed=4)
@@ -91,8 +90,8 @@ class TestComputeLosses:
         cfg = TrainConfig(epochs=1, cb_loss_weight=1.7)
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
         bundle = compute_losses(out, ds.labels[:6], ds.spec, cfg)
-        expected = sum(bundle.expert_values()) + 1.7 * bundle.balanced_value()
-        assert abs(bundle.total_value() - expected) < 1e-12
+        expected = sum(bundle.expert_ce.values.tolist()) + 1.7 * bundle.balanced_ce.item()
+        assert abs(bundle.total.item() - expected) < 1e-12
 
     def test_one_backward_equals_sum_of_parts(self):
         model = init_model(tiny_config(), seed=5)
@@ -119,34 +118,38 @@ class TestSgdStep:
 
     def test_plain_step(self):
         model = self._flat_model()
-        opt = OptimizerState.for_model(model)
-        sgd_step(model, np.ones(model.buffer.size), opt, lr=0.1, momentum=0.0)
+        velocity = np.zeros(model.buffer.size)
+        sgd_step(model, np.ones(model.buffer.size), velocity, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(model.buffer.copy(), -0.1)
 
     def test_two_step_momentum_recursion(self):
         model = self._flat_model()
-        opt = OptimizerState.for_model(model)
+        velocity = np.zeros(model.buffer.size)
         g = np.ones(model.buffer.size)
-        sgd_step(model, g, opt, lr=1.0, momentum=0.9)
-        sgd_step(model, g, opt, lr=1.0, momentum=0.9)
+        sgd_step(model, g, velocity, lr=1.0, momentum=0.9)
+        sgd_step(model, g, velocity, lr=1.0, momentum=0.9)
         np.testing.assert_allclose(model.buffer.copy(), -2.9)
 
     def test_zero_gradient_decays_velocity(self):
         model = self._flat_model()
-        opt = OptimizerState.for_model(model)
-        sgd_step(model, np.ones(model.buffer.size), opt, lr=0.0 + 0.1, momentum=0.5)
+        velocity = np.zeros(model.buffer.size)
+        sgd_step(model, np.ones(model.buffer.size), velocity, lr=0.0 + 0.1, momentum=0.5)
         theta = model.buffer.copy()
-        sgd_step(model, np.zeros(model.buffer.size), opt, lr=0.1, momentum=0.5)
-        np.testing.assert_allclose(opt.velocity, 0.5)
+        sgd_step(model, np.zeros(model.buffer.size), velocity, lr=0.1, momentum=0.5)
+        np.testing.assert_allclose(velocity, 0.5)
         assert not np.array_equal(model.buffer.copy(), theta)  # velocity still moving
 
-    def test_non_finite_gradient_aborts(self):
+    @pytest.mark.parametrize("bad_value, missing, error, match", [
+        (np.nan, 0, NumericError, "non-finite"),
+        (1.0, 1, ContractError, "does not match velocity"),
+    ], ids=["nan_gradient", "short_velocity"])
+    def test_non_finite_gradient_aborts(self, bad_value, missing, error, match):
         model = self._flat_model()
-        opt = OptimizerState.for_model(model)
+        velocity = np.zeros(model.buffer.size - missing)
         bad = np.ones(model.buffer.size)
-        bad[0] = np.nan
-        with pytest.raises(NumericError, match="non-finite"):
-            sgd_step(model, bad, opt, lr=0.1, momentum=0.9)
+        bad[0] = bad_value
+        with pytest.raises(error, match=match):
+            sgd_step(model, bad, velocity, lr=0.1, momentum=0.9)
 
 
 def quick_train_setup(seed=0, epochs=3, **cfg_overrides):
@@ -310,8 +313,11 @@ class TestTrain:
             np.testing.assert_array_equal(backbone, backbone_frozen)
         assert not np.array_equal(model.params["aux.cls"], init_aux)
 
-    def test_metrics_log_shape(self):
+    @pytest.mark.parametrize("variant", ["standard", "aggregate_predictions"])
+    def test_metrics_log_shape(self, variant):
         model, ds, cfg = quick_train_setup(epochs=2)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, variant=variant), seed=0)
+        has_aux = "aux.cls" in model.params
         test_ds = tiny_dataset(seed=9, per_class=4, num_classes=4)
         _, _, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=test_ds)
         assert [m.epoch for m in metrics] == [0, 1]
@@ -319,3 +325,6 @@ class TestTrain:
             assert len(m.expert_ce) == 2
             assert np.isfinite(m.total) and np.isfinite(m.train_acc)
             assert np.isfinite(m.test_acc_raw) and np.isfinite(m.test_acc_ema)
+            assert np.isfinite(m.balanced_ce) == has_aux
+            expected = sum(m.expert_ce) + (cfg.cb_loss_weight * m.balanced_ce if has_aux else 0.0)
+            assert abs(m.total - expected) < 1e-12
