@@ -63,7 +63,7 @@ from .data import (
     synthesize_balanced_test,
     synthesize_gaussian_longtail,
 )
-from .errors import CapacityError, ConfigError, DamelError
+from .errors import CapacityError, ConfigError, DamelError, NumericError
 from .evaluation import (
     GROUP_NAMES,
     EvalReport,
@@ -72,7 +72,7 @@ from .evaluation import (
     labels_one_hot,
 )
 from .model import DamelConfig, init_model, param_count
-from .training import TrainConfig, make_avg_state, train
+from .training import FP_RAISE, TrainConfig, make_avg_state, train
 
 CHECKPOINT_MAGIC = b"DAMELCKP"
 
@@ -564,8 +564,10 @@ def _write_metrics_csv(path, metrics, num_experts: int) -> None:
 def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
     """Build data, train, evaluate the averaged (else trained) weights, persist artifacts.
 
-    A failed run removes its run directory, and the parents of it that it
-    created, as far as they are empty.
+    Training and the final evaluation run under ``FP_RAISE``, so a
+    floating-point fault in either fails the run as a NumericError; data
+    ingestion runs outside it. A failed run removes its run directory, and
+    the parents of it that it created, as far as they are empty.
     """
     _check_seed(seed, "seed")
     _check_source_files(cfg.dataset)
@@ -584,8 +586,12 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
             model, train_ds, cfg.train, avg_state, seed=seed, test_ds=test_ds
         )
         averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
-        eval_model = load_eval_model(model, model.buffer if averaged is None else averaged, train_ds)
-        report = evaluate(eval_model, test_ds, partition)
+        weights = model.buffer if averaged is None else averaged
+        try:
+            with np.errstate(**FP_RAISE):
+                report = evaluate(load_eval_model(model, weights, train_ds), test_ds, partition)
+        except FloatingPointError as err:
+            raise NumericError(f"{err} (final evaluation)") from None
         onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
 
         record = RunRecord(
@@ -850,7 +856,8 @@ def _load_run_record(path) -> RunRecord:
 def aggregate_report(root_dir):
     """Rebuild the per-cell summary CSV from run.json records under a directory,
     which may be any level of a <suite>/<cell>/<seed>/run.json tree: each run's
-    suite and cell are the two directory names above its seed directory."""
+    suite and cell are the two directory names above its seed directory. A
+    tree that holds no run.json is a ConfigError, and no CSV is written."""
     root = Path(root_dir)
     if not root.is_dir():
         raise ConfigError(f"report: {root} is not a directory")
@@ -859,6 +866,8 @@ def aggregate_report(root_dir):
         cell_dir = run_json.absolute().parent.parent
         key = (cell_dir.parent.name, cell_dir.name)
         groups.setdefault(key, []).append(_load_run_record(run_json))
+    if not groups:
+        raise ConfigError(f"report: no run records under {root}")
     return _write_summary_csv(root / "report.csv", [
         (key, sorted(records, key=lambda record: record.seed))
         for key, records in sorted(groups.items())

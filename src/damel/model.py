@@ -44,7 +44,6 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from types import MappingProxyType
 from typing import Optional
@@ -199,13 +198,6 @@ class DamelModel:
         self.buffer = buffer
         self.params = MappingProxyType(param_views(config, buffer))
         self.norm_states = norm_states
-
-    @cached_property
-    def grad_layout(self) -> tuple:
-        """(a flat vector, name -> view of it shaped like that parameter),
-        laid out once per model for gathering a step's gradients."""
-        flat = np.empty(self.buffer.size)
-        return flat, param_views(self.config, flat)
 
 
 def _fan_in_uniform(rng, shape) -> np.ndarray:

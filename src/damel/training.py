@@ -3,10 +3,14 @@
 Each step runs one forward over experts and the auxiliary head, one backward
 over the combined objective (per-expert cross-entropy plus the weighted
 class-balanced term on the auxiliary logits), and one SGD update in place on
-the model's parameter buffer. The momentum buffer is a plain array that
-train() owns and sgd_step updates in place. Averaged weights are folded in
-per iteration or per epoch according to the config, read straight from the
-parameter buffer; the averaging state never aliases it.
+the model's parameter buffer. train() owns the step's two flat vectors, each
+allocated once per call: the momentum buffer, which sgd_step updates in
+place, and the gradient vector, which flatten_grads fills in place through
+its per-parameter views. Averaged weights are folded in per iteration or per
+epoch according to the config, read straight from the parameter buffer; the
+averaging state never aliases it. A floating-point fault (overflow, an
+invalid operation or a division by zero) in a step or an epoch-end
+evaluation ends the run as a NumericError naming where it happened.
 """
 
 from __future__ import annotations
@@ -19,11 +23,14 @@ import numpy as np
 from .averaging import EmaState, SwaState, load_eval_model, update_average
 from .data import Dataset, LongTailSpec, minibatch_iterator
 from .errors import ConfigError, ContractError, NumericError
-from .model import DamelModel, bind_params, full_forward, predict
+from .model import DamelModel, bind_params, full_forward, param_views, predict
 from .tensor import Tape, Tensor, backward, loss_fold, softmax_cross_entropy
 
 EMA_FREQUENCIES = ("epoch", "iteration")
 AVERAGING_SCHEMES = ("ema", "swa", "none")
+# A run's numpy error state: overflow, invalid operations and division by
+# zero raise FloatingPointError; underflow, which flushes to zero, stays silent.
+FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
 @dataclass
@@ -125,12 +132,11 @@ def sgd_step(model: DamelModel, grad_flat: np.ndarray, velocity: np.ndarray,
     model.buffer -= lr * velocity
 
 
-def flatten_grads(model: DamelModel, params: dict, grads: dict) -> np.ndarray:
-    """Gradient map from backward() -> a fresh flat vector in parameter order."""
-    flat, views = model.grad_layout
-    for name, view in views.items():
+def flatten_grads(grad_views: dict, params: dict, grads: dict) -> None:
+    """Write the gradient map from backward() into ``grad_views``, name -> view
+    of a flat vector shaped like that parameter (``param_views`` of it)."""
+    for name, view in grad_views.items():
         view[...] = grads[params[name].tape_id].values
-    return flat.copy()
 
 
 def _accuracy(model: DamelModel, ds: Dataset) -> float:
@@ -148,6 +154,7 @@ class EpochMetrics:
     test_acc_ema: float
 
 
+@np.errstate(**FP_RAISE)
 def train(
     model: DamelModel,
     ds: Dataset,
@@ -159,6 +166,10 @@ def train(
     step_hook: Optional[Callable[[StepContext], None]] = None,
 ):
     """Run the full training loop; returns (model, avg_state, metrics log).
+
+    Runs under ``FP_RAISE``: a floating-point fault, a non-finite loss or a
+    non-finite gradient ends the run as a NumericError that names the epoch
+    and iteration, or the epoch-end evaluation.
 
     With decoupled=True the epochs split into a representation phase (the
     balanced loss excluded, auxiliary head frozen) followed by an
@@ -180,6 +191,8 @@ def train(
             "size with a different remainder"
         )
     velocity = np.zeros(model.buffer.size)
+    grad_flat = np.empty(model.buffer.size)
+    grad_views = param_views(model.config, grad_flat)
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
     # The aux head, when there is one, is the tail of the flat layout.
     aux = model.params.get("aux.cls")
@@ -187,59 +200,60 @@ def train(
     class_weights = class_balanced_weights(ds.spec)
     metrics: list[EpochMetrics] = []
 
-    for epoch in range(cfg.epochs):
-        aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
-        if cfg.decoupled and epoch == rep_phase_epochs:
-            velocity[:] = 0.0
-        cfg_eff = replace(cfg, cb_loss_enabled=False) if (cfg.decoupled and not aux_phase) else cfg
-        frozen = slice(0, aux_start) if aux_phase else None
+    try:
+        for epoch in range(cfg.epochs):
+            where = f"epoch {epoch}"
+            aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
+            if cfg.decoupled and epoch == rep_phase_epochs:
+                velocity[:] = 0.0
+            cfg_eff = replace(cfg, cb_loss_enabled=False) if cfg.decoupled and not aux_phase else cfg
+            frozen = slice(0, aux_start) if aux_phase else None
 
-        # Per-sample loss sums: the K expert terms, then balanced and total;
-        # balanced stays nan without an aux head.
-        sums = np.zeros(model.config.num_experts + 2)
-        for iteration, (xb, yb) in enumerate(minibatch_iterator(ds, cfg.batch_size, seed, epoch)):
-            tape = Tape()
-            params = bind_params(model, tape)
-            out = full_forward(model, xb, mode="train", params=params)
-            bundle = compute_losses(out, yb, ds.spec, cfg_eff, class_weights)
-            if not np.isfinite(bundle.total.values):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, iteration {iteration}"
-                )
-            grads = backward(bundle.total)
-            grad_flat = flatten_grads(model, params, grads)
-            if frozen is not None:
-                grad_flat[frozen] = 0.0
-            try:
+            # Per-sample loss sums: the K expert terms, then balanced and total;
+            # balanced stays nan without an aux head.
+            sums = np.zeros(model.config.num_experts + 2)
+            batches = minibatch_iterator(ds, cfg.batch_size, seed, epoch)
+            for iteration, (xb, yb) in enumerate(batches):
+                where = f"epoch {epoch}, iteration {iteration}"
+                tape = Tape()
+                params = bind_params(model, tape)
+                out = full_forward(model, xb, mode="train", params=params)
+                bundle = compute_losses(out, yb, ds.spec, cfg_eff, class_weights)
+                if not np.isfinite(bundle.total.values):
+                    raise NumericError("non-finite loss")
+                flatten_grads(grad_views, params, backward(bundle.total))
+                if frozen is not None:
+                    grad_flat[frozen] = 0.0
                 sgd_step(model, grad_flat, velocity, cfg.lr, cfg.momentum)
-            except NumericError as err:
-                raise NumericError(f"{err} (epoch {epoch}, iteration {iteration})") from None
-            if cfg.ema_frequency == "iteration":
+                if cfg.ema_frequency == "iteration":
+                    avg_state = update_average(avg_state, model.buffer)
+                if step_hook is not None:
+                    step_hook(StepContext(epoch, iteration, bundle, params, model))
+                balanced = np.nan if bundle.balanced_ce is None else bundle.balanced_ce.values
+                sums += np.hstack([bundle.expert_ce.values, balanced, bundle.total.values]) * len(yb)
+
+            where = f"epoch {epoch}, epoch-end evaluation"
+            if cfg.ema_frequency == "epoch":
                 avg_state = update_average(avg_state, model.buffer)
-            if step_hook is not None:
-                step_hook(StepContext(epoch, iteration, bundle, params, model))
-            balanced = np.nan if bundle.balanced_ce is None else bundle.balanced_ce.values
-            sums += np.hstack([bundle.expert_ce.values, balanced, bundle.total.values]) * len(yb)
 
-        if cfg.ema_frequency == "epoch":
-            avg_state = update_average(avg_state, model.buffer)
-
-        test_acc_ema = float("nan")
-        # Every epoch folds at least one snapshot in, so a state holds weights here.
-        if test_ds is not None and avg_state is not None:
-            test_acc_ema = _accuracy(load_eval_model(model, avg_state.weights, ds), test_ds)
-        means = sums / len(ds)  # an epoch passes over every sample once
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                expert_ce=tuple(means[:-2]),
-                balanced_ce=float(means[-2]),
-                total=float(means[-1]),
-                train_acc=_accuracy(model, ds),
-                test_acc_raw=_accuracy(model, test_ds) if test_ds is not None else float("nan"),
-                test_acc_ema=test_acc_ema,
+            test_acc_ema = float("nan")
+            # Every epoch folds at least one snapshot in, so a state holds weights here.
+            if test_ds is not None and avg_state is not None:
+                test_acc_ema = _accuracy(load_eval_model(model, avg_state.weights, ds), test_ds)
+            means = sums / len(ds)  # an epoch passes over every sample once
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    expert_ce=tuple(means[:-2]),
+                    balanced_ce=float(means[-2]),
+                    total=float(means[-1]),
+                    train_acc=_accuracy(model, ds),
+                    test_acc_raw=_accuracy(model, test_ds) if test_ds is not None else float("nan"),
+                    test_acc_ema=test_acc_ema,
+                )
             )
-        )
+    except (FloatingPointError, NumericError) as err:
+        raise NumericError(f"{err} ({where})") from None
     return model, avg_state, metrics
 
 

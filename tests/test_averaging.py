@@ -280,6 +280,13 @@ class TestRecomputeRunningStats:
         with pytest.raises(ContractError, match="empty"):
             recompute_running_stats(model, ds)
 
+    @pytest.mark.parametrize("chunk_size", [0, -2])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        model = _norm_model()
+        ds = synthesize_gaussian_longtail(balanced_spec(3, 2), 3, 2.0, seed=0)
+        with pytest.raises(ContractError, match=f"chunk_size must be >= 1, got {chunk_size}$"):
+            recompute_running_stats(model, ds, chunk_size=chunk_size)
+
 
 class TestLoadEvalModel:
     def test_views_the_weights_and_matches_a_fresh_copy_bitwise(self):

@@ -68,6 +68,14 @@ class TestLongTailCounts:
         with pytest.raises(ContractError, match="non-increasing"):
             LongTailSpec((5, 10))
 
+    @pytest.mark.parametrize("counts, message", [
+        ((), "needs at least one class"),
+        ((3, 0), r"every class count must be >= 1, got \(3, 0\)"),
+    ])
+    def test_spec_rejects_empty_or_zero_counts(self, counts, message):
+        with pytest.raises(ContractError, match=message):
+            LongTailSpec(counts)
+
 
 class TestDataset:
     @pytest.mark.parametrize("bad_label", [-1, 2])
@@ -239,6 +247,24 @@ class TestIngestion:
         path.write_bytes(struct.pack(">IIII", 0x00000804, 1, 1, 1) + b"\x00")
         with pytest.raises(ContractError, match="magic"):
             load_idx_images(path)
+
+    @pytest.mark.parametrize("images, labels, message", [
+        (b"\x00" * 15, None, "truncated IDX image header"),
+        (struct.pack(">IIII", 0x803, 2, 1, 1) + b"\x00", None, r"IDX payload size 1 != 2\*1\*1"),
+        (None, b"\x00" * 7, "truncated IDX label header"),
+        (None, struct.pack(">II", 0x802, 2) + b"\x00\x01", "bad IDX label magic 0x00000802"),
+        (None, struct.pack(">II", 0x801, 3) + b"\x00\x01", "IDX label count 2 != 3"),
+        (None, struct.pack(">II", 0x801, 1) + b"\x00", "IDX pair mismatch: 2 images vs 1 labels"),
+    ], ids=["image_header", "image_payload", "label_header", "label_magic", "label_count",
+            "pair_count"])
+    def test_malformed_idx_pair_is_contract_error(self, tmp_path, images, labels, message):
+        img_path, lbl_path = _write_idx_pair(tmp_path, np.zeros((2, 1, 1)), np.array([0, 1]))
+        if images is not None:
+            img_path.write_bytes(images)
+        if labels is not None:
+            lbl_path.write_bytes(labels)
+        with pytest.raises(ContractError, match=message):
+            load_idx_dataset(img_path, lbl_path)
 
     def test_idx_dataset_relabels_by_descending_count(self, tmp_path):
         images = np.zeros((5, 1, 1), dtype=np.uint8)

@@ -50,6 +50,12 @@ class TestEvaluate:
         confusion = np.array([[10, 0], [10, 0]])
         assert np.trace(confusion) / confusion.sum() == 0.5
 
+    def test_label_outside_the_model_classes_is_index_error(self):
+        model, _, partition = eval_setup()
+        test_ds = synthesize_gaussian_longtail(balanced_spec(4, 2), 4, 3.0, seed=0)
+        with pytest.raises(IndexError, match=r"^evaluate: label 3 outside \[0, 3\)$"):
+            evaluate(model, test_ds, partition)
+
     def test_empty_group_absent_not_zero(self):
         model, test_ds, _ = eval_setup()
         partition = group_partition(LongTailSpec((500, 400, 300)))  # all classes "many"
@@ -123,6 +129,11 @@ class TestBiasVarianceDecompose:
         labels = labels_one_hot(np.array([0]), 2)
         with pytest.raises(ContractError, match="at least 2"):
             bias_variance_decompose([labels], labels)
+
+    def test_prediction_shape_must_match_labels(self):
+        labels = labels_one_hot(np.array([0, 1]), 2)
+        with pytest.raises(ContractError, match=r"prediction shape \(3, 2\) does not match labels \(2, 2\)"):
+            bias_variance_decompose([np.zeros((3, 2))] * 2, labels)
 
     def test_per_sample_fields(self):
         labels = labels_one_hot(np.array([0, 1]), 2)

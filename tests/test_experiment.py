@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -13,11 +14,12 @@ import pytest
 
 import damel.experiment as experiment
 from damel.cli import main as cli_main
-from damel.errors import ConfigError, DamelError
+from damel.errors import ConfigError, DamelError, NumericError
 from damel.averaging import recompute_running_stats
 from damel.data import load_csv_dataset, load_idx_dataset, split_balanced_holdout
 from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot
 from damel.experiment import (
+    CHECKPOINT_MAGIC,
     SUITES,
     RunRecord,
     aggregate_report,
@@ -43,6 +45,18 @@ def many_usable_cpus(monkeypatch):
     sees 64 CPUs: a 2-worker pool is a real one on any host. A test of the
     cap patches its own count."""
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 64)
+
+
+def cli_process(argv):
+    """``damel`` as a child process on this checkout's sources. The child sees
+    64 usable CPUs as well, so ``--workers 2`` is a real pool on any host."""
+    env = dict(os.environ)
+    src = str(Path(experiment.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    launch = ("import damel.experiment as e; e._usable_cpus = lambda: 64; "
+              "from damel.cli import console_main; console_main()")
+    return subprocess.run([sys.executable, "-c", launch, *argv], capture_output=True, text=True,
+                          env=env, timeout=300)
 
 
 def small_raw(tmp_path, **overrides):
@@ -112,6 +126,12 @@ class TestConfigParsing:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+    def test_load_config_rejects_a_root_that_is_no_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
             load_config(path)
 
     @pytest.mark.parametrize("source", ["synthetic", "csv"])
@@ -206,6 +226,24 @@ class TestConfigParsing:
         # small_raw's profile holds 53 samples, and every source trains on exactly those.
         with pytest.raises(ConfigError, match=f"^train.{message}"):
             parse_config(small_raw(tmp_path, model=model, train=train))
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("train", "epochs", -1, "epochs must be >= 0, got -1"),
+        ("train", "batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("train", "lr", 0, "lr must be positive, got 0"),
+        ("train", "momentum", 1.0, r"momentum must lie in \[0, 1\), got 1.0"),
+        ("train", "ema_rate", 0, r"ema_rate must lie in \(0, 1\], got 0"),
+        ("train", "cb_loss_weight", -1, "cb_loss_weight must be >= 0, got -1"),
+        ("model", "hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+        ("model", "rep_dim", 0, "rep_dim must be >= 1, got 0"),
+        ("model", "scale", 0, "scale must be positive, got 0"),
+        ("dataset", "num_classes", 1, "long_tail_counts: need at least 2 classes, got 1"),
+        ("dataset", "head_count", 0, "long_tail_counts: head_count must be >= 1, got 0"),
+        ("dataset", "test_per_class", 0, "test_per_class must be >= 1, got 0"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, block, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{block}: {message}$"):
+            parse_config(small_raw(tmp_path, **{block: {key: value}}))
 
     @pytest.mark.parametrize("model, train", [
         ({}, {"batch_size": 53}),
@@ -336,6 +374,13 @@ class TestRunSingle:
         with pytest.raises(ZeroDivisionError):
             run_single(cfg, seed=0)
         assert [p.name for p in (tmp_path / "runs" / "single" / "default").iterdir()] == ["7"]
+
+    def test_overflow_in_the_final_evaluation_is_numeric_error(self, tmp_path):
+        # No epoch trains, so the recompute of the norm statistics is the first to overflow.
+        cfg = parse_config(small_raw(tmp_path, dataset={"class_sep": 1e300}, train={"epochs": 0}))
+        with pytest.raises(NumericError, match=r"^overflow encountered in [\w ]+ \(final evaluation\)$"):
+            run_single(cfg, seed=0)
+        assert not (tmp_path / "runs").exists()
 
     def test_negative_seed_is_config_error_before_any_directory(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
@@ -768,6 +813,11 @@ class TestCheckpoint:
             with pytest.raises(ConfigError):
                 load_checkpoint(cut)
 
+    def test_averaged_weights_of_another_length_are_refused(self, tmp_path):
+        config, count = tiny_checkpoint_config(tmp_path)
+        with pytest.raises(ConfigError, match="averaged weights length differs from trained"):
+            save_checkpoint(tmp_path / "ck.bin", config, np.zeros(count), np.zeros(count + 1))
+
     @pytest.mark.parametrize("with_averaged", [False, True])
     def test_trailing_byte_is_config_error(self, tmp_path, with_averaged):
         path = tmp_path / "ck.bin"
@@ -778,10 +828,15 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="weight bytes"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("config", [{}, {"seed": 3}, [], {"seed": 3, "model": {}}])
+    @pytest.mark.parametrize("config", [{}, {"seed": 3}, [], {"seed": 3, "model": {}},
+                                        b"{not json", b"\xff\xfe{}"])
     def test_config_that_does_not_parse_is_config_error(self, tmp_path, config):
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, config, np.ones(18), None)
+        if isinstance(config, bytes):  # a header whose config is not JSON at all
+            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config
+                             + struct.pack("<Q", 0))
+        else:
+            save_checkpoint(path, config, np.ones(18), None)
         with pytest.raises(ConfigError, match="ck.bin: checkpoint config"):
             load_checkpoint(path)
 
@@ -1023,6 +1078,12 @@ class TestSuites:
         assert text[0].startswith("suite,cell,seeds,overall_mean")
         assert len(text) == 3
 
+    def test_report_on_a_file_is_config_error(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("{}")
+        with pytest.raises(ConfigError, match=f"^report: {path} is not a directory$"):
+            aggregate_report(path)
+
     def test_report_reaggregates(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0]))
         run_ablation_suite(cfg, "table7")
@@ -1168,17 +1229,41 @@ class TestCli:
         raw = csv_raw(tmp_path, data)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        env = dict(os.environ)
-        src = str(Path(experiment.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        # The child sees 64 usable CPUs as well, so `--workers 2` is a real pool on any host.
-        launch = ("import damel.experiment as e; e._usable_cpus = lambda: 64; "
-                  "from damel.cli import console_main; console_main()")
-        proc = subprocess.run([sys.executable, "-c", launch, command[0], "--config", str(path),
-                               *command[1:]], capture_output=True, text=True, env=env, timeout=300)
+        proc = cli_process([command[0], "--config", str(path), *command[1:]])
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("run failed: ")
         assert proc.stderr.endswith(f"{data}: CSV holds no rows\n")
+
+    @pytest.mark.parametrize("overflow", [{"dataset": {"class_sep": 1e300}},
+                                          {"train": {"cb_loss_weight": 1e300}}],
+                             ids=["class_sep", "cb_loss_weight"])
+    @pytest.mark.parametrize("command", [["run", "--seed", "0"],
+                                         ["sweep", "--seeds", "0,1", "--workers", "2"]])
+    def test_overflowing_run_exits_2_on_one_line(self, tmp_path, overflow, command):
+        """A real process: pytest's filters turn the numpy warnings a breach
+        prints into errors, so in-process the breach would not show."""
+        path, raw = self._write_cfg(tmp_path, **overflow)
+        proc = cli_process([command[0], "--config", str(path), *command[1:]])
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert re.fullmatch(r"run failed: (sweep: seed \d failed: )?overflow encountered in "
+                            r"[\w ]+ \(epoch 0, iteration \d+\)\n", proc.stderr)
+        assert not Path(raw["output_dir"]).exists()
+
+    def test_report_on_a_tree_without_run_records_exits_1(self, tmp_path, capsys):
+        (tmp_path / "table7" / "epoch" / "0").mkdir(parents=True)
+        (tmp_path / "table7" / "epoch" / "0" / "eval.json").write_text("{}")
+        for root in (tmp_path / "table7" / "epoch" / "0", tmp_path):
+            assert cli_main(["report", "--dir", str(root)]) == 1
+            assert capsys.readouterr().err == f"config error: report: no run records under {root}\n"
+            assert not (root / "report.csv").exists()
+
+    def test_non_integer_seed_list_exit_code(self, tmp_path, capsys):
+        path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
+        assert cli_main(["sweep", "--config", str(path), "--seeds", "0,x"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --seeds must be a comma-separated integer list, got '0,x'\n")
+        assert not Path(raw["output_dir"]).exists()
 
     def test_duplicate_seeds_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})

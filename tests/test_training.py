@@ -10,7 +10,7 @@ import damel.training as training
 from damel.averaging import EmaState
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
-from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group
+from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group, param_views
 from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
     TrainConfig,
@@ -27,6 +27,13 @@ def tiny_config(**overrides):
     base = dict(num_experts=2, input_dim=4, hidden_dim=6, rep_dim=3, num_classes=3)
     base.update(overrides)
     return DamelConfig(**base)
+
+
+def flat_grad(model, params, grads):
+    """backward()'s gradients as one fresh vector in parameter order."""
+    flat = np.empty(model.buffer.size)
+    assert flatten_grads(param_views(model.config, flat), params, grads) is None
+    return flat
 
 
 def tiny_dataset(seed=0, per_class=8, num_classes=3, dim=4):
@@ -101,12 +108,12 @@ class TestComputeLosses:
         params = bind_params(model, tape)
         out = full_forward(model, ds.features[:6], mode="train", params=params)
         bundle = compute_losses(out, ds.labels[:6], ds.spec, cfg)
-        total_grad = flatten_grads(model, params, backward(bundle.total))
+        total_grad = flat_grad(model, params, backward(bundle.total))
         parts = np.zeros_like(total_grad)
         for k in range(model.config.num_experts):
             term = reduce_sum(mul(bundle.expert_ce, Tensor(np.eye(model.config.num_experts)[k])))
-            parts += flatten_grads(model, params, backward(term))
-        parts += 1.3 * flatten_grads(model, params, backward(bundle.balanced_ce))
+            parts += flat_grad(model, params, backward(term))
+        parts += 1.3 * flat_grad(model, params, backward(bundle.balanced_ce))
         np.testing.assert_allclose(total_grad, parts, atol=1e-10)
 
 
@@ -328,3 +335,54 @@ class TestTrain:
             assert np.isfinite(m.balanced_ce) == has_aux
             expected = sum(m.expert_ce) + (cfg.cb_loss_weight * m.balanced_ce if has_aux else 0.0)
             assert abs(m.total - expected) < 1e-12
+
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_one_gradient_vector_per_call(self, monkeypatch, decoupled):
+        handed = []
+        real_step = training.sgd_step
+
+        def recording_step(model, grad_flat, velocity, lr, momentum):
+            handed.append(grad_flat)
+            real_step(model, grad_flat, velocity, lr, momentum)
+
+        monkeypatch.setattr(training, "sgd_step", recording_step)
+        for _ in range(2):
+            model, ds, cfg = quick_train_setup(epochs=2, decoupled=decoupled)
+            train(model, ds, cfg, make_avg_state(cfg), seed=0)
+        first, second = handed[:len(handed) // 2], handed[len(handed) // 2:]
+        assert len(first) > 1
+        assert all(g is first[0] for g in first) and all(g is second[0] for g in second)
+        assert first[0] is not second[0]
+
+    @pytest.mark.parametrize("name, use_norm_layers, message", [
+        ("backbone.w1", True, "sgd_step: non-finite gradient"),
+        ("experts.cls", False, "non-finite loss"),
+        ("aux.cls", False, "non-finite loss"),
+    ])
+    def test_nan_weight_is_numeric_error_at_the_first_step(self, name, use_norm_layers, message):
+        model, ds, cfg = quick_train_setup(epochs=2)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, use_norm_layers=use_norm_layers),
+                           seed=0)
+        model.params[name][...] = np.nan
+        with pytest.raises(NumericError, match=rf"^{message} \(epoch 0, iteration 0\)$"):
+            train(model, ds, cfg, make_avg_state(cfg), seed=0)
+
+    def test_floating_point_fault_in_a_step_is_numeric_error(self):
+        model, ds, cfg = quick_train_setup(epochs=2, cb_loss_weight=1e300)
+        with pytest.raises(NumericError, match=r"^overflow encountered in [\w ]+ \(epoch 0, iteration \d+\)$"):
+            train(model, ds, cfg, make_avg_state(cfg), seed=0)
+
+    def test_floating_point_fault_in_the_epoch_end_evaluation_is_numeric_error(self, monkeypatch):
+        def overflowing_accuracy(model, ds):
+            return float(np.float64(1e300) * 1e300)
+
+        model, ds, cfg = quick_train_setup(epochs=2)
+        monkeypatch.setattr(training, "_accuracy", overflowing_accuracy)
+        with pytest.raises(NumericError, match=r"^overflow encountered in scalar multiply "
+                                               r"\(epoch 0, epoch-end evaluation\)$"):
+            train(model, ds, cfg, make_avg_state(cfg), seed=0)
+
+    def test_underflow_stays_silent(self):
+        model, ds, cfg = quick_train_setup(epochs=1)
+        train(model, ds, cfg, make_avg_state(cfg), seed=0,
+              step_hook=lambda ctx: np.float64(1e-300) * 1e-300)
