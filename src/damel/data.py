@@ -2,9 +2,10 @@
 
 Training sets follow the exponential class-count profile
 count[k] = head_count * (1/imbalance_ratio)^(k/(L-1)) with classes sorted by
-descending cardinality. Test sets are always class-balanced. Classes group
-by training count at fixed thresholds: Many above 100 samples, Few below 20,
-Medium in between. All operations are pure functions of (inputs, seed).
+descending cardinality; a Dataset reads its profile off its labels. Test
+sets are always class-balanced. Classes group by training count at fixed
+thresholds: Many above 100 samples, Few below 20, Medium in between. All
+operations are pure functions of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
@@ -91,17 +92,14 @@ def long_tail_counts(num_classes: int, head_count: int, imbalance_ratio: float) 
     return LongTailSpec(tuple(counts))
 
 
-def balanced_spec(num_classes: int, per_class: int) -> LongTailSpec:
-    return LongTailSpec((per_class,) * num_classes)
-
-
 @dataclass
 class Dataset:
-    """Feature matrix, integer labels and the class-count profile they obey."""
+    """Feature matrix and integer labels; ``spec`` is the class-count profile
+    read off the labels, so a missing class or a rising count is a ContractError."""
 
     features: np.ndarray
     labels: np.ndarray
-    spec: LongTailSpec
+    spec: LongTailSpec = field(init=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -111,13 +109,9 @@ class Dataset:
                 f"Dataset: features {self.features.shape} and labels "
                 f"{self.labels.shape} do not align"
             )
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.spec.num_classes):
-            raise ContractError("Dataset: label outside [0, num_classes)")
-        tallies = tuple(np.bincount(self.labels, minlength=self.spec.num_classes).tolist())
-        if tallies != self.spec.counts:
-            raise ContractError(
-                f"Dataset: label tallies {tallies} disagree with spec {self.spec.counts}"
-            )
+        if self.labels.size and self.labels.min() < 0:
+            raise ContractError(f"Dataset: labels must be >= 0, got {self.labels.min()}")
+        self.spec = LongTailSpec(tuple(np.bincount(self.labels).tolist()))
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -141,6 +135,18 @@ def class_centers(num_classes: int, feature_dim: int, class_sep: float, seed: in
     return class_sep * directions
 
 
+def _gaussian_draw(counts, feature_dim: int, class_sep: float, seed: int,
+                   center_seed: Optional[int], stream: int) -> Dataset:
+    """``counts[c]`` unit-variance samples around class c's center, class by
+    class from the ``[seed, stream]`` generator."""
+    centers = class_centers(
+        len(counts), feature_dim, class_sep, seed if center_seed is None else center_seed
+    )
+    rng = np.random.default_rng([seed, stream])
+    blocks = [rng.normal(size=(count, feature_dim)) + centers[cls] for cls, count in enumerate(counts)]
+    return Dataset(np.concatenate(blocks), np.repeat(np.arange(len(counts)), counts))
+
+
 def synthesize_gaussian_longtail(
     spec: LongTailSpec,
     feature_dim: int,
@@ -154,15 +160,7 @@ def synthesize_gaussian_longtail(
     from the sample noise, so repeated draws for different runs can share one
     underlying class geometry and test set.
     """
-    centers = class_centers(
-        spec.num_classes, feature_dim, class_sep, seed if center_seed is None else center_seed
-    )
-    rng = np.random.default_rng([seed, _TRAIN_STREAM])
-    blocks, labels = [], []
-    for cls, count in enumerate(spec.counts):
-        blocks.append(rng.normal(size=(count, feature_dim)) + centers[cls])
-        labels.append(np.full(count, cls, dtype=np.int64))
-    return Dataset(np.concatenate(blocks), np.concatenate(labels), spec)
+    return _gaussian_draw(spec.counts, feature_dim, class_sep, seed, center_seed, _TRAIN_STREAM)
 
 
 def synthesize_balanced_test(
@@ -174,15 +172,16 @@ def synthesize_balanced_test(
     center_seed: Optional[int] = None,
 ) -> Dataset:
     """Companion class-balanced set drawn around the same centers."""
-    centers = class_centers(
-        num_classes, feature_dim, class_sep, seed if center_seed is None else center_seed
-    )
-    rng = np.random.default_rng([seed, _TEST_STREAM])
-    blocks, labels = [], []
-    for cls in range(num_classes):
-        blocks.append(rng.normal(size=(per_class, feature_dim)) + centers[cls])
-        labels.append(np.full(per_class, cls, dtype=np.int64))
-    return Dataset(np.concatenate(blocks), np.concatenate(labels), balanced_spec(num_classes, per_class))
+    return _gaussian_draw((per_class,) * num_classes, feature_dim, class_sep, seed, center_seed,
+                          _TEST_STREAM)
+
+
+def _shuffled_classes(source: Dataset, seed: int, stream: int) -> Iterator[np.ndarray]:
+    """Each class's row indices in ``source``, class by class, in the order of
+    that class's own ``[seed, stream, class]`` generator."""
+    for cls in range(source.spec.num_classes):
+        cls_idx = np.flatnonzero(source.labels == cls)
+        yield cls_idx[np.random.default_rng([seed, stream, cls]).permutation(cls_idx.size)]
 
 
 def subsample_longtail(source: Dataset, spec: LongTailSpec, seed: int) -> Dataset:
@@ -196,40 +195,32 @@ def subsample_longtail(source: Dataset, spec: LongTailSpec, seed: int) -> Datase
             f"{spec.num_classes}"
         )
     keep = []
-    for cls, count in enumerate(spec.counts):
-        cls_idx = np.flatnonzero(source.labels == cls)
+    shuffled = _shuffled_classes(source, seed, _SUBSAMPLE_STREAM)
+    for cls, (count, cls_idx) in enumerate(zip(spec.counts, shuffled)):
         if cls_idx.size < count:
             raise CapacityError(
                 f"subsample: class {cls} has {cls_idx.size} samples, spec needs {count}"
             )
-        order = np.random.default_rng([seed, _SUBSAMPLE_STREAM, cls]).permutation(cls_idx.size)
-        keep.append(cls_idx[order[:count]])
+        keep.append(cls_idx[:count])
     keep = np.concatenate(keep)
-    return Dataset(source.features[keep], source.labels[keep], spec)
+    return Dataset(source.features[keep], source.labels[keep])
 
 
 def split_balanced_holdout(source: Dataset, per_class: int, seed: int):
     """Split off a class-balanced test set; returns (test, remainder)."""
     test_idx, rest_idx = [], []
-    for cls in range(source.spec.num_classes):
-        cls_idx = np.flatnonzero(source.labels == cls)
+    for cls, cls_idx in enumerate(_shuffled_classes(source, seed, _TEST_STREAM)):
         if cls_idx.size < per_class + 1:
             raise CapacityError(
                 f"holdout: class {cls} has {cls_idx.size} samples, needs at least "
                 f"{per_class + 1} to keep a training remainder"
             )
-        order = np.random.default_rng([seed, _TEST_STREAM, cls]).permutation(cls_idx.size)
-        test_idx.append(cls_idx[order[:per_class]])
-        rest_idx.append(cls_idx[order[per_class:]])
+        test_idx.append(cls_idx[:per_class])
+        rest_idx.append(cls_idx[per_class:])
     test_idx = np.concatenate(test_idx)
     rest_idx = np.concatenate(rest_idx)
-    rest_counts = tuple(int(c) - per_class for c in source.spec.counts)
-    test = Dataset(
-        source.features[test_idx], source.labels[test_idx],
-        balanced_spec(source.spec.num_classes, per_class),
-    )
-    rest = Dataset(source.features[rest_idx], source.labels[rest_idx], LongTailSpec(rest_counts))
-    return test, rest
+    return (Dataset(source.features[test_idx], source.labels[test_idx]),
+            Dataset(source.features[rest_idx], source.labels[rest_idx]))
 
 
 @dataclass(frozen=True)
@@ -307,15 +298,14 @@ def dataset_from_arrays(features: np.ndarray, labels: np.ndarray) -> Dataset:
     """Canonicalize arbitrary integer labels into a sorted-count Dataset.
 
     Classes are relabeled by descending cardinality (ties keep original label
-    order) so the resulting spec satisfies the sorted-counts invariant.
+    order) so the profile read off the new labels has sorted counts.
     """
     labels = np.asarray(labels, dtype=np.int64)
     _, inverse, tallies = np.unique(labels, return_inverse=True, return_counts=True)
     order = np.argsort(-tallies, kind="stable")  # unique labels are ascending
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    counts = tuple(int(n) for n in tallies[order])
-    return Dataset(np.asarray(features, dtype=np.float64), rank[inverse], LongTailSpec(counts))
+    return Dataset(np.asarray(features, dtype=np.float64), rank[inverse])
 
 
 def load_idx_dataset(images_path, labels_path) -> Dataset:

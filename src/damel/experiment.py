@@ -29,7 +29,6 @@ weights, then the averaged weights when an averaging scheme was active.
 from __future__ import annotations
 
 import contextlib
-import copy
 import csv
 import hashlib
 import json
@@ -42,7 +41,7 @@ import tempfile
 import time
 import zipfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -52,7 +51,6 @@ import numpy as np
 from .averaging import load_eval_model
 from .data import (
     Dataset,
-    LongTailSpec,
     check_class_geometry,
     group_partition,
     load_csv_dataset,
@@ -354,7 +352,7 @@ def _cached_csv(path, digest: str) -> Dataset:
         if (str(sha) == digest
                 and features.dtype == np.float64 and features.ndim == 2 and features.shape[1] >= 1
                 and labels.dtype == np.int64 and labels.shape == features.shape[:1]):
-            return Dataset(features, labels, LongTailSpec(tuple(np.bincount(labels).tolist())))
+            return Dataset(features, labels)
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, DamelError):
         pass
     source = load_csv_dataset(path)
@@ -734,12 +732,12 @@ def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=No
 
 
 def vary_config(cfg: ExperimentConfig, model_updates=None, train_updates=None) -> ExperimentConfig:
-    """Deep-copied config with model/train fields overridden (inputs untouched)."""
-    out = copy.deepcopy(cfg)
-    for key, value in (model_updates or {}).items():
-        setattr(out.model, key, value)
-    out.train = replace(out.train, **(train_updates or {}))
-    return out
+    """``cfg`` with model/train fields overridden, as a new config that
+    parse_config checks like a config file, so a bad override builds no data."""
+    raw = config_to_dict(cfg)
+    raw["model"].update(model_updates or {})
+    raw["train"].update(train_updates or {})
+    return parse_config(raw)
 
 
 def _suite_cells(model: ModelBlock) -> dict:
@@ -777,11 +775,18 @@ SUITES = tuple(_suite_cells(ModelBlock()))
 
 
 def expand_suite(cfg: ExperimentConfig, suite: str):
-    """Pure expansion of a suite into (cell_name, config) pairs, in table order."""
+    """Pure expansion of a suite into (cell_name, config) pairs, in table order;
+    vary_config checks each cell, and a bad one is a ConfigError naming it."""
     cells = _suite_cells(cfg.model).get(suite)
     if cells is None:
         raise ConfigError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
-    return [(cell, vary_config(cfg, model, train)) for cell, model, train in cells]
+    pairs = []
+    for cell, model, train in cells:
+        try:
+            pairs.append((cell, vary_config(cfg, model, train)))
+        except ConfigError as err:
+            raise ConfigError(f"{suite}/{cell}: {err}") from None
+    return pairs
 
 
 def _mean_sd(values):
@@ -818,13 +823,8 @@ def _write_summary_csv(csv_path: Path, groups):
 
 def run_ablation_suite(cfg: ExperimentConfig, suite: str, workers=None):
     """Run every cell of a suite over the configured seeds; returns (csv_path, rows).
-    Every cell's config is checked before any run starts."""
+    expand_suite checks every cell's config before any run starts."""
     cells = expand_suite(cfg, suite)
-    for cell, cell_cfg in cells:
-        try:
-            parse_config(config_to_dict(cell_cfg))
-        except ConfigError as err:
-            raise ConfigError(f"{suite}/{cell}: {err}") from None
     suite_dir = Path(cfg.output_dir) / suite
     jobs = [
         (cell_cfg, seed, suite_dir / cell / str(seed), f"{suite}/{cell}")

@@ -10,7 +10,8 @@ its per-parameter views. Averaged weights are folded in per iteration or per
 epoch according to the config, read straight from the parameter buffer; the
 averaging state never aliases it. A floating-point fault (overflow, an
 invalid operation or a division by zero) in a step or an epoch-end
-evaluation ends the run as a NumericError naming where it happened.
+evaluation, or a non-finite weight at an epoch end, ends the run as a
+NumericError naming where it happened.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ def train(
 
     Runs under ``FP_RAISE``: a floating-point fault, a non-finite loss or a
     non-finite gradient ends the run as a NumericError that names the epoch
-    and iteration, or the epoch-end evaluation.
+    and iteration, or the epoch-end evaluation. A non-finite weight that no
+    loss or gradient shows (a relu can zero a NaN activation) fails at the
+    epoch end.
 
     With decoupled=True the epochs split into a representation phase (the
     balanced loss excluded, auxiliary head frozen) followed by an
@@ -233,6 +236,8 @@ def train(
                 sums += np.hstack([bundle.expert_ce.values, balanced, bundle.total.values]) * len(yb)
 
             where = f"epoch {epoch}, epoch-end evaluation"
+            if not np.isfinite(model.buffer).all():
+                raise NumericError("non-finite weight")
             if cfg.ema_frequency == "epoch":
                 avg_state = update_average(avg_state, model.buffer)
 

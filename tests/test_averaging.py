@@ -13,7 +13,7 @@ from damel.averaging import (
     swa_update,
     update_average,
 )
-from damel.data import Dataset, LongTailSpec, balanced_spec, synthesize_gaussian_longtail
+from damel.data import Dataset, LongTailSpec, synthesize_gaussian_longtail
 from damel.errors import ContractError, ShapeError
 from damel.model import DamelConfig, DamelModel, backbone_layers, init_model, predict
 from damel.tensor import BATCH_NORM_EPS, NormStatsState, Tensor, affine, dense_bn_relu
@@ -139,7 +139,7 @@ class TestExport:
         ("ema", None), ("ema", SwaState()), ("swa", EmaState(rate=0.1)), ("none", SwaState()),
     ])
     def test_train_rejects_a_wrong_typed_state_before_its_first_step(self, averaging, state):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=0)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=0)
         steps = []
         with pytest.raises(ContractError, match=f"averaging={averaging}"):
             train(_norm_model(), ds, TrainConfig(epochs=1, batch_size=8, averaging=averaging), state,
@@ -177,18 +177,14 @@ class TestRecomputeRunningStats:
         cfg = DamelConfig(num_experts=1, input_dim=3, hidden_dim=4, rep_dim=3, num_classes=3)
         model = init_model(cfg, seed=0)
         before = model.buffer.copy().tobytes()
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 4), 3, 2.0, seed=0)
+        ds = synthesize_gaussian_longtail(LongTailSpec((4,) * 3), 3, 2.0, seed=0)
         recompute_running_stats(model, ds)
         assert model.buffer.copy().tobytes() == before
         assert not model.norm_states
 
     def test_single_feature_population_stats(self):
         model = _norm_model()
-        ds = Dataset(
-            np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
-            np.array([0, 1]),
-            LongTailSpec((1, 1)),
-        )
+        ds = Dataset(np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]), np.array([0, 1]))
         # first norm layer sees x @ w1; with w1 pinned to a selector column the
         # layer input is the raw first feature, so stats are mean 2, var 1.
         w1 = np.zeros((3, 4))
@@ -201,7 +197,7 @@ class TestRecomputeRunningStats:
         assert state.running_var[0] == 1.0
 
     def test_chunking_invariance(self):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=3)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=3)
         whole = _norm_model()
         chunked = _norm_model()
         recompute_running_stats(whole, ds)
@@ -221,7 +217,7 @@ class TestRecomputeRunningStats:
     @pytest.mark.parametrize("chunk_size", [None, 1, 5, 7])
     @pytest.mark.parametrize("use_bias", [True, False])
     def test_layer_walk_matches_numpy_oracle(self, chunk_size, use_bias, monkeypatch):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=6)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
         n = len(ds)
         step = n if chunk_size is None else chunk_size
         model = _norm_model(use_bias)
@@ -258,7 +254,7 @@ class TestRecomputeRunningStats:
     def test_statistics_are_of_the_eval_forward(self, use_bias):
         """The in-place normalize has the bits of the eval-mode composite, so
         the second layer's statistics are those of its eval-time input."""
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=6)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
         model = _norm_model(use_bias)
         rng = np.random.default_rng(9)
         for name, value in model.params.items():
@@ -274,7 +270,7 @@ class TestRecomputeRunningStats:
 
     def test_empty_dataset_rejected(self):
         model = _norm_model()
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 2), 3, 2.0, seed=0)
+        ds = synthesize_gaussian_longtail(LongTailSpec((2,) * 3), 3, 2.0, seed=0)
         ds.features = ds.features[:0]
         ds.labels = ds.labels[:0]
         with pytest.raises(ContractError, match="empty"):
@@ -283,14 +279,14 @@ class TestRecomputeRunningStats:
     @pytest.mark.parametrize("chunk_size", [0, -2])
     def test_chunk_size_below_one_rejected(self, chunk_size):
         model = _norm_model()
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 2), 3, 2.0, seed=0)
+        ds = synthesize_gaussian_longtail(LongTailSpec((2,) * 3), 3, 2.0, seed=0)
         with pytest.raises(ContractError, match=f"chunk_size must be >= 1, got {chunk_size}$"):
             recompute_running_stats(model, ds, chunk_size=chunk_size)
 
 
 class TestLoadEvalModel:
     def test_views_the_weights_and_matches_a_fresh_copy_bitwise(self):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=5)
         model = _norm_model()
         for step in range(3):
             weights = model.buffer.copy() * (1.0 + 0.1 * step)
@@ -309,13 +305,13 @@ class TestLoadEvalModel:
     @pytest.mark.parametrize("weights", [lambda m: m.buffer[:-1], lambda m: m.buffer.astype(np.float32)],
                              ids=["short", "float32"])
     def test_wrong_length_or_dtype_is_shape_error(self, weights):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=5)
         model = _norm_model()
         with pytest.raises(ShapeError, match="expected a float64 vector"):
             load_eval_model(model, weights(model), ds)
 
     def test_leaves_the_source_model_alone(self):
-        ds = synthesize_gaussian_longtail(balanced_spec(3, 7), 3, 2.0, seed=5)
+        ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=5)
         model = _norm_model()
         before = model.buffer.copy().tobytes()
         stats = {n: s.running_mean.tobytes() for n, s in model.norm_states.items()}

@@ -9,7 +9,6 @@ from damel.data import (
     Dataset,
     GroupPartition,
     LongTailSpec,
-    balanced_spec,
     dataset_from_arrays,
     epoch_permutation,
     group_partition,
@@ -78,15 +77,72 @@ class TestLongTailCounts:
 
 
 class TestDataset:
-    @pytest.mark.parametrize("bad_label", [-1, 2])
+    @pytest.mark.parametrize("bad_label", [-1])
     def test_label_outside_range_is_contract_error(self, bad_label):
         labels = np.array([0, 0, 1, bad_label])
-        with pytest.raises(ContractError, match=r"label outside \[0, num_classes\)"):
-            Dataset(np.zeros((4, 2)), labels, LongTailSpec((2, 2)))
+        with pytest.raises(ContractError, match=r"^Dataset: labels must be >= 0, got -1$"):
+            Dataset(np.zeros((4, 2)), labels)
 
-    def test_tally_mismatch_names_plain_counts(self):
-        with pytest.raises(ContractError, match=r"label tallies \(3, 0\) disagree with spec \(2, 1\)"):
-            Dataset(np.zeros((3, 2)), np.zeros(3), LongTailSpec((2, 1)))
+    def test_spec_is_read_off_the_labels(self):
+        ds = Dataset(np.zeros((5, 2)), np.array([1, 0, 2, 0, 1]))
+        assert ds.spec == LongTailSpec((2, 2, 1))
+
+    def test_spec_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Dataset(np.zeros((2, 2)), np.array([0, 1]), LongTailSpec((1, 1)))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 0, 2], r"every class count must be >= 1, got \(2, 0, 1\)"),
+        ([0, 1, 1], r"counts must be non-increasing, got \(1, 2\)"),
+    ], ids=["gap", "rising"])
+    def test_labels_no_profile_fits_are_contract_error(self, labels, message):
+        with pytest.raises(ContractError, match=message):
+            Dataset(np.zeros((3, 2)), np.array(labels))
+
+
+def _tallies(ds):
+    return tuple(np.bincount(ds.labels).tolist())
+
+
+class TestProducersSpec:
+    """Every producer's Dataset carries the profile of its own labels."""
+
+    def test_synthesizers(self):
+        spec = long_tail_counts(4, 20, 4)
+        train = synthesize_gaussian_longtail(spec, 3, 2.0, seed=1)
+        test = synthesize_balanced_test(4, 6, 3, 2.0, seed=1)
+        assert train.spec == spec and _tallies(train) == spec.counts
+        assert test.spec.counts == _tallies(test) == (6,) * 4
+
+    def test_selectors(self):
+        src = synthesize_gaussian_longtail(LongTailSpec((12, 10, 9)), 3, 2.0, seed=2)
+        test, rest = split_balanced_holdout(src, per_class=3, seed=0)
+        sub = subsample_longtail(rest, LongTailSpec((5, 3, 1)), seed=4)
+        for ds, counts in ((test, (3, 3, 3)), (rest, (9, 7, 6)), (sub, (5, 3, 1))):
+            assert ds.spec.counts == _tallies(ds) == counts
+
+    def test_loaders(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("0.5,4\n1.5,9\n2.5,9\n3.5,4\n4.5,9\n5.5,1\n")
+        csv_ds = load_csv_dataset(path)
+        img_path, lbl_path = _write_idx_pair(tmp_path, np.zeros((6, 1, 1)), np.array([4, 9, 9, 4, 9, 1]))
+        idx_ds = load_idx_dataset(img_path, lbl_path)
+        for ds in (csv_ds, idx_ds):
+            assert ds.spec.counts == _tallies(ds) == (3, 2, 1)
+
+
+class TestShuffleStreams:
+    def test_holdout_and_subsample_draw_from_different_streams(self):
+        # The same seed and the same per-class counts pick different rows,
+        # and each pick follows its own stream's per-class generator.
+        src = synthesize_gaussian_longtail(LongTailSpec((10, 10)), 2, 1.0, seed=0)
+        test, _ = split_balanced_holdout(src, per_class=4, seed=3)
+        sub = subsample_longtail(src, LongTailSpec((4, 4)), seed=3)
+        assert test.features.tobytes() != sub.features.tobytes()
+        for ds, stream in ((test, 2), (sub, 3)):
+            picked = [np.flatnonzero(src.labels == cls)[
+                np.random.default_rng([3, stream, cls]).permutation(10)[:4]] for cls in (0, 1)]
+            assert ds.features.tobytes() == src.features[np.concatenate(picked)].tobytes()
 
 
 class TestSynthesize:
@@ -102,7 +158,7 @@ class TestSynthesize:
         assert np.array_equal(a.labels, b.labels)
 
     def test_center_seed_shares_geometry_across_noise_seeds(self):
-        spec = balanced_spec(3, 10)
+        spec = LongTailSpec((10,) * 3)
         a = synthesize_gaussian_longtail(spec, 4, 2.0, seed=1, center_seed=7)
         b = synthesize_gaussian_longtail(spec, 4, 2.0, seed=2, center_seed=7)
         assert a.features.tobytes() != b.features.tobytes()
@@ -114,7 +170,7 @@ class TestSynthesize:
     def test_well_separated_classes_are_linearly_solvable(self):
         # Oracle: least-squares one-vs-rest probe; 8-sigma separation makes the
         # classes nearly disjoint, so the probe must reach 99%+ accuracy.
-        spec = balanced_spec(4, 200)
+        spec = LongTailSpec((200,) * 4)
         train = synthesize_gaussian_longtail(spec, 5, 8.0, seed=11)
         test = synthesize_balanced_test(4, 100, 5, 8.0, seed=11)
         x = np.hstack([train.features, np.ones((len(train), 1))])
@@ -126,7 +182,7 @@ class TestSynthesize:
 
     def test_balanced_test_uses_same_centers(self):
         test = synthesize_balanced_test(3, 50, 4, 6.0, seed=5)
-        train = synthesize_gaussian_longtail(balanced_spec(3, 50), 4, 6.0, seed=5)
+        train = synthesize_gaussian_longtail(LongTailSpec((50,) * 3), 4, 6.0, seed=5)
         for c in range(3):
             mu_test = test.features[test.labels == c].mean(axis=0)
             mu_train = train.features[train.labels == c].mean(axis=0)
@@ -134,9 +190,9 @@ class TestSynthesize:
 
     def test_invalid_args(self):
         with pytest.raises(ContractError, match="feature_dim"):
-            synthesize_gaussian_longtail(balanced_spec(2, 3), 1, 1.0, seed=0)
+            synthesize_gaussian_longtail(LongTailSpec((3,) * 2), 1, 1.0, seed=0)
         with pytest.raises(ContractError, match="class_sep"):
-            synthesize_gaussian_longtail(balanced_spec(2, 3), 2, 0.0, seed=0)
+            synthesize_gaussian_longtail(LongTailSpec((3,) * 2), 2, 0.0, seed=0)
         with pytest.raises(ContractError, match="feature_dim"):
             synthesize_balanced_test(2, 3, 1, 1.0, seed=0)
         with pytest.raises(ContractError, match="class_sep"):
@@ -145,17 +201,17 @@ class TestSynthesize:
 
 class TestSubsample:
     def test_identity_spec_keeps_everything(self):
-        src = synthesize_gaussian_longtail(balanced_spec(2, 5), 2, 1.0, seed=0)
+        src = synthesize_gaussian_longtail(LongTailSpec((5,) * 2), 2, 1.0, seed=0)
         out = subsample_longtail(src, src.spec, seed=1)
         assert sorted(map(tuple, out.features)) == sorted(map(tuple, src.features))
 
     def test_target_tallies(self):
-        src = synthesize_gaussian_longtail(balanced_spec(2, 5), 2, 1.0, seed=0)
+        src = synthesize_gaussian_longtail(LongTailSpec((5,) * 2), 2, 1.0, seed=0)
         out = subsample_longtail(src, LongTailSpec((3, 1)), seed=1)
         assert dict(zip(*np.unique(out.labels, return_counts=True))) == {0: 3, 1: 1}
 
     def test_rows_kept_bit_exact(self):
-        src = synthesize_gaussian_longtail(balanced_spec(3, 6), 3, 1.0, seed=2)
+        src = synthesize_gaussian_longtail(LongTailSpec((6,) * 3), 3, 1.0, seed=2)
         out = subsample_longtail(src, LongTailSpec((4, 2, 1)), seed=3)
         src_rows = {r.tobytes() for r in src.features}
         assert all(r.tobytes() in src_rows for r in out.features)
@@ -166,7 +222,7 @@ class TestSubsample:
             subsample_longtail(src, LongTailSpec((3, 3)), seed=0)
 
     def test_deterministic_selection(self):
-        src = synthesize_gaussian_longtail(balanced_spec(4, 10), 3, 1.0, seed=5)
+        src = synthesize_gaussian_longtail(LongTailSpec((10,) * 4), 3, 1.0, seed=5)
         a = subsample_longtail(src, long_tail_counts(4, 8, 8), seed=7)
         b = subsample_longtail(src, long_tail_counts(4, 8, 8), seed=7)
         assert a.features.tobytes() == b.features.tobytes()
@@ -194,10 +250,7 @@ class TestGroupPartition:
 
 class TestMinibatchIterator:
     def _dataset(self, n=10):
-        counts = (n // 2, n - n // 2) if n % 2 else (n // 2, n // 2)
-        feats = np.arange(n * 2, dtype=float).reshape(n, 2)
-        labels = np.array([0] * counts[0] + [1] * counts[1])
-        return Dataset(feats, labels, LongTailSpec(tuple(sorted(counts, reverse=True))))
+        return Dataset(np.arange(n * 2, dtype=float).reshape(n, 2), np.arange(n) % 2)
 
     def test_batch_sizes(self):
         ds = self._dataset(10)
@@ -321,7 +374,7 @@ class TestIngestion:
             load_csv_dataset(path)
 
     def test_holdout_split(self):
-        src = synthesize_gaussian_longtail(balanced_spec(3, 10), 3, 2.0, seed=4)
+        src = synthesize_gaussian_longtail(LongTailSpec((10,) * 3), 3, 2.0, seed=4)
         test, rest = split_balanced_holdout(src, per_class=4, seed=0)
         assert test.spec.counts == (4, 4, 4)
         assert rest.spec.counts == (6, 6, 6)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from damel.data import LongTailSpec, balanced_spec, group_partition, synthesize_gaussian_longtail
+from damel.data import LongTailSpec, group_partition, synthesize_gaussian_longtail
 from damel.errors import ContractError
 from damel.evaluation import (
     bias_variance_decompose,
@@ -18,7 +18,7 @@ from damel.model import DamelConfig, init_model
 def eval_setup(seed=0):
     train_spec = LongTailSpec((500, 50, 5))
     partition = group_partition(train_spec)
-    test_ds = synthesize_gaussian_longtail(balanced_spec(3, 10), 4, 3.0, seed=seed)
+    test_ds = synthesize_gaussian_longtail(LongTailSpec((10,) * 3), 4, 3.0, seed=seed)
     model = init_model(
         DamelConfig(num_experts=2, input_dim=4, hidden_dim=6, rep_dim=3, num_classes=3),
         seed=seed,
@@ -52,7 +52,7 @@ class TestEvaluate:
 
     def test_label_outside_the_model_classes_is_index_error(self):
         model, _, partition = eval_setup()
-        test_ds = synthesize_gaussian_longtail(balanced_spec(4, 2), 4, 3.0, seed=0)
+        test_ds = synthesize_gaussian_longtail(LongTailSpec((2,) * 4), 4, 3.0, seed=0)
         with pytest.raises(IndexError, match=r"^evaluate: label 3 outside \[0, 3\)$"):
             evaluate(model, test_ds, partition)
 

@@ -35,6 +35,7 @@ from damel.experiment import (
     run_seed_sweep,
     run_single,
     save_checkpoint,
+    vary_config,
 )
 from damel.model import init_model, predict
 
@@ -1062,6 +1063,27 @@ class TestSuites:
         first = [(cell, config_to_dict(c)) for cell, c in expand_suite(cfg, "table12")]
         second = [(cell, config_to_dict(c)) for cell, c in expand_suite(cfg, "table12")]
         assert first == second
+
+    @pytest.mark.parametrize("model_updates, train_updates, message", [
+        ({}, {"batch_size": 5000}, r"^train\.batch_size 5000 exceeds the \d+ training samples$"),
+        ({}, {"epochs": 1.5}, r"^train: epochs must be an integer, got 1\.5$"),
+        ({"num_experts": "2"}, {}, r"^model: num_experts must be an integer, got '2'$"),
+        ({}, {"lr": float("nan")}, r"^train: lr must be a finite number, got nan$"),
+    ], ids=["batch_size", "epochs", "num_experts", "lr"])
+    def test_vary_config_checks_the_config_before_any_run(self, tmp_path, monkeypatch,
+                                                          model_updates, train_updates, message):
+        builds = []
+        monkeypatch.setattr(experiment, "build_datasets", lambda *args: builds.append(args))
+        cfg = default_config(str(tmp_path / "runs"))
+        with pytest.raises(ConfigError, match=message):
+            run_single(vary_config(cfg, model_updates, train_updates), 0)
+        assert builds == [] and list(tmp_path.iterdir()) == []
+
+    def test_suite_cell_the_model_cannot_run_names_the_cell(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, model={
+            "num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2}))
+        with pytest.raises(ConfigError, match=r"^table8/experts_2: model: "):
+            expand_suite(cfg, "table8")
 
     def test_unknown_suite_lists_names(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))

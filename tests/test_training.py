@@ -367,6 +367,15 @@ class TestTrain:
         with pytest.raises(NumericError, match=rf"^{message} \(epoch 0, iteration 0\)$"):
             train(model, ds, cfg, make_avg_state(cfg), seed=0)
 
+    def test_nan_weight_no_step_sees_is_numeric_error_at_the_epoch_end(self):
+        # Without norm layers the relu maps the NaN activations to 0, so the
+        # loss and every gradient stay finite through the whole epoch.
+        model, ds, cfg = quick_train_setup(epochs=2)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, use_norm_layers=False), seed=0)
+        model.params["backbone.w1"][...] = np.nan
+        with pytest.raises(NumericError, match=r"^non-finite weight \(epoch 0, epoch-end evaluation\)$"):
+            train(model, ds, cfg, make_avg_state(cfg), seed=0)
+
     def test_floating_point_fault_in_a_step_is_numeric_error(self):
         model, ds, cfg = quick_train_setup(epochs=2, cb_loss_weight=1e300)
         with pytest.raises(NumericError, match=r"^overflow encountered in [\w ]+ \(epoch 0, iteration \d+\)$"):
