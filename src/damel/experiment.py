@@ -106,7 +106,6 @@ class ModelBlock:
     scale: float = 16.0
     variant: str = "standard"
     use_norm_layers: bool = True
-    use_bias: bool = True
     ref_experts: Optional[int] = None
 
 

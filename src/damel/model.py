@@ -8,10 +8,9 @@ representations and is the sole prediction path at test time, except for the
 aggregate_predictions baseline which averages per-expert softmaxes instead.
 
 Parameters live in one contiguous float64 vector; ``DamelModel.params``
-holds named views into it. The K expert blocks are three stacked views,
-``experts.w`` [K, H, R], ``experts.b`` [K, R] and ``experts.cls`` [K, R, L],
-strided over a flat order that keeps each expert's (w, b, cls) together, so
-the flat vector (and a checkpoint) is laid out expert by expert.
+holds named views into it, each tensor one contiguous span. The K expert
+blocks are three stacked tensors, ``experts.w`` [K, H, R], ``experts.b``
+[K, R] and ``experts.cls`` [K, R, L].
 
 Every forward runs on the tensor module's composite ops, one tape node per
 fixed chain: a ``dense_bn_relu`` per backbone layer, one ``expert_block`` for
@@ -84,7 +83,6 @@ class DamelConfig:
     scale: float = 16.0
     variant: str = "standard"
     use_norm_layers: bool = False
-    use_bias: bool = True
     ref_experts: Optional[int] = None
 
     def validate(self) -> "DamelConfig":
@@ -129,52 +127,32 @@ class ForwardOutput:
 
 
 def _layout(config: DamelConfig) -> list:
-    """The flat parameter order as runs of blocks: [(stack, [(name, shape), ...])].
-
-    A run holds ``stack`` blocks back to back, each block every listed tensor
-    in turn; ``stack`` is None for a single unstacked block. The experts are
-    one run of K blocks (w, b, cls), so the flat order is expert by expert.
-    """
+    """The flat parameter order: [(name, shape)], each tensor one span."""
     h = config.hidden_dim
-
-    def layer(i: int, fan_in: int) -> list:
-        parts = [(f"backbone.w{i}", (fan_in, h))]
-        if config.use_bias:
-            parts.append((f"backbone.b{i}", (h,)))
+    layout = []
+    for i, fan_in in ((1, config.input_dim), (2, h)):
+        layout += [(f"backbone.w{i}", (fan_in, h)), (f"backbone.b{i}", (h,))]
         if config.use_norm_layers:
-            parts += [(f"backbone.bn{i}.gamma", (h,)), (f"backbone.bn{i}.beta", (h,))]
-        return parts
-
-    rep = config.expert_rep_dim
-    expert = [("experts.w", (h, rep))]
-    if config.use_bias:
-        expert.append(("experts.b", (rep,)))
-    expert.append(("experts.cls", (rep, config.num_classes)))
-    runs = [(None, layer(1, config.input_dim) + layer(2, h)), (config.num_experts, expert)]
+            layout += [(f"backbone.bn{i}.gamma", (h,)), (f"backbone.bn{i}.beta", (h,))]
+    k, rep = config.num_experts, config.expert_rep_dim
+    layout += [("experts.w", (k, h, rep)), ("experts.b", (k, rep)),
+               ("experts.cls", (k, rep, config.num_classes))]
     if config.aux_input_dim is not None:
-        runs.append((None, [("aux.cls", (config.aux_input_dim, config.num_classes))]))
-    return runs
+        layout.append(("aux.cls", (config.aux_input_dim, config.num_classes)))
+    return layout
 
 
 def param_count(config: DamelConfig) -> int:
-    return sum((stack or 1) * prod(shape) for stack, parts in _layout(config) for _, shape in parts)
+    return sum(prod(shape) for _, shape in _layout(config))
 
 
 def param_views(config: DamelConfig, flat: np.ndarray) -> dict:
     """name -> view of ``flat`` shaped like that parameter, in flat order."""
     views, offset = {}, 0
-    for stack, parts in _layout(config):
-        n = stack or 1
-        width = sum(prod(shape) for _, shape in parts)
-        blocks = flat[offset:offset + n * width].reshape(n, width)
-        offset += n * width
-        col = 0
-        for name, shape in parts:
-            size = prod(shape)
-            # Reshaping a contiguous span of each row never copies.
-            view = blocks[:, col:col + size].reshape((n,) + shape)
-            views[name] = view if stack else view[0]
-            col += size
+    for name, shape in _layout(config):
+        size = prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
     return views
 
 
@@ -245,15 +223,15 @@ def param_group(name: str) -> str:
 
 
 def backbone_layers(model: DamelModel, p: dict) -> list:
-    """(w, b, norm) per backbone layer, as dense_bn_relu takes them: b is None
-    without biases, norm is (state, gamma, beta) or None without norm layers."""
+    """(w, b, norm) per backbone layer, as dense_bn_relu takes them: norm is
+    (state, gamma, beta), or None without norm layers."""
     layers = []
     for i in (1, 2):
         norm = None
         if model.config.use_norm_layers:
             norm = (model.norm_states[f"backbone.bn{i}"], p[f"backbone.bn{i}.gamma"],
                     p[f"backbone.bn{i}.beta"])
-        layers.append((p[f"backbone.w{i}"], p.get(f"backbone.b{i}"), norm))
+        layers.append((p[f"backbone.w{i}"], p[f"backbone.b{i}"], norm))
     return layers
 
 
@@ -282,7 +260,7 @@ def full_forward(model: DamelModel, x, mode: str = "train", params: Optional[dic
     h = x
     for w, b, norm in backbone_layers(model, p):
         h = dense_bn_relu(h, w, b, norm, BN_MOMENTUM)
-    reps = expert_block(h, p["experts.w"], p.get("experts.b"))
+    reps = expert_block(h, p["experts.w"], p["experts.b"])
     out = ForwardOutput(expert_logits=cosine_logits(reps, p["experts.cls"], cfg.scale),
                         normalized_reps=reps)
     if cfg.variant == "aggregate_predictions":
@@ -312,20 +290,18 @@ def _eval_kernel(model: DamelModel):
     """The scores ``predict`` takes the argmax of, as a function of a block of rows.
 
     The constants are built here, once per call, and nothing is written into
-    ``model.params``: each backbone layer's eval norm folded into its affine
-    (a zero bias for a bias-free model), the K expert affines side by side as
-    one [H, K*R] matrix laid out expert by expert, and the unit-column head
-    weights. A block then runs on plain numpy. Where an auxiliary head
-    predicts, the scores are the unit expert rows, laid side by side or
-    summed, against its unit columns: the row renormalization, the 1/K and
-    the scale of ``full_forward``'s auxiliary head are positive factors on a
-    row, which no argmax sees. aggregate_predictions keeps the scale and
-    returns the mean expert softmax, which the scale does change.
+    ``model.params``: each backbone layer's eval norm folded into its affine,
+    the K expert affines side by side as one [H, K*R] matrix, and the
+    unit-column head weights. A block then runs on plain numpy. Where an
+    auxiliary head predicts, the scores are the unit expert rows, laid side
+    by side or summed, against its unit columns: the row renormalization, the
+    1/K and the scale of ``full_forward``'s auxiliary head are positive
+    factors on a row, which no argmax sees. aggregate_predictions keeps the
+    scale and returns the mean expert softmax, which the scale does change.
     """
     cfg = model.config
     layers = []
     for w, b, norm in backbone_layers(model, model.params):
-        b = np.zeros(w.shape[1]) if b is None else b
         if norm is not None:
             state, gamma, beta = norm
             s = gamma / np.sqrt(state.running_var + BATCH_NORM_EPS)
@@ -334,7 +310,7 @@ def _eval_kernel(model: DamelModel):
     stack = model.params["experts.w"]  # [K, H, R]
     k, hidden, rep = stack.shape
     expert_w = stack.transpose(1, 0, 2).reshape(hidden, k * rep)
-    expert_b = model.params["experts.b"].reshape(-1) if cfg.use_bias else np.zeros(k * rep)
+    expert_b = model.params["experts.b"].reshape(-1)
     head = model.params["experts.cls" if cfg.variant == "aggregate_predictions" else "aux.cls"]
     head = head / _l2_divisor(head, -2)
 

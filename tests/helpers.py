@@ -161,8 +161,9 @@ def build_random_net(rng, min_layers=2, max_layers=4):
 
 
 def reference_params(model, tape):
-    """Per-expert leaves in the model's flat order: backbone, then expert{k}.w/b/cls
-    for each k, then aux.cls; each leaf holds a copy of its block."""
+    """Per-expert leaves: the backbone, then expert{k}.w/b/cls for each k
+    (slice k of the stacked experts.w/b/cls), then aux.cls; each leaf holds a
+    copy of its values."""
     params = {n: tape.leaf(v.copy()) for n, v in model.params.items() if n.startswith("backbone.")}
     stacked = [n for n in model.params if n.startswith("experts.")]
     for k in range(model.config.num_experts):
@@ -186,18 +187,14 @@ def reference_forward(model, x, params, mode="train"):
         state.mode = mode
     h = Tensor(x)
     for i in (1, 2):
-        h = matmul(h, params[f"backbone.w{i}"])
-        if cfg.use_bias:
-            h = h + params[f"backbone.b{i}"]
+        h = matmul(h, params[f"backbone.w{i}"]) + params[f"backbone.b{i}"]
         if cfg.use_norm_layers:
             h = batch_norm(h, model.norm_states[f"backbone.bn{i}"], params[f"backbone.bn{i}.gamma"],
                            params[f"backbone.bn{i}.beta"], BN_MOMENTUM)
         h = relu(h)
     reps, logits = [], []
     for k in range(cfg.num_experts):
-        z = matmul(h, params[f"expert{k}.w"])
-        if cfg.use_bias:
-            z = z + params[f"expert{k}.b"]
+        z = matmul(h, params[f"expert{k}.w"]) + params[f"expert{k}.b"]
         reps.append(l2_normalize(relu(z), axis=1))
         logits.append(cfg.scale * matmul(reps[k], l2_normalize(params[f"expert{k}.cls"], axis=0)))
     if cfg.variant == "aggregate_predictions":

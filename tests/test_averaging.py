@@ -147,10 +147,9 @@ class TestExport:
         assert steps == []
 
 
-def _norm_model(use_bias=True):
+def _norm_model():
     cfg = DamelConfig(
-        num_experts=2, input_dim=3, hidden_dim=4, rep_dim=3, num_classes=3,
-        use_norm_layers=True, use_bias=use_bias,
+        num_experts=2, input_dim=3, hidden_dim=4, rep_dim=3, num_classes=3, use_norm_layers=True,
     )
     return init_model(cfg, seed=0)
 
@@ -161,9 +160,7 @@ def _oracle_norm_stats(model, x):
     layer normalized by the statistics the oracle found for it."""
     p, h, stats = model.params, x, []
     for i in (1, 2):
-        z = h @ p[f"backbone.w{i}"]
-        if f"backbone.b{i}" in p:
-            z = z + p[f"backbone.b{i}"]
+        z = h @ p[f"backbone.w{i}"] + p[f"backbone.b{i}"]
         mean = z.mean(0)
         var = np.square(z - mean).sum(0) / len(z)
         stats.append((mean, var))
@@ -215,12 +212,11 @@ class TestRecomputeRunningStats:
             )
 
     @pytest.mark.parametrize("chunk_size", [None, 1, 5, 7])
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_layer_walk_matches_numpy_oracle(self, chunk_size, use_bias, monkeypatch):
+    def test_layer_walk_matches_numpy_oracle(self, chunk_size, monkeypatch):
         ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
         n = len(ds)
         step = n if chunk_size is None else chunk_size
-        model = _norm_model(use_bias)
+        model = _norm_model()
         rng = np.random.default_rng(8)
         for name, value in model.params.items():
             if name.startswith("backbone."):  # gamma, beta and biases off their init values
@@ -250,12 +246,11 @@ class TestRecomputeRunningStats:
                 np.testing.assert_allclose(got.running_mean, mean, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(got.running_var, var, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("use_bias", [True, False])
-    def test_statistics_are_of_the_eval_forward(self, use_bias):
+    def test_statistics_are_of_the_eval_forward(self):
         """The in-place normalize has the bits of the eval-mode composite, so
         the second layer's statistics are those of its eval-time input."""
         ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
-        model = _norm_model(use_bias)
+        model = _norm_model()
         rng = np.random.default_rng(9)
         for name, value in model.params.items():
             if name.startswith("backbone."):

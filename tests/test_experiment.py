@@ -15,7 +15,7 @@ import pytest
 import damel.experiment as experiment
 from damel.cli import main as cli_main
 from damel.errors import ConfigError, DamelError, NumericError
-from damel.averaging import recompute_running_stats
+from damel.averaging import load_eval_model, recompute_running_stats
 from damel.data import load_csv_dataset, load_idx_dataset, split_balanced_holdout
 from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot
 from damel.experiment import (
@@ -139,7 +139,7 @@ class TestConfigParsing:
     def test_every_wrongly_typed_value_is_config_error_or_accepted(self, tmp_path, source):
         raw = small_raw(
             tmp_path,
-            model={"scale": 16.0, "variant": "standard", "use_bias": True, "ref_experts": None},
+            model={"scale": 16.0, "variant": "standard", "use_norm_layers": True, "ref_experts": None},
             train={"lr": 0.1, "momentum": 0.9, "cb_loss_weight": 1.0, "ema_rate": 0.1,
                    "ema_frequency": "epoch", "averaging": "ema", "decoupled": False,
                    "cb_loss_enabled": True},
@@ -169,7 +169,7 @@ class TestConfigParsing:
         ("dataset", "imbalance_ratio", "x"), ("dataset", "test_per_class", "5"),
         ("dataset", "feature_dim", "5"), ("seeds", None, 5), ("model", None, None),
         ("train", None, 5), ("dataset", None, [1]), ("seeds", None, [True, False]),
-        ("model", "use_bias", 1), ("train", "lr", float("nan")), ("output_dir", None, None),
+        ("model", "use_norm_layers", 1), ("train", "lr", float("nan")), ("output_dir", None, None),
     ])
     def test_wrong_type_is_one_line_config_error(self, tmp_path, block, key, value):
         raw = small_raw(tmp_path)
@@ -262,7 +262,7 @@ class TestConfigParsing:
         c = parse_config(small_raw(tmp_path, train={"lr": 0.05}))
         assert config_hash(a) != config_hash(c)
         # Run records carry the hash: the default config's value is pinned.
-        assert config_hash(default_config()) == "8f0024b0f25a565ba4276efe96c714760a96f5a7519f7d41c5c2b814c3a8d0fc"
+        assert config_hash(default_config()) == "b01eb8780d25db5ff4fc00ecfbf4117e01deb19b43500af382bb9d326be6c8e4"
 
 
 class TestRunSingle:
@@ -851,6 +851,36 @@ class TestCheckpoint:
             config["seed"] = seed
         save_checkpoint(path, config, np.zeros(count), None)
         with pytest.raises(ConfigError, match="ck.bin: checkpoint seed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("model", [{}, {"num_experts": 4, "use_norm_layers": False}],
+                             ids=["default", "four_experts_norm_free"])
+    def test_checkpoint_alone_rebuilds_the_run_predictions(self, tmp_path, model):
+        """The embedded config and the averaged weights, read back in layout
+        order, rebuild the eval model whose predictions onehot.npy holds."""
+        raw = config_to_dict(default_config(str(tmp_path / "runs")))
+        raw["model"].update(model)
+        raw["train"]["epochs"] = 6
+        run_dir = tmp_path / "run"
+        run_single(parse_config(raw), seed=1, run_dir=run_dir)
+
+        config, _, averaged = load_checkpoint(run_dir / "checkpoint.bin")
+        saved = parse_config({key: value for key, value in config.items() if key != "seed"})
+        train_ds, test_ds, _ = experiment.build_datasets(saved.dataset, config["seed"])
+        model_cfg = experiment.build_damel_config(saved.model, saved.dataset, train_ds.features.shape[1])
+        # The template lends its config and norm-layer names; the weights are the checkpoint's.
+        eval_model = load_eval_model(init_model(model_cfg, seed=0), averaged, train_ds)
+        assert eval_model.buffer is averaged
+        onehot = np.load(run_dir / "onehot.npy")
+        np.testing.assert_array_equal(predict(eval_model, test_ds.features), onehot.argmax(axis=1))
+
+    def test_checkpoint_with_a_use_bias_key_is_refused(self, tmp_path):
+        # Checkpoints written while the model had a use_bias switch embed it.
+        path = tmp_path / "ck.bin"
+        config, count = tiny_checkpoint_config(tmp_path)
+        config["model"]["use_bias"] = True
+        save_checkpoint(path, config, np.zeros(count), None)
+        with pytest.raises(ConfigError, match=r"ck.bin: checkpoint config is invalid .*'use_bias'"):
             load_checkpoint(path)
 
     def test_count_must_match_synthetic_config(self, tmp_path):

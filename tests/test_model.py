@@ -1,5 +1,6 @@
 """Model tests: init determinism, cosine paths, detach wall, variants, predict."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from damel.model import (
     DamelConfig,
     DamelModel,
     _eval_kernel,
+    _layout,
     bind_params,
     full_forward,
     init_model,
@@ -55,15 +57,25 @@ class TestInit:
         aux = (3 * 32) * 10
         assert m.buffer.size == backbone + experts + aux
 
-    def test_params_are_views_of_one_buffer_in_per_expert_order(self):
+    def test_params_are_views_of_one_buffer_in_layout_order(self):
         m = init_model(small_config(use_norm_layers=True), seed=3)
+        assert [(name, view.shape) for name, view in m.params.items()] == _layout(m.config) == [
+            ("backbone.w1", (6, 8)), ("backbone.b1", (8,)),
+            ("backbone.bn1.gamma", (8,)), ("backbone.bn1.beta", (8,)),
+            ("backbone.w2", (8, 8)), ("backbone.b2", (8,)),
+            ("backbone.bn2.gamma", (8,)), ("backbone.bn2.beta", (8,)),
+            ("experts.w", (3, 8, 4)), ("experts.b", (3, 4)), ("experts.cls", (3, 4, 5)),
+            ("aux.cls", (12, 5)),
+        ]
+        # The views tile the buffer once, each one contiguous span, in layout order.
+        offset = 0
         for name, view in m.params.items():
-            assert np.shares_memory(view, m.buffer), name
-        per_expert = reference_params(m, Tape())
-        assert list(per_expert)[:8] == list(m.params)[:8]  # the backbone
-        np.testing.assert_array_equal(
-            m.buffer.copy(), np.concatenate([leaf.values.reshape(-1) for leaf in per_expert.values()])
-        )
+            assert view.flags.c_contiguous and np.shares_memory(view, m.buffer), name
+            start = (view.__array_interface__["data"][0]
+                     - m.buffer.__array_interface__["data"][0]) // m.buffer.itemsize
+            assert start == offset, name
+            offset += view.size
+        assert offset == m.buffer.size
         with pytest.raises(TypeError):
             m.params["backbone.w1"] = np.zeros((6, 8))
 
@@ -84,7 +96,7 @@ class TestExpertForward:
         # pinning the representation so the cosine path is directly observable.
         cfg = DamelConfig(
             num_experts=1, input_dim=2, hidden_dim=2, rep_dim=2, num_classes=2,
-            scale=16.0, use_bias=False,
+            scale=16.0,
         )
         m = init_model(cfg, seed=0)
         eye = np.eye(2)
@@ -106,15 +118,6 @@ class TestExpertForward:
         out = full_forward(m, rng.normal(size=(20, 6)), mode="eval")
         for logit in out.expert_logits.values:
             assert np.abs(logit).max() <= 16.0 * (1 + 1e-9)
-
-    def test_positive_scaling_invariance_bias_free(self):
-        rng = np.random.default_rng(4)
-        m = init_model(small_config(use_bias=False), seed=7)
-        x = rng.normal(size=(5, 6))
-        base = full_forward(m, x, mode="eval")
-        scaled = full_forward(m, 3.7 * x, mode="eval")
-        for a, b in zip(base.expert_logits.values, scaled.expert_logits.values):
-            np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_input_width_checked(self):
         m = init_model(small_config(), seed=0)
@@ -186,7 +189,7 @@ class TestAuxiliary:
 class TestFullForward:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_default_params_are_untaped_and_match_bound_leaves(self, variant):
-        model = init_model(small_config(**_model_kwargs(variant, 3, True, True)), seed=5)
+        model = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=5)
         rng = np.random.default_rng(5)
         for state in model.norm_states.values():
             state.running_mean[:] = rng.normal(size=state.running_mean.shape)
@@ -214,7 +217,7 @@ class TestFullForward:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_zero_row_eval_forward(self, variant):
-        model = init_model(small_config(**_model_kwargs(variant, 3, True, True)), seed=0)
+        model = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=0)
         out = full_forward(model, np.ones((0, 6)), mode="eval")
         k = model.config.num_experts
         assert out.expert_logits.shape == (k, 0, 5)
@@ -277,11 +280,10 @@ class TestPredictRowBlocks:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("use_norm_layers", [True, False])
-    @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 257, 1242])
     @pytest.mark.parametrize("scale", [16.0, 13.7])
-    def test_blocks_match_whole_batch(self, variant, use_norm_layers, use_bias, rows, scale):
-        cfg = small_config(scale=scale, **_model_kwargs(variant, 3, use_bias, use_norm_layers))
+    def test_blocks_match_whole_batch(self, variant, use_norm_layers, rows, scale):
+        cfg = small_config(scale=scale, **_model_kwargs(variant, 3, use_norm_layers))
         model = init_model(cfg, seed=rows)
         rng = np.random.default_rng(rows)
         for state in model.norm_states.values():
@@ -348,9 +350,8 @@ class TestPredictRowBlocks:
         assert large <= 1.25 * small, (small, large)
 
 
-def _model_kwargs(variant, num_experts, use_bias, use_norm_layers):
-    kwargs = dict(variant=variant, num_experts=num_experts, use_bias=use_bias,
-                  use_norm_layers=use_norm_layers)
+def _model_kwargs(variant, num_experts, use_norm_layers):
+    kwargs = dict(variant=variant, num_experts=num_experts, use_norm_layers=use_norm_layers)
     if variant == "capacity_controlled":
         kwargs.update(num_experts=1, ref_experts=num_experts)
     return kwargs
@@ -361,13 +362,11 @@ class TestStackedMatchesPerExpertReference:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
-    @pytest.mark.parametrize("use_bias", [True, False])
     @pytest.mark.parametrize("use_norm_layers", [True, False])
     # 13.7 is no power of two, so where the scale is applied shows in the bits.
     @pytest.mark.parametrize("scale", [16.0, 13.7])
-    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_bias, use_norm_layers,
-                                                  scale):
-        cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_bias, use_norm_layers))
+    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_norm_layers, scale):
+        cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_norm_layers))
         model = init_model(cfg, seed=11)
         states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
                   for name, st in model.norm_states.items()}
@@ -383,7 +382,8 @@ class TestStackedMatchesPerExpertReference:
         out = full_forward(model, x, mode="train", params=params)
         bundle = compute_losses(out, labels, spec, train_cfg)
         grad = np.empty(model.buffer.size)
-        flatten_grads(param_views(cfg, grad), params, backward(bundle.total))
+        grad_views = param_views(cfg, grad)
+        flatten_grads(grad_views, params, backward(bundle.total))
 
         ref_tape = Tape()
         ref_params = reference_params(reference, ref_tape)
@@ -392,9 +392,6 @@ class TestStackedMatchesPerExpertReference:
             logits, aux, labels, class_balanced_weights(spec), train_cfg.cb_loss_weight
         )
         ref_grads = backward(total)
-        ref_grad = np.concatenate(
-            [ref_grads[leaf.tape_id].values.reshape(-1) for leaf in ref_params.values()]
-        )
 
         assert out.expert_logits.values.tobytes() == np.stack([l.values for l in logits]).tobytes()
         assert out.normalized_reps.values.tobytes() == np.stack([z.values for z in reps]).tobytes()
@@ -404,7 +401,13 @@ class TestStackedMatchesPerExpertReference:
             assert out.aux_logits is None
         else:
             assert out.aux_logits.values.tobytes() == aux.values.tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        # Each reference leaf against its gradient view; expert{k}.{w,b,cls}
+        # is slice k of the stacked experts.{w,b,cls}.
+        for name, leaf in ref_params.items():
+            per_expert = re.fullmatch(r"expert(\d+)\.(w|b|cls)", name)
+            view = grad_views[f"experts.{per_expert[2]}"][int(per_expert[1])] if per_expert else grad_views[name]
+            assert view.tobytes() == ref_grads[leaf.tape_id].values.tobytes(), name
+        assert sum(leaf.values.size for leaf in ref_params.values()) == grad.size
         for name, state in model.norm_states.items():
             assert state.running_mean.tobytes() == reference.norm_states[name].running_mean.tobytes()
             assert state.running_var.tobytes() == reference.norm_states[name].running_var.tobytes()
