@@ -154,6 +154,20 @@ def _norm_model():
     return init_model(cfg, seed=0)
 
 
+def _perturbed_norm_model(seed, biases):
+    """_norm_model with its backbone weights, gamma and beta off their init
+    values; its biases too when ``biases`` is "random", else left at zero."""
+    model = _norm_model()
+    rng = np.random.default_rng(seed)
+    for name, value in model.params.items():
+        if name.startswith("backbone."):
+            value += 0.3 * rng.normal(size=value.shape)
+    if biases == "zero":
+        model.params["backbone.b1"][:] = 0.0
+        model.params["backbone.b2"][:] = 0.0
+    return model
+
+
 def _oracle_norm_stats(model, x):
     """Independent oracle: each norm layer's (mean, population variance) over
     its eval-mode pre-norm input, the backbone rebuilt from numpy alone, each
@@ -212,15 +226,12 @@ class TestRecomputeRunningStats:
             )
 
     @pytest.mark.parametrize("chunk_size", [None, 1, 5, 7])
-    def test_layer_walk_matches_numpy_oracle(self, chunk_size, monkeypatch):
+    @pytest.mark.parametrize("biases", ["zero", "random"])
+    def test_layer_walk_matches_numpy_oracle(self, chunk_size, biases, monkeypatch):
         ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
         n = len(ds)
         step = n if chunk_size is None else chunk_size
-        model = _norm_model()
-        rng = np.random.default_rng(8)
-        for name, value in model.params.items():
-            if name.startswith("backbone."):  # gamma, beta and biases off their init values
-                value += 0.3 * rng.normal(size=value.shape)
+        model = _perturbed_norm_model(8, biases)
         expected = _oracle_norm_stats(model, ds.features)
 
         products = []
@@ -246,15 +257,12 @@ class TestRecomputeRunningStats:
                 np.testing.assert_allclose(got.running_mean, mean, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(got.running_var, var, rtol=0, atol=1e-10)
 
-    def test_statistics_are_of_the_eval_forward(self):
+    @pytest.mark.parametrize("biases", ["zero", "random"])
+    def test_statistics_are_of_the_eval_forward(self, biases):
         """The in-place normalize has the bits of the eval-mode composite, so
         the second layer's statistics are those of its eval-time input."""
         ds = synthesize_gaussian_longtail(LongTailSpec((7,) * 3), 3, 2.0, seed=6)
-        model = _norm_model()
-        rng = np.random.default_rng(9)
-        for name, value in model.params.items():
-            if name.startswith("backbone."):
-                value += 0.3 * rng.normal(size=value.shape)
+        model = _perturbed_norm_model(9, biases)
         recompute_running_stats(model, ds)
         (w1, b1, norm1), (w2, b2, _) = backbone_layers(model, model.params)
         z = affine(dense_bn_relu(Tensor(ds.features), w1, b1, norm1), w2, b2).values

@@ -265,6 +265,18 @@ class TestPredict:
         np.testing.assert_array_equal(predict(m, x), probs.argmax(axis=1))
 
 
+BIASES = ["zero", "random"]
+
+
+def _set_biases(model, biases, seed):
+    """Leave every bias at its zero init, or draw each one off zero, so the
+    bias add shows in the values a test compares."""
+    if biases == "random":
+        rng = np.random.default_rng([seed, 1])
+        for name in ("backbone.b1", "backbone.b2", "experts.b"):
+            model.params[name][:] = 0.5 * rng.normal(size=model.params[name].shape)
+
+
 def _unit_rows(v):
     return v / np.maximum(np.sqrt(np.square(v).sum(axis=1, keepdims=True)), 1e-300)
 
@@ -280,11 +292,13 @@ class TestPredictRowBlocks:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("use_norm_layers", [True, False])
+    @pytest.mark.parametrize("biases", BIASES)
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 257, 1242])
     @pytest.mark.parametrize("scale", [16.0, 13.7])
-    def test_blocks_match_whole_batch(self, variant, use_norm_layers, rows, scale):
+    def test_blocks_match_whole_batch(self, variant, use_norm_layers, biases, rows, scale):
         cfg = small_config(scale=scale, **_model_kwargs(variant, 3, use_norm_layers))
         model = init_model(cfg, seed=rows)
+        _set_biases(model, biases, seed=rows)
         rng = np.random.default_rng(rows)
         for state in model.norm_states.values():
             state.running_mean[:] = rng.normal(size=state.running_mean.shape)
@@ -362,12 +376,15 @@ class TestStackedMatchesPerExpertReference:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
+    @pytest.mark.parametrize("biases", BIASES)
     @pytest.mark.parametrize("use_norm_layers", [True, False])
     # 13.7 is no power of two, so where the scale is applied shows in the bits.
     @pytest.mark.parametrize("scale", [16.0, 13.7])
-    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, use_norm_layers, scale):
+    def test_forward_losses_and_gradients_bitwise(self, variant, num_experts, biases, use_norm_layers,
+                                                  scale):
         cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_norm_layers))
         model = init_model(cfg, seed=11)
+        _set_biases(model, biases, seed=11)
         states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
                   for name, st in model.norm_states.items()}
         reference = DamelModel(cfg, model.buffer.copy(), states)
