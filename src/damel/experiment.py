@@ -23,7 +23,9 @@ cache, and deleting .damel-cache/ is always safe.
 
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
-weights, then the averaged weights when an averaging scheme was active.
+weights, then the averaged weights when an averaging scheme was active. The
+config JSON is the run's key, the blocks config_hash covers plus the seed, so
+a run written by another sweep or under another output_dir has the same bytes.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ from .training import FP_RAISE, TrainConfig, make_avg_state, train
 
 CHECKPOINT_MAGIC = b"DAMELCKP"
 
-# The blocks that define a run, and so its config_hash; seeds and output_dir do not.
+# The blocks that define a run, and so its config_hash and the key its checkpoint
+# embeds; seeds and output_dir do not.
 _RUN_BLOCKS = ("dataset", "model", "train")
 
 # Each source's own dataset fields, every one required; an idx or csv
@@ -286,11 +289,15 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
+def _run_blocks(cfg: ExperimentConfig) -> dict:
+    """The three run-defining blocks as JSON values: what config_hash digests
+    and, with the seed, what a checkpoint embeds."""
+    return {name: asdict(getattr(cfg, name)) for name in _RUN_BLOCKS}
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable digest of the three run-defining blocks (seed-independent)."""
-    blocks = config_to_dict(cfg)
-    payload = {name: blocks[name] for name in _RUN_BLOCKS}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_run_blocks(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -600,8 +607,8 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
             checkpoint_path=str(run_dir / "checkpoint.bin"),
         )
         _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
-        checkpoint_cfg = dict(config_to_dict(cfg), seed=seed)
-        save_checkpoint(run_dir / "checkpoint.bin", checkpoint_cfg, model.buffer, averaged)
+        save_checkpoint(run_dir / "checkpoint.bin", dict(_run_blocks(cfg), seed=seed),
+                        model.buffer, averaged)
         report.save_json(run_dir / "eval.json")
         report.save_confusion_csv(run_dir / "confusion.csv")
         np.save(run_dir / "onehot.npy", onehot)
@@ -789,12 +796,12 @@ def expand_suite(cfg: ExperimentConfig, suite: str):
 
 
 def _mean_sd(values):
-    values = [v for v in values if v is not None]
-    if not values:
-        return "", ""
-    arr = np.asarray(values, dtype=np.float64)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return repr(float(arr.mean())), repr(sd)
+    """The mean and sample (ddof=1) standard deviation as CSV fields; an
+    undefined one (no values, or the spread of one) is an empty field."""
+    arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
+    mean = repr(float(arr.mean())) if arr.size else ""
+    sd = repr(float(arr.std(ddof=1))) if arr.size > 1 else ""
+    return mean, sd
 
 
 SUMMARY_COLUMNS = ["suite", "cell", "seeds", "overall_mean", "overall_sd"] + [

@@ -8,7 +8,7 @@ general broadcasting.
 
 The composites fuse the fixed chains of the multi-expert model, each into one
 tape node with a hand-written adjoint:
-  dense_bn_relu  relu(batch_norm(x @ w + b)), bias and norm layer optional
+  dense_bn_relu  relu(batch_norm(x @ w + b)), norm layer optional
   expert_block   l2_normalize(relu(x @ w + b), axis=-1) over a [K, H, R] stack
   cosine_logits  scale * (x @ l2_normalize(w, axis=-2))
   loss_fold      sum(terms) + weight * extra, the terms added in index order
@@ -311,33 +311,20 @@ def matmul(a, b) -> Tensor:
 
 
 def _affine_parts(op_kind: str, x, w, b) -> tuple:
-    """x @ w, plus b when given: the output, the inputs [x, w(, b)], and
-    their ``adjoints`` map."""
-    x, w = _wrap(x), _wrap(w)
+    """x @ w + b: the output, the inputs [x, w, b], and their ``adjoints`` map."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     out, gx, gw = _matmul_parts(op_kind, x.values, w.values)
-    inputs = [x, w]
-    if b is not None:
-        b = _wrap(b)
-        if b.shape != w.shape[:-2] + w.shape[-1:]:
-            raise ShapeError(f"{op_kind}: bias shape {b.shape} does not match weights {w.shape}")
-        out += b.values[..., None, :]
-        inputs.append(b)
-    has_bias = b is not None
-
-    def adjoints(g: Array, need: tuple) -> list:
-        grads = [gx(g) if need[0] else None, gw(g) if need[1] else None]
-        if has_bias:
-            grads.append(g.sum(axis=-2) if need[2] else None)
-        return grads
-
-    return out, inputs, adjoints
+    if b.shape != w.shape[:-2] + w.shape[-1:]:
+        raise ShapeError(f"{op_kind}: bias shape {b.shape} does not match weights {w.shape}")
+    out += b.values[..., None, :]
+    return out, [x, w, b], _each((gx, gw, lambda g: g.sum(axis=-2)))
 
 
-def affine(x, w, b=None) -> Tensor:
+def affine(x, w, b) -> Tensor:
     """x @ w + b, with b added to every row of each block: one node for both.
 
     b has w's shape without its input axis: [R] for w [H, R], [K, R] for a
-    stack w [K, H, R]. With b None the output is the bits of matmul(x, w).
+    stack w [K, H, R]. A product without a bias is matmul's job.
     """
     out, inputs, adjoints = _affine_parts("affine", x, w, b)
     return _record("affine", inputs, out, adjoints)
@@ -576,12 +563,11 @@ def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: floa
 # ---------------------------------------------------------------------------
 
 
-def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
+def dense_bn_relu(x, w, b, norm=None, momentum: float = 0.1) -> Tensor:
     """relu(batch_norm(x @ w + b)) as one node: a backbone layer.
 
-    ``b`` is None for a bias-free layer. ``norm`` is None for no norm layer,
-    else (state, gamma, beta) as batch_norm takes them, in train or eval
-    mode.
+    ``norm`` is None for no norm layer, else (state, gamma, beta) as
+    batch_norm takes them, in train or eval mode.
 
     Unlike the chain, the op writes its intermediates in place where nothing
     reads them again, so it holds fewer activation-sized buffers at once.
@@ -610,11 +596,11 @@ def dense_bn_relu(x, w, b=None, norm=None, momentum: float = 0.1) -> Tensor:
     return _record("dense_bn_relu", inputs, out, adjoints)
 
 
-def expert_block(x, w, b=None) -> Tensor:
+def expert_block(x, w, b) -> Tensor:
     """l2_normalize(relu(x @ w + b), axis=-1) as one node: the stacked expert layer.
 
-    x [B, H] is shared by a stack w [K, H, R] (b [K, R], or None for no bias)
-    and yields K blocks of unit rows [K, B, R]; 2-D weights work as well.
+    x [B, H] is shared by a stack w [K, H, R] (b [K, R]) and yields K blocks
+    of unit rows [K, B, R]; 2-D weights (b [R]) work as well.
     """
     z, inputs, gaffine = _affine_parts("expert_block", x, w, b)
     r = np.fmax(z, 0.0, out=z)

@@ -16,7 +16,7 @@ NumericError naming where it happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,22 +97,20 @@ def class_balanced_weights(spec: LongTailSpec) -> np.ndarray:
     return inverse * (spec.num_classes / inverse.sum())
 
 
-def compute_losses(out, labels, spec: LongTailSpec, cfg: TrainConfig,
-                   class_weights: Optional[np.ndarray] = None) -> LossBundle:
+def compute_losses(out, labels, class_weights: np.ndarray,
+                   aux_weight: Optional[float]) -> LossBundle:
     """Per-expert cross-entropy plus the class-balanced auxiliary term.
 
-    total = sum(expert terms) + cb_loss_weight * balanced when the balanced
-    loss is enabled and an auxiliary head exists; otherwise just the sum of
-    expert terms. ``class_weights`` defaults to class_balanced_weights(spec).
+    The balanced term is computed whenever an auxiliary head exists. total =
+    sum(expert terms) + aux_weight * balanced, or just the sum of the expert
+    terms when there is no auxiliary head or ``aux_weight`` is None; a weight
+    of 0.0 still folds the term in.
     """
     expert_ce = softmax_cross_entropy(out.expert_logits, labels)
     balanced = None
     if out.aux_logits is not None:
-        if class_weights is None:
-            class_weights = class_balanced_weights(spec)
         balanced = softmax_cross_entropy(out.aux_logits, labels, class_weights)
-    weighted = balanced if cfg.cb_loss_enabled else None
-    total = loss_fold(expert_ce, weighted, cfg.cb_loss_weight)
+    total = loss_fold(expert_ce) if aux_weight is None else loss_fold(expert_ce, balanced, aux_weight)
     return LossBundle(expert_ce=expert_ce, balanced_ce=balanced, total=total)
 
 
@@ -209,7 +207,8 @@ def train(
             aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
             if cfg.decoupled and epoch == rep_phase_epochs:
                 velocity[:] = 0.0
-            cfg_eff = replace(cfg, cb_loss_enabled=False) if cfg.decoupled and not aux_phase else cfg
+            rep_phase = cfg.decoupled and not aux_phase
+            aux_weight = cfg.cb_loss_weight if cfg.cb_loss_enabled and not rep_phase else None
             frozen = slice(0, aux_start) if aux_phase else None
 
             # Per-sample loss sums: the K expert terms, then balanced and total;
@@ -221,7 +220,7 @@ def train(
                 tape = Tape()
                 params = bind_params(model, tape)
                 out = full_forward(model, xb, mode="train", params=params)
-                bundle = compute_losses(out, yb, ds.spec, cfg_eff, class_weights)
+                bundle = compute_losses(out, yb, class_weights, aux_weight)
                 if not np.isfinite(bundle.total.values):
                     raise NumericError("non-finite loss")
                 flatten_grads(grad_views, params, backward(bundle.total))

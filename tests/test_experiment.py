@@ -1,5 +1,6 @@
 """Experiment driver tests: config validation, runs, sweeps, suites, CLI."""
 
+import csv
 import json
 import os
 import re
@@ -263,6 +264,10 @@ class TestConfigParsing:
         assert config_hash(a) != config_hash(c)
         # Run records carry the hash: the default config's value is pinned.
         assert config_hash(default_config()) == "b01eb8780d25db5ff4fc00ecfbf4117e01deb19b43500af382bb9d326be6c8e4"
+        # A checkpoint embeds the same run key, so the run writes the same bytes
+        # under either seed list and output directory.
+        blobs = [Path(run_single(cfg, seed=0).checkpoint_path).read_bytes() for cfg in (a, b)]
+        assert blobs[0] == blobs[1]
 
 
 class TestRunSingle:
@@ -1129,6 +1134,22 @@ class TestSuites:
         text = csv_path.read_text().splitlines()
         assert text[0].startswith("suite,cell,seeds,overall_mean")
         assert len(text) == 3
+
+    def test_one_seed_cell_leaves_its_spread_empty(self, tmp_path):
+        # A sample standard deviation of one value is undefined, not 0.0.
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0]))
+        csv_path, _ = run_ablation_suite(cfg, "table7")
+        cell_dir = Path(cfg.output_dir) / "table7" / "epoch"
+        assert cli_main(["report", "--dir", str(cell_dir)]) == 0
+        tables = []
+        for path in (csv_path, cell_dir / "report.csv"):
+            with open(path, newline="") as fh:
+                tables.append({row["cell"]: row for row in csv.DictReader(fh)})
+        assert tables[1] == {"epoch": tables[0]["epoch"]}
+        for row in tables[0].values():
+            assert 0.0 <= float(row["overall_mean"]) <= 1.0
+            assert float(row["few_mean"]) >= 0.0
+            assert [row[column] for column in row if column.endswith("_sd")] == [""] * 4
 
     def test_report_on_a_file_is_config_error(self, tmp_path):
         path = tmp_path / "run.json"

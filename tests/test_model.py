@@ -397,7 +397,7 @@ class TestStackedMatchesPerExpertReference:
         tape = Tape()
         params = bind_params(model, tape)
         out = full_forward(model, x, mode="train", params=params)
-        bundle = compute_losses(out, labels, spec, train_cfg)
+        bundle = compute_losses(out, labels, class_balanced_weights(spec), train_cfg.cb_loss_weight)
         grad = np.empty(model.buffer.size)
         grad_views = param_views(cfg, grad)
         flatten_grads(grad_views, params, backward(bundle.total))

@@ -443,6 +443,10 @@ class TestStackedOps:
             affine(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones((3, 5))))
         with pytest.raises(ShapeError, match="affine"):
             affine(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 5))))
+        with pytest.raises(ShapeError, match="dense_bn_relu: bias"):
+            dense_bn_relu(Tensor(np.ones((4, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(3)))
+        with pytest.raises(ShapeError, match="expert_block: bias"):
+            expert_block(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3, 5))), Tensor(np.ones(5)))
         with pytest.raises(ShapeError, match="logits"):
             softmax_cross_entropy(Tensor(np.ones((2, 2, 3, 4))), [0, 1, 2])
         with pytest.raises(ShapeError, match="labels"):
@@ -509,32 +513,24 @@ class TestComposites:
         coeffs = np.random.default_rng(t.size).normal(size=t.shape)
         return reduce_sum(mul(t, Tensor(coeffs)))
 
-    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("mode", [None, "train", "eval"])
     @pytest.mark.parametrize("x_taped", [True, False])
-    def test_dense_bn_relu_bitwise(self, bias, mode, x_taped):
+    def test_dense_bn_relu_bitwise(self, mode, x_taped):
         x, w, b = self.rng.normal(size=(7, 5)), self.rng.normal(size=(5, 6)), self.rng.normal(size=6)
         gamma, beta = 1.0 + 0.1 * self.rng.normal(size=6), 0.1 * self.rng.normal(size=6)
         arrays, taped = [x, w, b, gamma, beta], [x_taped, True, True, True, True]
-        if not bias:
-            arrays, taped = [x, w, gamma, beta], [x_taped, True, True, True]
         seed = int(self.rng.integers(1 << 30))
 
         def make_states():
             return [] if mode is None else [_norm_state(np.random.default_rng(seed), 6, mode)]
 
-        def split(p):
-            return p[0], p[1], (p[2] if bias else None), p[-2], p[-1]
-
         def composite(p, *state):
-            x, w, b, gamma, beta = split(p)
-            return dense_bn_relu(x, w, b, (state[0], gamma, beta) if state else None, momentum=0.1)
+            return dense_bn_relu(*p[:3], (state[0], *p[3:]) if state else None, momentum=0.1)
 
         def chain(p, *state):
-            x, w, b, gamma, beta = split(p)
-            h = matmul(x, w) if b is None else affine(x, w, b)
+            h = affine(*p[:3])
             if state:
-                h = batch_norm(h, state[0], gamma, beta, momentum=0.1)
+                h = batch_norm(h, state[0], *p[3:], momentum=0.1)
             return relu(h)
 
         if mode is None:  # gamma and beta then feed nothing: leave them out
@@ -542,31 +538,19 @@ class TestComposites:
         _assert_bitwise_like_chain(composite, chain, arrays, taped, make_states)
 
     def test_dense_bn_relu_overwrites_only_an_untaped_affine_output(self):
-        z, w = self.rng.normal(size=(6, 4)), self.rng.normal(size=(4, 4))
+        z, w, b = self.rng.normal(size=(6, 4)), self.rng.normal(size=(4, 4)), self.rng.normal(size=4)
         norm = (NormStatsState.for_features(4), np.ones(4), np.zeros(4))
         before = z.copy()
         for x in (z, Tensor(z), Tape().leaf(z)):
-            dense_bn_relu(x, w, None, norm)
+            dense_bn_relu(x, w, b, norm)
         assert z.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_expert_block_bitwise(self, num_experts, bias):
+    def test_expert_block_bitwise(self, num_experts):
         h = self.rng.normal(size=(6, 5))
         w, b = self.rng.normal(size=(num_experts, 5, 3)), self.rng.normal(size=(num_experts, 3))
-        arrays = [h, w, b] if bias else [h, w]
-
-        def chain(p):
-            z = affine(p[0], p[1], p[2]) if bias else matmul(p[0], p[1])
-            return l2_normalize(relu(z), axis=-1)
-
-        _assert_bitwise_like_chain(lambda p: expert_block(*p), chain, arrays)
-
-    @pytest.mark.parametrize("w_shape", [(5, 3), (2, 5, 3)])
-    def test_affine_without_bias_is_matmul_bitwise(self, w_shape):
-        rng = np.random.default_rng(len(w_shape))
-        x, w = rng.normal(size=(6, 5)), rng.normal(size=w_shape)
-        _assert_bitwise_like_chain(lambda p: affine(*p), lambda p: matmul(*p), [x, w])
+        _assert_bitwise_like_chain(lambda p: expert_block(*p),
+                                   lambda p: l2_normalize(relu(affine(*p)), axis=-1), [h, w, b])
 
     def test_expert_block_two_d_weights_bitwise(self):
         h, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(5, 3)), self.rng.normal(size=3)
@@ -625,7 +609,6 @@ class TestComposites:
         h = self.rng.normal(size=(4, 3))
         w, b = self.rng.normal(size=(num_experts, 3, 2)), self.rng.normal(size=(num_experts, 2))
         check_function_gradients(lambda p: self._scalarize(expert_block(*p)), [h, w, b])
-        check_function_gradients(lambda p: self._scalarize(expert_block(*p)), [h, w])
 
     @pytest.mark.parametrize("num_experts", [None, 2])
     def test_cosine_logits_gradients(self, num_experts):
@@ -640,8 +623,9 @@ class TestComposites:
 
     def test_untaped_inputs_record_nothing(self):
         h, w = Tensor(self.rng.normal(size=(4, 3))), Tensor(self.rng.normal(size=(2, 3, 5)))
-        cls = Tensor(self.rng.normal(size=(2, 5, 6)))
-        for out in (dense_bn_relu(h, w.values[0]), expert_block(h, w), cosine_logits(expert_block(h, w), cls, 4.0),
+        b, cls = Tensor(self.rng.normal(size=(2, 5))), Tensor(self.rng.normal(size=(2, 5, 6)))
+        reps = expert_block(h, w, b)
+        for out in (dense_bn_relu(h, w.values[0], b.values[0]), reps, cosine_logits(reps, cls, 4.0),
                     loss_fold(Tensor(np.ones(2)), Tensor(1.0), 0.5)):
             assert out.tape is None
 
@@ -667,18 +651,13 @@ _LIFETIME_CASES = {
     "batch_norm_eval": (
         lambda p: batch_norm(p[0], _norm_state(np.random.default_rng(0), 4, "eval"), p[1], p[2], 0.1),
         [(3, 4), (4,), (4,)]),
-    "dense_bn_relu": (lambda p: dense_bn_relu(p[0], p[1]), [(3, 4), (4, 5)]),
     "dense_bn_relu_bias": (lambda p: dense_bn_relu(p[0], p[1], p[2]), [(3, 4), (4, 5), (5,)]),
-    "dense_bn_relu_norm": (
-        lambda p: dense_bn_relu(p[0], p[1], None, (NormStatsState.for_features(5), p[2], p[3])),
-        [(3, 4), (4, 5), (5,), (5,)]),
     "dense_bn_relu_bias_norm": (
         lambda p: dense_bn_relu(p[0], p[1], p[2], (NormStatsState.for_features(5), p[3], p[4])),
         [(3, 4), (4, 5), (5,), (5,), (5,)]),
     "dense_bn_relu_norm_eval": (
-        lambda p: dense_bn_relu(p[0], p[1], None, (_norm_state(np.random.default_rng(0), 5, "eval"), p[2], p[3])),
-        [(3, 4), (4, 5), (5,), (5,)]),
-    "expert_block": (lambda p: expert_block(p[0], p[1]), [(3, 4), (2, 4, 5)]),
+        lambda p: dense_bn_relu(p[0], p[1], p[2], (_norm_state(np.random.default_rng(0), 5, "eval"), p[3], p[4])),
+        [(3, 4), (4, 5), (5,), (5,), (5,)]),
     "expert_block_bias": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (2, 4, 5), (2, 5)]),
     "cosine_logits": (lambda p: cosine_logits(p[0], p[1], 8.0), [(2, 3, 4), (2, 4, 5)]),
     "loss_fold": (lambda p: loss_fold(p[0]), [(3,)]),

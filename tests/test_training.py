@@ -11,7 +11,7 @@ from damel.averaging import EmaState
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
 from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group, param_views
-from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
+from damel.tensor import Tape, Tensor, backward, loss_fold, mul, reduce_sum
 from damel.training import (
     TrainConfig,
     class_balanced_weights,
@@ -69,45 +69,55 @@ class TestComputeLosses:
             model.params[name][1] = model.params[name][0]
         ds = tiny_dataset()
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
-        bundle = compute_losses(out, ds.labels[:6], ds.spec, TrainConfig(epochs=1))
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 1.0)
         assert bundle.expert_ce.values.tolist()[0] == bundle.expert_ce.values.tolist()[1]
 
     def test_balanced_spec_matches_unweighted(self):
         model = init_model(tiny_config(), seed=2)
         ds = tiny_dataset()
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
-        bundle = compute_losses(out, ds.labels[:6], ds.spec, TrainConfig(epochs=1))
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 1.0)
         from damel.tensor import softmax_cross_entropy
 
         unweighted = softmax_cross_entropy(out.aux_logits, ds.labels[:6])
         assert abs(bundle.balanced_ce.item() - unweighted.item()) < 1e-12
 
+    def _folded_terms(self, bundle):
+        return bundle.total.tape.nodes[bundle.total.tape_id].input_ids
+
     def test_zero_weight_drops_balanced_term(self):
         model = init_model(tiny_config(), seed=3)
         ds = tiny_dataset()
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
-        bundle = compute_losses(
-            out, ds.labels[:6], ds.spec, TrainConfig(epochs=1, cb_loss_weight=0.0)
-        )
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 0.0)
         assert abs(bundle.total.item() - sum(bundle.expert_ce.values.tolist())) < 1e-12
+        # A weight of 0.0 is a weight: the term is folded in, at zero.
+        assert self._folded_terms(bundle) == (bundle.expert_ce.tape_id, bundle.balanced_ce.tape_id)
+
+    def test_no_weight_leaves_balanced_term_out(self):
+        model = init_model(tiny_config(), seed=3)
+        ds = tiny_dataset()
+        out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), None)
+        assert bundle.total.values.tobytes() == loss_fold(bundle.expert_ce).values.tobytes()
+        assert bundle.balanced_ce is not None  # still computed, for the metrics log
+        assert self._folded_terms(bundle) == (bundle.expert_ce.tape_id,)
 
     def test_total_linearity_invariant(self):
         model = init_model(tiny_config(), seed=4)
         ds = tiny_dataset()
-        cfg = TrainConfig(epochs=1, cb_loss_weight=1.7)
         out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
-        bundle = compute_losses(out, ds.labels[:6], ds.spec, cfg)
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 1.7)
         expected = sum(bundle.expert_ce.values.tolist()) + 1.7 * bundle.balanced_ce.item()
         assert abs(bundle.total.item() - expected) < 1e-12
 
     def test_one_backward_equals_sum_of_parts(self):
         model = init_model(tiny_config(), seed=5)
         ds = tiny_dataset()
-        cfg = TrainConfig(epochs=1, cb_loss_weight=1.3)
         tape = Tape()
         params = bind_params(model, tape)
         out = full_forward(model, ds.features[:6], mode="train", params=params)
-        bundle = compute_losses(out, ds.labels[:6], ds.spec, cfg)
+        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 1.3)
         total_grad = flat_grad(model, params, backward(bundle.total))
         parts = np.zeros_like(total_grad)
         for k in range(model.config.num_experts):
