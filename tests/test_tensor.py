@@ -513,12 +513,13 @@ class TestComposites:
         coeffs = np.random.default_rng(t.size).normal(size=t.shape)
         return reduce_sum(mul(t, Tensor(coeffs)))
 
+    @pytest.mark.parametrize("w_taped", [True, False])
     @pytest.mark.parametrize("mode", [None, "train", "eval"])
     @pytest.mark.parametrize("x_taped", [True, False])
-    def test_dense_bn_relu_bitwise(self, mode, x_taped):
+    def test_dense_bn_relu_bitwise(self, mode, x_taped, w_taped):
         x, w, b = self.rng.normal(size=(7, 5)), self.rng.normal(size=(5, 6)), self.rng.normal(size=6)
         gamma, beta = 1.0 + 0.1 * self.rng.normal(size=6), 0.1 * self.rng.normal(size=6)
-        arrays, taped = [x, w, b, gamma, beta], [x_taped, True, True, True, True]
+        arrays, taped = [x, w, b, gamma, beta], [x_taped, w_taped, True, True, True]
         seed = int(self.rng.integers(1 << 30))
 
         def make_states():
@@ -545,12 +546,20 @@ class TestComposites:
             dense_bn_relu(x, w, b, norm)
         assert z.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("h_taped", [True, False])
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
-    def test_expert_block_bitwise(self, num_experts):
+    def test_expert_block_bitwise(self, num_experts, h_taped):
         h = self.rng.normal(size=(6, 5))
         w, b = self.rng.normal(size=(num_experts, 5, 3)), self.rng.normal(size=(num_experts, 3))
         _assert_bitwise_like_chain(lambda p: expert_block(*p),
-                                   lambda p: l2_normalize(relu(affine(*p)), axis=-1), [h, w, b])
+                                   lambda p: l2_normalize(relu(affine(*p)), axis=-1), [h, w, b],
+                                   [h_taped, True, True])
+
+    @pytest.mark.parametrize("x_taped", [True, False])
+    def test_affine_is_matmul_then_add_bitwise(self, x_taped):
+        x, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(5, 3)), self.rng.normal(size=3)
+        _assert_bitwise_like_chain(lambda p: affine(*p), lambda p: add(matmul(p[0], p[1]), p[2]),
+                                   [x, w, b], [x_taped, True, True])
 
     def test_expert_block_two_d_weights_bitwise(self):
         h, w, b = self.rng.normal(size=(6, 5)), self.rng.normal(size=(5, 3)), self.rng.normal(size=3)
@@ -637,6 +646,7 @@ _LIFETIME_CASES = {
     "mul": (lambda p: mul(p[0], p[1]), [(3, 4), (3, 4)]),
     "matmul": (lambda p: matmul(p[0], p[1]), [(3, 4), (2, 4, 5)]),
     "affine": (lambda p: affine(p[0], p[1], p[2]), [(3, 4), (2, 4, 5), (2, 5)]),
+    "affine_2d": (lambda p: affine(p[0], p[1], p[2]), [(3, 4), (4, 5), (5,)]),
     "relu": (lambda p: relu(p[0]), [(3, 4)]),
     "concat_last_axis": (lambda p: concat_last_axis(p), [(3, 2), (3, 4)]),
     "mean": (lambda p: reduce_mean(p[0]), [(3, 4)]),
@@ -659,6 +669,7 @@ _LIFETIME_CASES = {
         lambda p: dense_bn_relu(p[0], p[1], p[2], (_norm_state(np.random.default_rng(0), 5, "eval"), p[3], p[4])),
         [(3, 4), (4, 5), (5,), (5,), (5,)]),
     "expert_block_bias": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (2, 4, 5), (2, 5)]),
+    "expert_block_2d": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (4, 5), (5,)]),
     "cosine_logits": (lambda p: cosine_logits(p[0], p[1], 8.0), [(2, 3, 4), (2, 4, 5)]),
     "loss_fold": (lambda p: loss_fold(p[0]), [(3,)]),
     "loss_fold_extra": (lambda p: loss_fold(p[0], p[1], 1.7), [(3,), ()]),
