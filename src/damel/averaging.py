@@ -100,11 +100,11 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
     plain numpy. Each layer computes its affine output once per chunk; the
     mean is the chunks' column sums over n, the variance their summed squared
     deviations from that mean over n. So for any chunking the statistics are
-    exact population statistics of each layer's input under the eval-mode
-    composite forward (with one chunk, the bits of ndarray.mean and
-    ndarray.var). The same outputs are then normalized in place as the
-    eval-mode norm layer does and go on to the next layer, so each layer runs
-    once per recompute. ``predict``'s folded kernel feeds the next layer
+    exact population statistics of each layer's input under the composite
+    forward with ``train=False`` (with one chunk, the bits of ndarray.mean and
+    ndarray.var). The same outputs are then normalized in place as that norm
+    layer does and go on to the next layer, so each layer runs once per
+    recompute. ``predict``'s folded kernel feeds the next layer
     fmax(x @ (w*s) + ((b - mean)*s + beta), 0) instead, which differs from
     that composite forward only in the last bits.
     """
@@ -124,7 +124,7 @@ def recompute_running_stats(model: DamelModel, train_ds, chunk_size: Optional[in
         mean = sum(z.sum(axis=0) for z in chunks) / n
         devs = (z - mean for z in chunks)  # one at a time, squared in place: the bits of dev ** 2
         var = sum(np.square(dev, out=dev).sum(axis=0) for dev in devs) / n
-        state.running_mean, state.running_var, state.mode = mean, var, "eval"
+        state.running_mean, state.running_var = mean, var
         if i + 1 < len(layers):  # the last layer's output feeds no statistics
             inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
             for z in chunks:

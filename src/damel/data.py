@@ -21,7 +21,9 @@ import numpy as np
 from .errors import CapacityError, ContractError
 
 # rng stream tags, combined with the caller's seed so the center, train-noise,
-# test-noise, subsample and batching draws never collide.
+# test-noise, subsample and batching draws never collide with each other. But
+# init_model's [seed, 0] and [seed, 2] are the center and test-noise streams
+# when a run's seed equals base_seed (ROADMAP item 7).
 _CENTER_STREAM = 0
 _TRAIN_STREAM = 1
 _TEST_STREAM = 2

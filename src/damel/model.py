@@ -26,11 +26,12 @@ so its memory does not depend on the set size. With an auxiliary head the
 kernel skips the expert cosine heads and the row renormalization, 1/K and
 scale of that head, all positive row factors the argmax cannot see. Its
 scores may thus differ from the composite logits in the last bits, and a
-prediction only at an exact near-tie. It sets no norm state's mode.
+prediction only at an exact near-tie.
 
-``full_forward`` is the one composite forward. ``backbone_layers`` lists the
-shared trunk's layers for it, for the norm-statistics pass, which walks them
-one at a time in plain numpy, and for ``predict``'s fold.
+``full_forward`` is the one composite forward; its ``train`` flag, not the
+norm states, picks batch or running norm statistics. ``backbone_layers``
+lists the shared trunk's layers for it, for the norm-statistics pass, which
+walks them one at a time in plain numpy, and for ``predict``'s fold.
 
 Variants:
   standard                concatenated detached representations -> aux head
@@ -63,8 +64,6 @@ from .tensor import (
 )
 
 VARIANTS = ("standard", "aggregate_predictions", "average_representations", "capacity_controlled")
-
-BN_MOMENTUM = 0.1
 
 # Rows per block in ``predict``. At the default widths (K=3, R=32) a
 # block's largest transient array, the [rows, K*R] expert affine, is 96 KiB:
@@ -184,7 +183,11 @@ def _fan_in_uniform(rng, shape) -> np.ndarray:
 
 
 def init_model(config: DamelConfig, seed: int) -> DamelModel:
-    """Deterministic init; each expert block draws from its own seed stream."""
+    """Deterministic init; each expert block draws from its own seed stream.
+
+    The backbone's ``[seed, 0]`` and the aux head's ``[seed, 2]`` are the data's
+    class-center and test-noise streams when ``seed`` equals ``base_seed``, as
+    in run seed 0 of every default config; ROADMAP item 7 will retag them."""
     config.validate()
     norm_states: dict[str, NormStatsState] = {}
     if config.use_norm_layers:
@@ -235,31 +238,28 @@ def backbone_layers(model: DamelModel, p: dict) -> list:
     return layers
 
 
-def full_forward(model: DamelModel, x, mode: str = "train", params: Optional[dict] = None) -> ForwardOutput:
+def full_forward(model: DamelModel, x, train: bool = True, params: Optional[dict] = None) -> ForwardOutput:
     """The model's forward: backbone, stacked experts and, unless the variant
     is aggregate_predictions, the auxiliary head.
 
-    Sets every norm layer to ``mode``. ``params`` defaults to the model's own
-    arrays, which every op reads as untaped constants. The expert heads give
-    cosine logits [K, B, L], softmax left to the loss. The auxiliary head reads
-    the [K, B, R] representations as constants (the detach wall), lays them
-    side by side per row (standard/capacity) or averages them
-    (average_representations), re-normalizes the rows and classifies them by
-    unit-column cosine weights.
+    With ``train`` the norm layers use batch statistics and fold them into
+    their running ones, else they only read the running ones. ``params``
+    defaults to the model's own arrays, which every op reads as untaped
+    constants. The expert heads give cosine logits [K, B, L], softmax left to
+    the loss. The auxiliary head reads the [K, B, R] representations as
+    constants (the detach wall), lays them side by side per row
+    (standard/capacity) or averages them (average_representations),
+    re-normalizes the rows and classifies them by unit-column cosine weights.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"forward mode must be 'train' or 'eval', got {mode!r}")
     cfg = model.config
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.values.ndim != 2 or x.shape[1] != cfg.input_dim:
         raise ShapeError(f"forward: input must be [B, {cfg.input_dim}], got {x.shape}")
     p = model.params if params is None else params
-    for state in model.norm_states.values():
-        state.mode = mode
 
     h = x
     for w, b, norm in backbone_layers(model, p):
-        h = dense_bn_relu(h, w, b, norm, BN_MOMENTUM)
+        h = dense_bn_relu(h, w, b, norm, train)
     reps = expert_block(h, p["experts.w"], p["experts.b"])
     out = ForwardOutput(expert_logits=cosine_logits(reps, p["experts.cls"], cfg.scale),
                         normalized_reps=reps)
@@ -345,8 +345,7 @@ def predict(model: DamelModel, x) -> np.ndarray:
     layer into its affine and skips what the argmax cannot see, so its scores
     may differ from the composite forward's logits in the last bits, and a
     prediction can differ only at an exact near-tie. ``predict`` reads the
-    parameters and norm statistics and writes nothing, the norm states'
-    mode included.
+    parameters and norm statistics and writes nothing.
     """
     x = np.asarray(x.values if isinstance(x, Tensor) else x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:

@@ -58,6 +58,7 @@ Array = np.ndarray
 
 DEFAULT_NORM_EPS = 1e-12
 BATCH_NORM_EPS = 1e-5
+BATCH_NORM_MOMENTUM = 0.1
 
 
 def _as_array(values) -> Array:
@@ -486,15 +487,11 @@ def softmax_cross_entropy(logits, labels, class_weights=None) -> Tensor:
 
 @dataclass
 class NormStatsState:
-    """Per-feature running statistics for one normalization layer.
-
-    ``mode`` selects batch statistics (train) or running statistics (eval)
-    at forward time.
-    """
+    """Per-feature running statistics for one normalization layer; whether a
+    forward reads them or batch statistics is the op's ``train`` argument."""
 
     running_mean: Array
     running_var: Array
-    mode: str = "train"  # "train" | "eval"
 
     @classmethod
     def for_features(cls, num_features: int) -> "NormStatsState":
@@ -502,17 +499,16 @@ class NormStatsState:
 
 
 def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, beta_v: Array,
-              momentum: float, owned: bool = False) -> tuple:
+              train: bool, owned: bool = False) -> tuple:
     """batch_norm's output and the adjoint maps of its input, scale and shift.
 
-    With ``owned`` the op may centre ``v`` in place: the caller made it and
-    reads it no more.
+    Only ``train`` writes into ``state``. With ``owned`` the op may centre
+    ``v`` in place: the caller made it and reads it no more.
     """
     if v.ndim != 2:
         raise ShapeError(f"{op_kind}: norm input must be [B, F], got {v.shape}")
     batch = v.shape[0]
 
-    train = state.mode == "train"
     if train and batch < 2:
         raise ContractError(f"{op_kind}: train mode requires a batch of at least 2 samples")
 
@@ -523,8 +519,8 @@ def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, bet
         # The steps of ndarray.var on the centred values it would recompute.
         var = np.square(x_hat).sum(axis=0) / batch
         inv_std = 1.0 / np.sqrt(var + BATCH_NORM_EPS)
-        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
-        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
+        state.running_mean = (1.0 - BATCH_NORM_MOMENTUM) * state.running_mean + BATCH_NORM_MOMENTUM * mu
+        state.running_var = (1.0 - BATCH_NORM_MOMENTUM) * state.running_var + BATCH_NORM_MOMENTUM * var
 
         def gx(g: Array) -> Array:
             g_hat = g * gamma_v
@@ -544,16 +540,16 @@ def _bn_parts(op_kind: str, v: Array, state: NormStatsState, gamma_v: Array, bet
     return out, gx, lambda g: (g * x_hat).sum(axis=0), lambda g: g.sum(axis=0)
 
 
-def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: float) -> Tensor:
+def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, train: bool = True) -> Tensor:
     """Normalize [B, F] activations per feature.
 
-    Train mode uses batch statistics (population variance) and folds them
-    into the running statistics as running <- (1-momentum)*running +
-    momentum*batch. Eval mode normalizes by running statistics only.
+    With ``train`` the op uses batch statistics (population variance) and
+    folds them into the running statistics as running <- (1-m)*running +
+    m*batch, m = BATCH_NORM_MOMENTUM; otherwise it normalizes by them only.
     """
     x, gamma_scale, beta_shift = _wrap(x), _wrap(gamma_scale), _wrap(beta_shift)
     out, gx, ggamma, gbeta = _bn_parts(
-        "batch_norm", x.values, state, gamma_scale.values, beta_shift.values, momentum
+        "batch_norm", x.values, state, gamma_scale.values, beta_shift.values, train
     )
     return _record("batch_norm", (x, gamma_scale, beta_shift), out, _each((gx, ggamma, gbeta)))
 
@@ -563,11 +559,11 @@ def batch_norm(x, state: NormStatsState, gamma_scale, beta_shift, momentum: floa
 # ---------------------------------------------------------------------------
 
 
-def dense_bn_relu(x, w, b, norm=None, momentum: float = 0.1) -> Tensor:
+def dense_bn_relu(x, w, b, norm=None, train: bool = True) -> Tensor:
     """relu(batch_norm(x @ w + b)) as one node: a backbone layer.
 
     ``norm`` is None for no norm layer, else (state, gamma, beta) as
-    batch_norm takes them, in train or eval mode.
+    batch_norm takes them; ``train`` is batch_norm's.
 
     Unlike the chain, the op writes its intermediates in place where nothing
     reads them again, so it holds fewer activation-sized buffers at once.
@@ -578,7 +574,7 @@ def dense_bn_relu(x, w, b, norm=None, momentum: float = 0.1) -> Tensor:
         state, gamma, beta = norm
         gamma, beta = _wrap(gamma), _wrap(beta)
         out, gnorm, ggamma, gbeta = _bn_parts(
-            "dense_bn_relu", out, state, gamma.values, beta.values, momentum, owned=True
+            "dense_bn_relu", out, state, gamma.values, beta.values, train, owned=True
         )
         inputs += [gamma, beta]
     # As relu: fmax is bit-identical to where(v > 0, v, 0), and out > 0

@@ -174,7 +174,8 @@ def train(
 
     With decoupled=True the epochs split into a representation phase (the
     balanced loss excluded, auxiliary head frozen) followed by an
-    auxiliary-only phase (everything else frozen, velocity reset).
+    auxiliary-only phase (everything else frozen, velocity reset). With
+    cb_loss_enabled=False the balanced loss weighs every class 1.
     """
     cfg.validate()
     if type(avg_state) is not type(make_avg_state(cfg)):
@@ -198,7 +199,7 @@ def train(
     # The aux head, when there is one, is the tail of the flat layout.
     aux = model.params.get("aux.cls")
     aux_start = model.buffer.size - (0 if aux is None else aux.size)
-    class_weights = class_balanced_weights(ds.spec)
+    class_weights = class_balanced_weights(ds.spec) if cfg.cb_loss_enabled else np.ones(ds.spec.num_classes)
     metrics: list[EpochMetrics] = []
 
     try:
@@ -208,7 +209,7 @@ def train(
             if cfg.decoupled and epoch == rep_phase_epochs:
                 velocity[:] = 0.0
             rep_phase = cfg.decoupled and not aux_phase
-            aux_weight = cfg.cb_loss_weight if cfg.cb_loss_enabled and not rep_phase else None
+            aux_weight = None if rep_phase else cfg.cb_loss_weight
             frozen = slice(0, aux_start) if aux_phase else None
 
             # Per-sample loss sums: the K expert terms, then balanced and total;
@@ -219,7 +220,7 @@ def train(
                 where = f"epoch {epoch}, iteration {iteration}"
                 tape = Tape()
                 params = bind_params(model, tape)
-                out = full_forward(model, xb, mode="train", params=params)
+                out = full_forward(model, xb, params=params)
                 bundle = compute_losses(out, yb, class_weights, aux_weight)
                 if not np.isfinite(bundle.total.values):
                     raise NumericError("non-finite loss")

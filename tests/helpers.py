@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from damel.model import BN_MOMENTUM
 from damel.tensor import (
     NormStatsState,
     Tape,
@@ -82,8 +81,9 @@ def build_random_net(rng, min_layers=2, max_layers=4):
 
     Returns (arrays, forward_fn) where forward_fn maps a list of parameter
     tensors (taped or not) to a scalar loss Tensor. All structural choices
-    (widths, layer kinds, labels, norm states' running statistics) are frozen
-    at build time, so the forward is a pure function of the parameters.
+    (widths, layer kinds, labels, each norm layer's running statistics and
+    train flag) are frozen at build time, so the forward is a pure function
+    of the parameters.
     """
     batch = int(rng.integers(3, 6))
     width = int(rng.integers(3, 7))
@@ -110,9 +110,9 @@ def build_random_net(rng, min_layers=2, max_layers=4):
             state = NormStatsState(
                 running_mean=rng.normal(size=out_w),
                 running_var=0.5 + rng.uniform(size=out_w),
-                mode=str(rng.choice(["train", "eval"])),
             )
-            plan.append(("affine_norm", (idx_w, idx_b, idx_g, idx_s, state)))
+            train = rng.choice(["train", "eval"]) == "train"
+            plan.append(("affine_norm", (idx_w, idx_b, idx_g, idx_s, state, train)))
             width = out_w
         elif kind == "l2norm":
             plan.append(("l2norm", None))
@@ -136,9 +136,9 @@ def build_random_net(rng, min_layers=2, max_layers=4):
                 idx_w, idx_b = payload
                 h = relu(matmul(h, params[idx_w]) + params[idx_b])
             elif kind == "affine_norm":
-                idx_w, idx_b, idx_g, idx_s, state = payload
+                idx_w, idx_b, idx_g, idx_s, state, train = payload
                 h = matmul(h, params[idx_w]) + params[idx_b]
-                h = relu(batch_norm(h, state, params[idx_g], params[idx_s], momentum=0.1))
+                h = relu(batch_norm(h, state, params[idx_g], params[idx_s], train))
             elif kind == "l2norm":
                 h = l2_normalize(h, axis=1)
             else:
@@ -174,8 +174,8 @@ def reference_params(model, tape):
     return params
 
 
-def reference_forward(model, x, params, mode="train"):
-    """The model's forward as a K-loop of 2-D ops, one expert at a time:
+def reference_forward(model, x, params):
+    """The model's train forward as a K-loop of 2-D ops, one expert at a time:
     matmul, bias add, relu and l2_normalize per expert, one cosine head per
     expert, and the aux input built with concat_last_axis or an add chain.
 
@@ -183,14 +183,12 @@ def reference_forward(model, x, params, mode="train"):
     lists of [B, *] tensors, aux_logits is None for aggregate_predictions.
     """
     cfg = model.config
-    for state in model.norm_states.values():
-        state.mode = mode
     h = Tensor(x)
     for i in (1, 2):
         h = matmul(h, params[f"backbone.w{i}"]) + params[f"backbone.b{i}"]
         if cfg.use_norm_layers:
             h = batch_norm(h, model.norm_states[f"backbone.bn{i}"], params[f"backbone.bn{i}.gamma"],
-                           params[f"backbone.bn{i}.beta"], BN_MOMENTUM)
+                           params[f"backbone.bn{i}.beta"])
         h = relu(h)
     reps, logits = [], []
     for k in range(cfg.num_experts):

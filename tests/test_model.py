@@ -108,14 +108,14 @@ class TestExpertForward:
 
     def test_cosine_logit_values(self):
         m = self._identity_model()
-        out = full_forward(m, np.array([[3.0, 0.0]]), mode="eval")
+        out = full_forward(m, np.array([[3.0, 0.0]]), train=False)
         # representation [1, 0] against unit class columns [1,0] and [0,1]
         np.testing.assert_allclose(out.expert_logits.values[0], [[16.0, 0.0]], atol=1e-12)
 
     def test_logits_bounded_by_scale(self):
         rng = np.random.default_rng(2)
         m = init_model(small_config(), seed=3)
-        out = full_forward(m, rng.normal(size=(20, 6)), mode="eval")
+        out = full_forward(m, rng.normal(size=(20, 6)), train=False)
         for logit in out.expert_logits.values:
             assert np.abs(logit).max() <= 16.0 * (1 + 1e-9)
 
@@ -129,7 +129,7 @@ class TestAuxiliary:
     def test_single_expert_consumes_its_representation(self):
         m = init_model(small_config(num_experts=1), seed=2)
         x = np.random.default_rng(0).normal(size=(4, 6))
-        out = full_forward(m, x, mode="eval")
+        out = full_forward(m, x, train=False)
         z = out.normalized_reps.values[0]
         aux_w = m.params["aux.cls"]
         unit_w = aux_w / np.sqrt((aux_w**2).sum(axis=0, keepdims=True))
@@ -139,7 +139,7 @@ class TestAuxiliary:
     def test_concat_width_and_norm(self):
         m = init_model(small_config(num_experts=2, rep_dim=3), seed=2)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        out = full_forward(m, x, mode="eval")
+        out = full_forward(m, x, train=False)
         concat = np.concatenate(list(out.normalized_reps.values), axis=1)
         assert concat.shape[1] == 6
         # two unit rows concatenated have norm sqrt(2) before re-normalization
@@ -163,7 +163,7 @@ class TestAuxiliary:
     def test_aggregate_predictions_has_no_aux(self):
         m = init_model(small_config(variant="aggregate_predictions"), seed=0)
         assert "aux.cls" not in m.params
-        out = full_forward(m, np.ones((2, 6)), mode="eval")
+        out = full_forward(m, np.ones((2, 6)), train=False)
         assert out.aux_logits is None
 
     @pytest.mark.parametrize("variant", ["standard", "average_representations", "capacity_controlled"])
@@ -175,7 +175,7 @@ class TestAuxiliary:
         rng = np.random.default_rng(3)
         tape = Tape()
         params = bind_params(m, tape)
-        out = full_forward(m, rng.normal(size=(6, 6)), mode="train", params=params)
+        out = full_forward(m, rng.normal(size=(6, 6)), params=params)
         loss = softmax_cross_entropy(out.aux_logits, rng.integers(0, 5, size=6))
         grads = backward(loss)
         for name, leaf in params.items():
@@ -194,13 +194,13 @@ class TestFullForward:
         for state in model.norm_states.values():
             state.running_mean[:] = rng.normal(size=state.running_mean.shape)
             state.running_var[:] = rng.uniform(0.5, 2.0, size=state.running_var.shape)
-        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
+        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy())
                   for name, st in model.norm_states.items()}
         twin = DamelModel(model.config, model.buffer.copy(), states)
         x = rng.normal(size=(7, 6))
 
-        out = full_forward(model, x, mode="eval")
-        bound = full_forward(twin, x, mode="eval", params=bind_params(twin, Tape()))
+        out = full_forward(model, x, train=False)
+        bound = full_forward(twin, x, train=False, params=bind_params(twin, Tape()))
         pairs = [(out.expert_logits, bound.expert_logits), (out.normalized_reps, bound.normalized_reps)]
         if variant == "aggregate_predictions":
             assert out.aux_logits is None and bound.aux_logits is None
@@ -210,15 +210,20 @@ class TestFullForward:
             assert const.tape is None and leafy.tape is not None
             assert const.values.tobytes() == leafy.values.tobytes()
 
-    def test_unknown_mode_rejected(self):
-        model = init_model(small_config(), seed=0)
-        with pytest.raises(ConfigError, match="forward mode must be"):
-            full_forward(model, np.ones((2, 6)), mode="test")
+    def test_eval_forward_leaves_norm_states_alone(self):
+        model = init_model(small_config(use_norm_layers=True), seed=2)
+        before = {name: {field: (value, np.asarray(value).tobytes()) for field, value in vars(st).items()}
+                  for name, st in model.norm_states.items()}
+        full_forward(model, np.random.default_rng(2).normal(size=(5, 6)), train=False)
+        for name, state in model.norm_states.items():
+            assert vars(state).keys() == before[name].keys()
+            for field, (value, data) in before[name].items():
+                assert getattr(state, field) is value and np.asarray(value).tobytes() == data, (name, field)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_zero_row_eval_forward(self, variant):
         model = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=0)
-        out = full_forward(model, np.ones((0, 6)), mode="eval")
+        out = full_forward(model, np.ones((0, 6)), train=False)
         k = model.config.num_experts
         assert out.expert_logits.shape == (k, 0, 5)
         assert out.normalized_reps.shape == (k, 0, model.config.expert_rep_dim)
@@ -240,7 +245,7 @@ class TestPredict:
                           {"variant": "capacity_controlled", "num_experts": 1, "ref_experts": 3}):
             for use_norm_layers in (False, True):
                 m = init_model(small_config(use_norm_layers=use_norm_layers, **overrides), seed=4)
-                out = full_forward(m, x, mode="eval")
+                out = full_forward(m, x, train=False)
                 np.testing.assert_array_equal(predict(m, x), out.aux_logits.values.argmax(axis=1))
 
     def test_expert_heads_do_not_affect_standard_predictions(self):
@@ -255,7 +260,7 @@ class TestPredict:
     def test_aggregate_uses_mean_expert_softmax(self):
         m = init_model(small_config(variant="aggregate_predictions"), seed=8)
         x = np.random.default_rng(8).normal(size=(5, 6))
-        out = full_forward(m, x, mode="eval")
+        out = full_forward(m, x, train=False)
 
         def softmax(v):
             e = np.exp(v - v.max(axis=1, keepdims=True))
@@ -283,7 +288,7 @@ def _unit_rows(v):
 
 def _whole_batch_logits(model, x):
     """The logits predict reads, from one forward over all rows of ``x``."""
-    out = full_forward(model, x, mode="eval")
+    out = full_forward(model, x, train=False)
     return out.expert_logits.values if out.aux_logits is None else out.aux_logits.values
 
 
@@ -385,7 +390,7 @@ class TestStackedMatchesPerExpertReference:
         cfg = small_config(scale=scale, **_model_kwargs(variant, num_experts, use_norm_layers))
         model = init_model(cfg, seed=11)
         _set_biases(model, biases, seed=11)
-        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy(), st.mode)
+        states = {name: NormStatsState(st.running_mean.copy(), st.running_var.copy())
                   for name, st in model.norm_states.items()}
         reference = DamelModel(cfg, model.buffer.copy(), states)
         rng = np.random.default_rng(num_experts)
@@ -396,7 +401,7 @@ class TestStackedMatchesPerExpertReference:
 
         tape = Tape()
         params = bind_params(model, tape)
-        out = full_forward(model, x, mode="train", params=params)
+        out = full_forward(model, x, params=params)
         bundle = compute_losses(out, labels, class_balanced_weights(spec), train_cfg.cb_loss_weight)
         grad = np.empty(model.buffer.size)
         grad_views = param_views(cfg, grad)

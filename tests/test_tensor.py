@@ -10,6 +10,7 @@ import pytest
 from damel.errors import ContractError, ShapeError
 from damel.tensor import (
     BATCH_NORM_EPS,
+    BATCH_NORM_MOMENTUM,
     NormStatsState,
     Tape,
     Tensor,
@@ -268,25 +269,22 @@ class TestSoftmaxCrossEntropy:
 class TestBatchNorm:
     def test_train_normalizes_column(self):
         state = NormStatsState.for_features(1)
-        out = batch_norm(
-            Tensor([[1.0], [3.0]]), state, Tensor([1.0]), Tensor([0.0]), momentum=0.1
-        )
+        out = batch_norm(Tensor([[1.0], [3.0]]), state, Tensor([1.0]), Tensor([0.0]))
         expected = (np.array([[1.0], [3.0]]) - 2.0) / math.sqrt(1.0 + BATCH_NORM_EPS)
         np.testing.assert_allclose(out.values, expected, rtol=1e-12)
         np.testing.assert_allclose(out.values, [[-1.0], [1.0]], atol=1e-4)
 
     def test_eval_identity_map(self):
         state = NormStatsState.for_features(2)
-        state.mode = "eval"
         x = np.array([[0.1, -0.05], [0.02, 0.08]])
-        out = batch_norm(Tensor(x), state, Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), momentum=0.1)
+        out = batch_norm(Tensor(x), state, Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), train=False)
         np.testing.assert_allclose(out.values, x, atol=1e-6)
 
     def test_running_stats_two_step_recursion(self):
         state = NormStatsState.for_features(1)
-        momentum = 0.1
-        batch_norm(Tensor([[1.0], [3.0]]), state, Tensor([1.0]), Tensor([0.0]), momentum)
-        batch_norm(Tensor([[5.0], [7.0]]), state, Tensor([1.0]), Tensor([0.0]), momentum)
+        momentum = BATCH_NORM_MOMENTUM
+        batch_norm(Tensor([[1.0], [3.0]]), state, Tensor([1.0]), Tensor([0.0]))
+        batch_norm(Tensor([[5.0], [7.0]]), state, Tensor([1.0]), Tensor([0.0]))
         # Hand recursion: running <- (1-m)*running + m*batch, population variance.
         rm = (1 - momentum) * ((1 - momentum) * 0.0 + momentum * 2.0) + momentum * 6.0
         rv = (1 - momentum) * ((1 - momentum) * 1.0 + momentum * 1.0) + momentum * 1.0
@@ -297,15 +295,15 @@ class TestBatchNorm:
         rng = np.random.default_rng(12)
         x = rng.normal(loc=3.0, scale=2.5, size=(37, 9))
         state = NormStatsState.for_features(9)
-        momentum = 0.1
-        batch_norm(Tensor(x), state, Tensor(np.ones(9)), Tensor(np.zeros(9)), momentum)
+        momentum = BATCH_NORM_MOMENTUM
+        batch_norm(Tensor(x), state, Tensor(np.ones(9)), Tensor(np.zeros(9)))
         expected = (1.0 - momentum) * np.ones(9) + momentum * np.var(x, axis=0)
         assert np.array_equal(state.running_var.view(np.int64), expected.view(np.int64))
 
     def test_single_sample_train_batch_rejected(self):
         state = NormStatsState.for_features(1)
         with pytest.raises(ContractError, match="at least 2"):
-            batch_norm(Tensor([[1.0]]), state, Tensor([1.0]), Tensor([0.0]), momentum=0.1)
+            batch_norm(Tensor([[1.0]]), state, Tensor([1.0]), Tensor([0.0]))
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_gradients(self, mode):
@@ -314,15 +312,11 @@ class TestBatchNorm:
         gamma = 1.0 + 0.1 * rng.normal(size=3)
         beta = 0.1 * rng.normal(size=3)
         coeffs = rng.normal(size=(5, 3))
-        state_proto = NormStatsState(
-            running_mean=rng.normal(size=3), running_var=0.5 + rng.uniform(size=3), mode=mode
-        )
+        state_proto = NormStatsState(running_mean=rng.normal(size=3), running_var=0.5 + rng.uniform(size=3))
 
         def f(params):
-            state = NormStatsState(
-                state_proto.running_mean.copy(), state_proto.running_var.copy(), mode
-            )
-            out = batch_norm(params[0], state, params[1], params[2], momentum=0.1)
+            state = NormStatsState(state_proto.running_mean.copy(), state_proto.running_var.copy())
+            out = batch_norm(params[0], state, params[1], params[2], train=mode == "train")
             return reduce_sum(mul(out, Tensor(coeffs)))
 
         check_function_gradients(f, [x, gamma, beta])
@@ -461,17 +455,17 @@ class TestRandomNetworks:
             check_function_gradients(forward_fn, arrays)
 
 
-def _norm_state(rng, width, mode):
-    """A norm state in ``mode``: train or eval."""
-    return NormStatsState(rng.normal(size=width), 0.5 + rng.uniform(size=width), mode)
+def _norm_state(rng, width):
+    """A norm state with random running statistics."""
+    return NormStatsState(rng.normal(size=width), 0.5 + rng.uniform(size=width))
 
 
 def _clone_state(state):
-    return NormStatsState(state.running_mean.copy(), state.running_var.copy(), state.mode)
+    return NormStatsState(state.running_mean.copy(), state.running_var.copy())
 
 
 def _state_bytes(state):
-    return [state.running_mean.tobytes(), state.running_var.tobytes(), state.mode]
+    return [state.running_mean.tobytes(), state.running_var.tobytes()]
 
 
 def _assert_bitwise_like_chain(composite, chain, arrays, taped=None, make_states=None, scalarize=True):
@@ -523,15 +517,15 @@ class TestComposites:
         seed = int(self.rng.integers(1 << 30))
 
         def make_states():
-            return [] if mode is None else [_norm_state(np.random.default_rng(seed), 6, mode)]
+            return [] if mode is None else [_norm_state(np.random.default_rng(seed), 6)]
 
         def composite(p, *state):
-            return dense_bn_relu(*p[:3], (state[0], *p[3:]) if state else None, momentum=0.1)
+            return dense_bn_relu(*p[:3], (state[0], *p[3:]) if state else None, train=mode == "train")
 
         def chain(p, *state):
             h = affine(*p[:3])
             if state:
-                h = batch_norm(h, state[0], *p[3:], momentum=0.1)
+                h = batch_norm(h, state[0], *p[3:], train=mode == "train")
             return relu(h)
 
         if mode is None:  # gamma and beta then feed nothing: leave them out
@@ -607,8 +601,8 @@ class TestComposites:
         def f(p):
             norm = None
             if mode is not None:
-                norm = (_norm_state(np.random.default_rng(seed), 4, mode), p[3], p[4])
-            return self._scalarize(dense_bn_relu(p[0], p[1], p[2], norm, momentum=0.1))
+                norm = (_norm_state(np.random.default_rng(seed), 4), p[3], p[4])
+            return self._scalarize(dense_bn_relu(p[0], p[1], p[2], norm, train=mode == "train"))
 
         arrays = [x, w, b, gamma, beta] if mode is not None else [x, w, b]
         check_function_gradients(f, arrays)
@@ -656,17 +650,18 @@ _LIFETIME_CASES = {
     "softmax_cross_entropy": (
         lambda p: softmax_cross_entropy(p[0], [0, 2, 1], [1.0, 2.0, 0.5]), [(2, 3, 3)]),
     "batch_norm_train": (
-        lambda p: batch_norm(p[0], NormStatsState.for_features(4), p[1], p[2], 0.1),
+        lambda p: batch_norm(p[0], NormStatsState.for_features(4), p[1], p[2]),
         [(3, 4), (4,), (4,)]),
     "batch_norm_eval": (
-        lambda p: batch_norm(p[0], _norm_state(np.random.default_rng(0), 4, "eval"), p[1], p[2], 0.1),
+        lambda p: batch_norm(p[0], _norm_state(np.random.default_rng(0), 4), p[1], p[2], train=False),
         [(3, 4), (4,), (4,)]),
     "dense_bn_relu_bias": (lambda p: dense_bn_relu(p[0], p[1], p[2]), [(3, 4), (4, 5), (5,)]),
     "dense_bn_relu_bias_norm": (
         lambda p: dense_bn_relu(p[0], p[1], p[2], (NormStatsState.for_features(5), p[3], p[4])),
         [(3, 4), (4, 5), (5,), (5,), (5,)]),
     "dense_bn_relu_norm_eval": (
-        lambda p: dense_bn_relu(p[0], p[1], p[2], (_norm_state(np.random.default_rng(0), 5, "eval"), p[3], p[4])),
+        lambda p: dense_bn_relu(p[0], p[1], p[2], (_norm_state(np.random.default_rng(0), 5), p[3], p[4]),
+                                train=False),
         [(3, 4), (4, 5), (5,), (5,), (5,)]),
     "expert_block_bias": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (2, 4, 5), (2, 5)]),
     "expert_block_2d": (lambda p: expert_block(p[0], p[1], p[2]), [(3, 4), (4, 5), (5,)]),

@@ -60,7 +60,7 @@ class TestComputeLosses:
     def _forward(self, model, x, y):
         tape = Tape()
         params = bind_params(model, tape)
-        out = full_forward(model, x, mode="train", params=params)
+        out = full_forward(model, x, params=params)
         return out, params
 
     def test_identical_expert_logits_give_identical_losses(self):
@@ -116,7 +116,7 @@ class TestComputeLosses:
         ds = tiny_dataset()
         tape = Tape()
         params = bind_params(model, tape)
-        out = full_forward(model, ds.features[:6], mode="train", params=params)
+        out = full_forward(model, ds.features[:6], params=params)
         bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), 1.3)
         total_grad = flat_grad(model, params, backward(bundle.total))
         parts = np.zeros_like(total_grad)
@@ -227,11 +227,25 @@ class TestTrain:
             runs.append(model.buffer.copy().tobytes())
         assert runs[0] == runs[1]
 
-    def test_disabled_balanced_loss_freezes_aux(self):
-        model, ds, cfg = quick_train_setup(epochs=3, cb_loss_enabled=False)
+    def test_zero_balanced_weight_freezes_aux(self):
+        model, ds, cfg = quick_train_setup(epochs=3, cb_loss_weight=0.0)
         before = model.params["aux.cls"].tobytes()
         train(model, ds, cfg, make_avg_state(cfg), seed=0)
         assert model.params["aux.cls"].tobytes() == before
+
+    def test_disabled_balanced_loss_trains_aux_on_unit_weights(self, monkeypatch):
+        """Without rebalancing the aux head trains on plain cross-entropy: the
+        run is a rebalanced one whose class weights are all 1."""
+        runs = []
+        for enabled in (False, True):
+            if enabled:
+                monkeypatch.setattr(training, "class_balanced_weights", lambda spec: np.ones(spec.num_classes))
+            model, ds, cfg = quick_train_setup(epochs=3, cb_loss_enabled=enabled)
+            init_aux = model.params["aux.cls"].tobytes()
+            _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
+            assert model.params["aux.cls"].tobytes() != init_aux
+            runs.append((model.buffer.tobytes(), avg.weights.tobytes(), repr(metrics)))
+        assert runs[0] == runs[1]
 
     def test_detach_propagation_every_step(self):
         model, ds, cfg = quick_train_setup(epochs=2)
