@@ -212,9 +212,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     probe_dim = dataset.feature_dim if dataset.feature_dim else 1
     try:
-        build_damel_config(model, dataset, probe_dim).validate()
+        has_aux = build_damel_config(model, dataset, probe_dim).validate().aux_input_dim is not None
     except DamelError as err:
         raise ConfigError(f"model: {err}") from None
+    # The balanced term is the aux head's only gradient, and a decoupled run's
+    # second half trains that head alone, so neither may be left with nothing to train.
+    if train_cfg.decoupled and not has_aux:
+        raise ConfigError(f"train.decoupled re-trains the auxiliary head, which variant "
+                          f"{model.variant} does not have")
+    if train_cfg.decoupled and train_cfg.epochs == 1:
+        raise ConfigError("train.decoupled at epochs 1 leaves no epoch for its auxiliary phase")
+    if has_aux and train_cfg.cb_loss_weight == 0:
+        raise ConfigError(f"train.cb_loss_weight 0 leaves the auxiliary head of variant "
+                          f"{model.variant}, its prediction path, untrained")
     # Every source trains on exactly the profile's samples, so a batch size
     # that no run could train with fails here, before any data is built.
     total, batch = sum(spec.counts), train_cfg.batch_size

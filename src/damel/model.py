@@ -215,9 +215,11 @@ def init_model(config: DamelConfig, seed: int) -> DamelModel:
     return model
 
 
-def bind_params(model: DamelModel, tape: Tape) -> dict:
-    """Register every parameter as a differentiable leaf on ``tape``."""
-    return {name: tape.leaf(p) for name, p in model.params.items()}
+def bind_params(model: DamelModel, tape: Tape, trained=None) -> dict:
+    """name -> Tensor per parameter: a leaf on ``tape`` if ``trained`` names
+    it (by default every one does), else an untaped constant no step moves."""
+    return {name: tape.leaf(p) if trained is None or name in trained else Tensor(p)
+            for name, p in model.params.items()}
 
 
 def param_group(name: str) -> str:

@@ -81,7 +81,9 @@ class LossBundle:
 
 @dataclass
 class StepContext:
-    """Handed to the optional per-step hook after the parameter update."""
+    """Handed to the optional per-step hook after the parameter update. In a
+    decoupled run's auxiliary phase every ``params`` entry but ``aux.cls`` is
+    an untaped constant: its ``tape_id`` is None, and no gradient map holds it."""
 
     epoch: int
     iteration: int
@@ -132,10 +134,11 @@ def sgd_step(model: DamelModel, grad_flat: np.ndarray, velocity: np.ndarray,
 
 
 def flatten_grads(grad_views: dict, params: dict, grads: dict) -> None:
-    """Write the gradient map from backward() into ``grad_views``, name -> view
-    of a flat vector shaped like that parameter (``param_views`` of it)."""
+    """Write backward()'s gradient map into ``grad_views`` (``param_views`` of
+    a flat vector), and 0.0 into the view of a parameter bound untaped."""
     for name, view in grad_views.items():
-        view[...] = grads[params[name].tape_id].values
+        tape_id = params[name].tape_id
+        view[...] = 0.0 if tape_id is None else grads[tape_id].values
 
 
 def _accuracy(model: DamelModel, ds: Dataset) -> float:
@@ -172,12 +175,17 @@ def train(
     loss or gradient shows (a relu can zero a NaN activation) fails at the
     epoch end.
 
-    With decoupled=True the epochs split into a representation phase (the
-    balanced loss excluded, auxiliary head frozen) followed by an
-    auxiliary-only phase (everything else frozen, velocity reset). With
-    cb_loss_enabled=False the balanced loss weighs every class 1.
+    With decoupled=True the first (epochs + 1) // 2 epochs leave the balanced
+    term out, so the auxiliary head keeps its init; the rest tape the head
+    alone, every other parameter bound as an untaped constant, and reset the
+    velocity so those weights do not coast. A decoupled model without an
+    auxiliary head is a ContractError. With cb_loss_enabled=False the
+    balanced loss weighs every class 1.
     """
     cfg.validate()
+    if cfg.decoupled and "aux.cls" not in model.params:
+        raise ContractError(f"decoupled training re-trains the auxiliary head, which variant "
+                            f"{model.config.variant} does not have")
     if type(avg_state) is not type(make_avg_state(cfg)):
         raise ContractError(
             f"averaging={cfg.averaging} does not take a {type(avg_state).__name__} state"
@@ -196,9 +204,6 @@ def train(
     grad_flat = np.empty(model.buffer.size)
     grad_views = param_views(model.config, grad_flat)
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
-    # The aux head, when there is one, is the tail of the flat layout.
-    aux = model.params.get("aux.cls")
-    aux_start = model.buffer.size - (0 if aux is None else aux.size)
     class_weights = class_balanced_weights(ds.spec) if cfg.cb_loss_enabled else np.ones(ds.spec.num_classes)
     metrics: list[EpochMetrics] = []
 
@@ -210,7 +215,7 @@ def train(
                 velocity[:] = 0.0
             rep_phase = cfg.decoupled and not aux_phase
             aux_weight = None if rep_phase else cfg.cb_loss_weight
-            frozen = slice(0, aux_start) if aux_phase else None
+            trained = ("aux.cls",) if aux_phase else None
 
             # Per-sample loss sums: the K expert terms, then balanced and total;
             # balanced stays nan without an aux head.
@@ -219,14 +224,12 @@ def train(
             for iteration, (xb, yb) in enumerate(batches):
                 where = f"epoch {epoch}, iteration {iteration}"
                 tape = Tape()
-                params = bind_params(model, tape)
+                params = bind_params(model, tape, trained)
                 out = full_forward(model, xb, params=params)
                 bundle = compute_losses(out, yb, class_weights, aux_weight)
                 if not np.isfinite(bundle.total.values):
                     raise NumericError("non-finite loss")
                 flatten_grads(grad_views, params, backward(bundle.total))
-                if frozen is not None:
-                    grad_flat[frozen] = 0.0
                 sgd_step(model, grad_flat, velocity, cfg.lr, cfg.momentum)
                 if cfg.ema_frequency == "iteration":
                     avg_state = update_average(avg_state, model.buffer)

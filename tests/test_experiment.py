@@ -256,6 +256,35 @@ class TestConfigParsing:
     def test_batch_size_every_run_can_train_with_is_accepted(self, tmp_path, model, train):
         parse_config(small_raw(tmp_path, model=model, train=train))
 
+    @pytest.mark.parametrize("model, train, message", [
+        ({"variant": "aggregate_predictions"}, {"decoupled": True},
+         "train.decoupled re-trains the auxiliary head, which variant aggregate_predictions "
+         "does not have"),
+        ({}, {"decoupled": True, "epochs": 1},
+         "train.decoupled at epochs 1 leaves no epoch for its auxiliary phase"),
+        ({}, {"cb_loss_weight": 0},
+         "train.cb_loss_weight 0 leaves the auxiliary head of variant standard, its prediction "
+         "path, untrained"),
+        ({"variant": "average_representations"}, {"cb_loss_weight": 0.0},
+         "train.cb_loss_weight 0 leaves the auxiliary head of variant average_representations, "
+         "its prediction path, untrained"),
+        ({"num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2}, {"cb_loss_weight": 0},
+         "train.cb_loss_weight 0 leaves the auxiliary head of variant capacity_controlled, its "
+         "prediction path, untrained"),
+    ], ids=["decoupled_aggregate_predictions", "decoupled_one_epoch", "zero_weight_standard",
+            "zero_weight_average_representations", "zero_weight_capacity_controlled"])
+    def test_aux_head_that_cannot_train_is_config_error(self, tmp_path, model, train, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(small_raw(tmp_path, model=model, train=train))
+
+    @pytest.mark.parametrize("model, train", [
+        ({"variant": "aggregate_predictions"}, {"cb_loss_weight": 0}),
+        ({}, {"decoupled": True, "epochs": 0}),
+        ({}, {"decoupled": True, "epochs": 2}),
+    ], ids=["zero_weight_aggregate_predictions", "decoupled_zero_epochs", "decoupled_two_epochs"])
+    def test_aux_head_rules_accept(self, tmp_path, model, train):
+        parse_config(small_raw(tmp_path, model=model, train=train))
+
     def test_hash_ignores_seeds_and_output(self, tmp_path):
         a = parse_config(small_raw(tmp_path, seeds=[0, 1]))
         b = parse_config(small_raw(tmp_path, seeds=[5, 6], output_dir=str(tmp_path / "other")))
@@ -1120,6 +1149,11 @@ class TestSuites:
         with pytest.raises(ConfigError, match=r"^table8/experts_2: model: "):
             expand_suite(cfg, "table8")
 
+    def test_decoupled_cell_without_an_aux_head_names_the_cell(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, model={"variant": "aggregate_predictions"}))
+        with pytest.raises(ConfigError, match=r"^table12/decoupled: train\.decoupled re-trains "):
+            expand_suite(cfg, "table12")
+
     def test_unknown_suite_lists_names(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
         with pytest.raises(ConfigError, match="table5"):
@@ -1385,6 +1419,23 @@ class TestCli:
         assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: dataset: synthesize: ") and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
+
+    @pytest.mark.parametrize("command, model, train, reason", [
+        (["run", "--seed", "0"], {"variant": "aggregate_predictions"}, {"decoupled": True},
+         "train.decoupled re-trains the auxiliary head"),
+        (["sweep", "--seeds", "0,1", "--workers", "2"], {"variant": "aggregate_predictions"},
+         {"decoupled": True}, "train.decoupled re-trains the auxiliary head"),
+        (["ablate", "--suite", "table12", "--workers", "2"], {"variant": "aggregate_predictions"}, {},
+         "table12/decoupled: train.decoupled re-trains the auxiliary head"),
+        (["run", "--seed", "0"], {}, {"cb_loss_weight": 0}, "train.cb_loss_weight 0 leaves"),
+    ], ids=["run_decoupled", "sweep_decoupled", "ablate_table12", "run_zero_weight"])
+    def test_aux_head_that_cannot_train_exits_1_before_any_run(self, tmp_path, capsys, command,
+                                                               model, train, reason):
+        path, raw = self._write_cfg(tmp_path, model=model, train=train)
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {reason}") and err.count("\n") == 1
         assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("workers", ["1", "2"])

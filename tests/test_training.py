@@ -344,6 +344,83 @@ class TestTrain:
             np.testing.assert_array_equal(backbone, backbone_frozen)
         assert not np.array_equal(model.params["aux.cls"], init_aux)
 
+    @pytest.mark.parametrize("use_norm_layers", [False, True])
+    def test_aux_phase_tapes_only_the_head(self, use_norm_layers):
+        model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, use_norm_layers=use_norm_layers),
+                           seed=0)
+        seen = []
+
+        def hook(ctx):
+            if ctx.epoch >= 2:
+                taped = [name for name, t in ctx.params.items() if t.tape_id is not None]
+                seen.append((taped, len(ctx.bundle.total.tape)))
+
+        train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=hook)
+        assert seen and all(step == (["aux.cls"], 4) for step in seen)
+
+    def test_aux_phase_gradients_are_zero_outside_the_head(self, monkeypatch):
+        handed, epochs = [], []
+        real_step = training.sgd_step
+
+        def recording_step(model, grad_flat, velocity, lr, momentum):
+            handed.append(grad_flat.copy())
+            real_step(model, grad_flat, velocity, lr, momentum)
+
+        monkeypatch.setattr(training, "sgd_step", recording_step)
+        model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
+        train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=lambda ctx: epochs.append(ctx.epoch))
+        aux_phase = [g for g, epoch in zip(handed, epochs) if epoch >= 2]
+        assert len(handed) == len(epochs) and aux_phase
+        for grad in aux_phase:
+            views = param_views(model.config, grad)
+            assert all(not view.any() for name, view in views.items() if name != "aux.cls")
+            assert views["aux.cls"].any()
+
+    @pytest.mark.parametrize("use_norm_layers", [False, True], ids=["plain", "norm"])
+    @pytest.mark.parametrize("variant", ["standard", "average_representations", "capacity_controlled"])
+    def test_decoupled_run_matches_slice_zeroing_oracle(self, monkeypatch, variant, use_norm_layers):
+        """Untaped constants freeze the aux phase exactly as taping every
+        parameter and zeroing the gradient outside the head's tail span did."""
+        extra = {"num_experts": 1, "ref_experts": 2} if variant == "capacity_controlled" else {}
+        config = tiny_config(input_dim=4, num_classes=4, variant=variant,
+                             use_norm_layers=use_norm_layers, **extra)
+        real_bind, real_step = training.bind_params, training.sgd_step
+        aux_phase, zeroed = [False], []
+
+        def bind_all(model, tape, trained=None):
+            aux_phase[0] = trained is not None
+            return real_bind(model, tape)
+
+        def zeroing_step(model, grad_flat, velocity, lr, momentum):
+            if aux_phase[0]:
+                head_start = model.buffer.size - model.params["aux.cls"].size
+                zeroed.append(grad_flat[:head_start].any())
+                grad_flat[:head_start] = 0.0
+            real_step(model, grad_flat, velocity, lr, momentum)
+
+        runs = []
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(training, "bind_params", bind_all)
+                monkeypatch.setattr(training, "sgd_step", zeroing_step)
+            model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
+            model = init_model(config, seed=0)
+            _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
+            runs.append((model.buffer.tobytes(), avg.weights.tobytes(), repr(metrics)))
+        assert zeroed and all(zeroed)  # the oracle's full backward reached the frozen groups
+        assert runs[0] == runs[1]
+
+    def test_decoupled_without_an_aux_head_is_contract_error_before_any_step(self):
+        model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
+        model = init_model(tiny_config(input_dim=4, num_classes=4, variant="aggregate_predictions"),
+                           seed=0)
+        before, steps = model.buffer.tobytes(), []
+        with pytest.raises(ContractError, match="^decoupled training re-trains the auxiliary head, "
+                                                "which variant aggregate_predictions does not have$"):
+            train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=steps.append)
+        assert steps == [] and model.buffer.tobytes() == before
+
     @pytest.mark.parametrize("variant", ["standard", "aggregate_predictions"])
     def test_metrics_log_shape(self, variant):
         model, ds, cfg = quick_train_setup(epochs=2)
