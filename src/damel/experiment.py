@@ -438,18 +438,14 @@ def build_datasets(dataset: DatasetBlock, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, config_dict: dict, trained: np.ndarray, averaged: Optional[np.ndarray]) -> None:
+def encode_checkpoint(config_dict: dict, trained: np.ndarray, averaged: Optional[np.ndarray]) -> bytes:
+    """The bytes of a checkpoint; averaged weights of another length are refused before any."""
+    if averaged is not None and averaged.size != trained.size:
+        raise ConfigError("checkpoint: averaged weights length differs from trained")
     blob = json.dumps(config_dict, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<Q", trained.size))
-        fh.write(np.asarray(trained, dtype="<f8").tobytes())
-        if averaged is not None:
-            if averaged.size != trained.size:
-                raise ConfigError("checkpoint: averaged weights length differs from trained")
-            fh.write(np.asarray(averaged, dtype="<f8").tobytes())
+    weights = [trained] if averaged is None else [trained, averaged]
+    header = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob, struct.pack("<Q", trained.size)]
+    return b"".join(header + [np.asarray(w, dtype="<f8").tobytes() for w in weights])
 
 
 def _check_checkpoint_count(path, config_dict, count: int) -> None:
@@ -478,35 +474,34 @@ def _check_checkpoint_count(path, config_dict, count: int) -> None:
         )
 
 
-def load_checkpoint(path):
-    """Returns (config_dict, trained, averaged-or-None).
+def decode_checkpoint(raw: bytes, name):
+    """Returns (config_dict, trained, averaged-or-None) from a checkpoint's
+    bytes; ``name`` only labels errors.
 
-    The file must be exactly header + 8 * count bytes of trained weights,
+    The bytes must be exactly header + 8 * count bytes of trained weights,
     optionally followed by as many averaged weights, and the embedded config
     (a run config plus its ``seed``) must parse, carry a valid seed and hold
-    ``count`` parameters; anything else (a truncated file, trailing bytes, a
+    ``count`` parameters; anything else (truncated bytes, trailing bytes, a
     count the config disagrees with) is a ConfigError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     if raw[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: bad checkpoint magic {raw[:8]!r}")
+        raise ConfigError(f"{name}: bad checkpoint magic {raw[:8]!r}")
     if len(raw) < 12:
-        raise ConfigError(f"{path}: truncated checkpoint header")
+        raise ConfigError(f"{name}: truncated checkpoint header")
     (json_len,) = struct.unpack_from("<I", raw, 8)
     offset = 12 + json_len + 8
     if len(raw) < offset:
-        raise ConfigError(f"{path}: truncated checkpoint header")
+        raise ConfigError(f"{name}: truncated checkpoint header")
     try:
         config_dict = json.loads(raw[12:12 + json_len].decode())
     except ValueError as err:
-        raise ConfigError(f"{path}: checkpoint config is not valid JSON ({err})") from None
+        raise ConfigError(f"{name}: checkpoint config is not valid JSON ({err})") from None
     (count,) = struct.unpack_from("<Q", raw, offset - 8)
-    _check_checkpoint_count(path, config_dict, count)
+    _check_checkpoint_count(name, config_dict, count)
     payload = len(raw) - offset
     if payload not in (8 * count, 16 * count):
         raise ConfigError(
-            f"{path}: checkpoint holds {payload} weight bytes, expected {8 * count} or "
+            f"{name}: checkpoint holds {payload} weight bytes, expected {8 * count} or "
             f"{16 * count} for {count} parameters"
         )
     trained = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
@@ -515,6 +510,11 @@ def load_checkpoint(path):
         averaged = np.frombuffer(raw, dtype="<f8", count=count,
                                  offset=offset + 8 * count).astype(np.float64)
     return config_dict, trained, averaged
+
+
+def load_checkpoint(path):
+    """``decode_checkpoint`` of the file at ``path``."""
+    return decode_checkpoint(Path(path).read_bytes(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +617,8 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
             checkpoint_path=str(run_dir / "checkpoint.bin"),
         )
         _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
-        save_checkpoint(run_dir / "checkpoint.bin", dict(_run_blocks(cfg), seed=seed),
-                        model.buffer, averaged)
+        (run_dir / "checkpoint.bin").write_bytes(
+            encode_checkpoint(dict(_run_blocks(cfg), seed=seed), model.buffer, averaged))
         report.save_json(run_dir / "eval.json")
         report.save_confusion_csv(run_dir / "confusion.csv")
         np.save(run_dir / "onehot.npy", onehot)

@@ -26,7 +26,9 @@ from damel.experiment import (
     aggregate_report,
     config_hash,
     config_to_dict,
+    decode_checkpoint,
     default_config,
+    encode_checkpoint,
     expand_suite,
     load_checkpoint,
     load_config,
@@ -35,7 +37,6 @@ from damel.experiment import (
     run_ablation_suite,
     run_seed_sweep,
     run_single,
-    save_checkpoint,
     vary_config,
 )
 from damel.model import init_model, predict
@@ -49,16 +50,28 @@ def many_usable_cpus(monkeypatch):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 64)
 
 
-def cli_process(argv):
-    """``damel`` as a child process on this checkout's sources. The child sees
-    64 usable CPUs as well, so ``--workers 2`` is a real pool on any host."""
+def cli_process(argv, cwd=None, **env_updates):
+    """``damel`` as a child process on this checkout's sources, in ``cwd``; an
+    environment variable given as None is unset. The child sees 64 usable
+    CPUs as well, so ``--workers 2`` is a real pool on any host."""
     env = dict(os.environ)
     src = str(Path(experiment.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for key, value in env_updates.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     launch = ("import damel.experiment as e; e._usable_cpus = lambda: 64; "
               "from damel.cli import console_main; console_main()")
     return subprocess.run([sys.executable, "-c", launch, *argv], capture_output=True, text=True,
-                          env=env, timeout=300)
+                          env=env, cwd=cwd, timeout=300)
+
+
+def artifacts(root):
+    """Every file under ``root`` but run.json (it holds the wall time), by relative path."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(Path(root).rglob("*"))
+            if p.is_file() and p.name != "run.json"}
 
 
 def small_raw(tmp_path, **overrides):
@@ -625,8 +638,8 @@ class TestFileSourceParsedOnce:
         path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and str(missing) in err
-        assert not (Path(raw["output_dir"]) / "single" / "default" / "0").exists()
+        assert err.startswith("config error: ") and str(missing) in err and err.count("\n") == 1
+        assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("command", [["sweep", "--seeds", "0,1", "--workers", "2"],
                                          ["ablate", "--suite", "table7", "--workers", "2"]])
@@ -675,12 +688,6 @@ class TestFileSourceParsedOnce:
         assert len(names) == 4 * 5 + 2
         for name in names:
             assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
-
-    @staticmethod
-    def _artifacts(sweep_dir):
-        """Every file a sweep wrote but run.json (it holds the wall time)."""
-        return {p.relative_to(sweep_dir): p.read_bytes() for p in sorted(sweep_dir.rglob("*"))
-                if p.is_file() and p.name != "run.json"}
 
     @staticmethod
     def _cached(cache):
@@ -734,7 +741,7 @@ class TestFileSourceParsedOnce:
         assert capfd.readouterr() == ("", "")
         assert len(parses) == 2
         assert self._cached(cache) == cached
-        assert self._artifacts(tmp_path / "cold") == self._artifacts(tmp_path / "again")
+        assert artifacts(tmp_path / "cold") == artifacts(tmp_path / "again")
 
     @pytest.mark.parametrize("blocked", ["denied", "file_in_the_way"])
     def test_unwritable_cache_directory_parses_as_today_and_prints_nothing(
@@ -756,7 +763,7 @@ class TestFileSourceParsedOnce:
         for sweep_dir in ("uncached", "uncached_again"):
             experiment._parsed_source.clear()
             run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / sweep_dir)
-            assert self._artifacts(tmp_path / sweep_dir) == self._artifacts(tmp_path / "cached")
+            assert artifacts(tmp_path / sweep_dir) == artifacts(tmp_path / "cached")
         assert capfd.readouterr() == ("", "")
         assert len(parses) == 3
         if blocked == "denied":
@@ -788,7 +795,7 @@ class TestFileSourceParsedOnce:
         assert 1 <= cold_parses <= 2  # each worker parses at most once
         assert (log.read_text().count("\n") if log.exists() else 0) == cold_parses
         assert os.listdir(cache_dir) == ["pool.csv.npz"]
-        assert self._artifacts(tmp_path / "cold") == self._artifacts(tmp_path / "warm")
+        assert artifacts(tmp_path / "cold") == artifacts(tmp_path / "warm")
 
 
 def tiny_checkpoint_config(tmp_path):
@@ -801,91 +808,107 @@ def tiny_checkpoint_config(tmp_path):
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
         trained = np.arange(count, dtype=np.float64)
         averaged = trained * 0.5
-        save_checkpoint(path, config, trained, averaged)
-        blob = path.read_bytes()
+        blob = encode_checkpoint(config, trained, averaged)
         assert blob[:8] == b"DAMELCKP"
         (json_len,) = struct.unpack("<I", blob[8:12])
         assert json.loads(blob[12:12 + json_len]) == config
-        cfg, t, a = load_checkpoint(path)
+        cfg, t, a = decode_checkpoint(blob, "ck.bin")
         assert cfg == config
         np.testing.assert_array_equal(t, trained)
         np.testing.assert_array_equal(a, averaged)
 
     def test_without_averaged(self, tmp_path):
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
-        save_checkpoint(path, config, np.ones(count), None)
-        _, t, a = load_checkpoint(path)
+        _, t, a = decode_checkpoint(encode_checkpoint(config, np.ones(count), None), "ck.bin")
         assert a is None and t.size == count
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTDAMEL" + b"\x00" * 16)
-        with pytest.raises(ConfigError, match="magic"):
-            load_checkpoint(path)
+    def test_bad_magic(self):
+        with pytest.raises(ConfigError, match="bad.bin: bad checkpoint magic"):
+            decode_checkpoint(b"NOTDAMEL" + b"\x00" * 16, "bad.bin")
 
     @pytest.mark.parametrize("with_averaged", [False, True])
     def test_every_truncation_is_config_error(self, tmp_path, with_averaged):
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
         trained = np.arange(count, dtype=np.float64)
-        save_checkpoint(path, config, trained,
-                        trained * 0.5 if with_averaged else None)
-        blob = path.read_bytes()
+        blob = encode_checkpoint(config, trained, trained * 0.5 if with_averaged else None)
         trained_only_len = len(blob) - 8 * trained.size if with_averaged else None
-        cut = tmp_path / "cut.bin"
         for length in range(len(blob)):
-            cut.write_bytes(blob[:length])
             if length == trained_only_len:
                 # Exactly a well-formed checkpoint without averaged weights.
-                _, t, a = load_checkpoint(cut)
+                _, t, a = decode_checkpoint(blob[:length], "cut.bin")
                 assert a is None and t.tobytes() == trained.tobytes()
                 continue
-            with pytest.raises(ConfigError):
-                load_checkpoint(cut)
+            with pytest.raises(ConfigError, match="^cut.bin: "):
+                decode_checkpoint(blob[:length], "cut.bin")
+
+    def test_every_header_mutation_is_config_error_or_a_valid_config(self, tmp_path):
+        """Each header byte flipped by each single-bit mask and by 0xFF: the
+        decoder refuses it as a ConfigError or returns a run config that parses
+        and whose parameter count fits it; no other exception escapes."""
+        config, count = tiny_checkpoint_config(tmp_path)
+        blob = encode_checkpoint(config, np.arange(count, dtype=np.float64), None)
+        header = len(blob) - 8 * count
+        refused = decoded = 0
+        for index in range(header):
+            for mask in [1 << bit for bit in range(8)] + [0xFF]:
+                mutant = bytearray(blob)
+                mutant[index] ^= mask
+                try:
+                    found, trained, _ = decode_checkpoint(bytes(mutant), "ck.bin")
+                except ConfigError:
+                    refused += 1
+                    continue
+                decoded += 1
+                cfg = parse_config({key: value for key, value in found.items() if key != "seed"})
+                width = cfg.dataset.feature_dim
+                model_cfg = experiment.build_damel_config(cfg.model, cfg.dataset, width)
+                assert trained.size == experiment.param_count(model_cfg)
+        assert refused + decoded == 9 * header and refused and decoded
 
     def test_averaged_weights_of_another_length_are_refused(self, tmp_path):
         config, count = tiny_checkpoint_config(tmp_path)
         with pytest.raises(ConfigError, match="averaged weights length differs from trained"):
-            save_checkpoint(tmp_path / "ck.bin", config, np.zeros(count), np.zeros(count + 1))
+            encode_checkpoint(config, np.zeros(count), np.zeros(count + 1))
+
+    def test_refused_save_writes_no_file(self, tmp_path):
+        """The length check comes before any byte, so a refused save leaves
+        no trained-only checkpoint behind that would load."""
+        path = tmp_path / "ck.bin"
+        config, count = tiny_checkpoint_config(tmp_path)
+        with pytest.raises(ConfigError, match="averaged weights length differs from trained"):
+            path.write_bytes(encode_checkpoint(config, np.zeros(count), np.zeros(count + 1)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("with_averaged", [False, True])
     def test_trailing_byte_is_config_error(self, tmp_path, with_averaged):
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
         trained = np.arange(count, dtype=np.float64)
-        save_checkpoint(path, config, trained, trained if with_averaged else None)
-        path.write_bytes(path.read_bytes() + b"\x00")
+        blob = encode_checkpoint(config, trained, trained if with_averaged else None)
         with pytest.raises(ConfigError, match="weight bytes"):
-            load_checkpoint(path)
+            decode_checkpoint(blob + b"\x00", "ck.bin")
 
     @pytest.mark.parametrize("config", [{}, {"seed": 3}, [], {"seed": 3, "model": {}},
                                         b"{not json", b"\xff\xfe{}"])
-    def test_config_that_does_not_parse_is_config_error(self, tmp_path, config):
-        path = tmp_path / "ck.bin"
+    def test_config_that_does_not_parse_is_config_error(self, config):
         if isinstance(config, bytes):  # a header whose config is not JSON at all
-            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config
-                             + struct.pack("<Q", 0))
+            blob = CHECKPOINT_MAGIC + struct.pack("<I", len(config)) + config + struct.pack("<Q", 0)
         else:
-            save_checkpoint(path, config, np.ones(18), None)
+            blob = encode_checkpoint(config, np.ones(18), None)
         with pytest.raises(ConfigError, match="ck.bin: checkpoint config"):
-            load_checkpoint(path)
+            decode_checkpoint(blob, "ck.bin")
 
     @pytest.mark.parametrize("seed", [-5, "abc", 1.5, True, "missing"])
     def test_invalid_or_missing_seed_is_config_error(self, tmp_path, seed):
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
         if seed == "missing":
             del config["seed"]
         else:
             config["seed"] = seed
-        save_checkpoint(path, config, np.zeros(count), None)
         with pytest.raises(ConfigError, match="ck.bin: checkpoint seed"):
-            load_checkpoint(path)
+            decode_checkpoint(encode_checkpoint(config, np.zeros(count), None), "ck.bin")
 
     @pytest.mark.parametrize("model", [{}, {"num_experts": 4, "use_norm_layers": False}],
                              ids=["default", "four_experts_norm_free"])
@@ -910,41 +933,37 @@ class TestCheckpoint:
 
     def test_checkpoint_with_a_use_bias_key_is_refused(self, tmp_path):
         # Checkpoints written while the model had a use_bias switch embed it.
-        path = tmp_path / "ck.bin"
         config, count = tiny_checkpoint_config(tmp_path)
         config["model"]["use_bias"] = True
-        save_checkpoint(path, config, np.zeros(count), None)
         with pytest.raises(ConfigError, match=r"ck.bin: checkpoint config is invalid .*'use_bias'"):
-            load_checkpoint(path)
+            decode_checkpoint(encode_checkpoint(config, np.zeros(count), None), "ck.bin")
 
     def test_count_must_match_synthetic_config(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
         run_single(cfg, seed=0, run_dir=tmp_path / "run")
         config, trained, averaged = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert averaged is not None
-        path = tmp_path / "ck.bin"
         hidden = cfg.model.hidden_dim
         for count in (trained.size - 1, trained.size + 1, trained.size + hidden):
-            save_checkpoint(path, config, np.zeros(count), np.zeros(count))
+            blob = encode_checkpoint(config, np.zeros(count), np.zeros(count))
             with pytest.raises(ConfigError, match=f"ck.bin: checkpoint holds {count} parameters"):
-                load_checkpoint(path)
+                decode_checkpoint(blob, "ck.bin")
 
     def test_count_must_fit_csv_config(self, tmp_path):
         write_csv_pool(tmp_path / "pool.csv", seed=0)
         cfg = parse_config(csv_raw(tmp_path, tmp_path / "pool.csv"))
         run_single(cfg, seed=0, run_dir=tmp_path / "run")
         config, trained, _ = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
-        path = tmp_path / "ck.bin"
         # The input width is the data file's: any width's count loads.
         hidden = cfg.model.hidden_dim
         for count in (trained.size + hidden, trained.size - 3 * hidden):
-            save_checkpoint(path, config, np.zeros(count), None)
-            assert load_checkpoint(path)[1].size == count
+            blob = encode_checkpoint(config, np.zeros(count), None)
+            assert decode_checkpoint(blob, "ck.bin")[1].size == count
         # Width 4 is the file's, so 4 * hidden fewer is no width at all.
         for count in (trained.size + 1, trained.size - 1, trained.size - 4 * hidden):
-            save_checkpoint(path, config, np.zeros(count), None)
+            blob = encode_checkpoint(config, np.zeros(count), None)
             with pytest.raises(ConfigError, match=f"ck.bin: checkpoint holds {count} parameters"):
-                load_checkpoint(path)
+                decode_checkpoint(blob, "ck.bin")
 
 
 class TestSweep:
@@ -1213,8 +1232,9 @@ class TestSuites:
         _, suite_rows = run_ablation_suite(cfg, "table7", workers=2)
         # --dir may be any level of the tree: the root, a suite or a cell.
         for root in (Path(cfg.output_dir), Path(cfg.output_dir) / "table7"):
-            _, report_rows = aggregate_report(root)
+            csv_path, report_rows = aggregate_report(root)
             assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
+            assert len(csv_path.read_text().splitlines()) == 1 + len(suite_rows)
         _, cell_rows = aggregate_report(Path(cfg.output_dir) / "table7" / "epoch")
         assert cell_rows == [row for row in suite_rows if row[1] == "epoch"]
 
@@ -1340,6 +1360,7 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("run failed: ")
         assert proc.stderr.endswith(f"{data}: CSV holds no rows\n")
+        assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("overflow", [{"dataset": {"class_sep": 1e300}},
                                           {"train": {"cb_loss_weight": 1e300}}],
@@ -1360,7 +1381,8 @@ class TestCli:
     def test_report_on_a_tree_without_run_records_exits_1(self, tmp_path, capsys):
         (tmp_path / "table7" / "epoch" / "0").mkdir(parents=True)
         (tmp_path / "table7" / "epoch" / "0" / "eval.json").write_text("{}")
-        for root in (tmp_path / "table7" / "epoch" / "0", tmp_path):
+        (tmp_path / "empty").mkdir()
+        for root in (tmp_path / "table7" / "epoch" / "0", tmp_path / "empty", tmp_path):
             assert cli_main(["report", "--dir", str(root)]) == 1
             assert capsys.readouterr().err == f"config error: report: no run records under {root}\n"
             assert not (root / "report.csv").exists()
@@ -1375,7 +1397,8 @@ class TestCli:
     def test_duplicate_seeds_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
         assert cli_main(["sweep", "--config", str(path), "--seeds", "0,0"]) == 1
-        assert "seed 0 is listed twice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed 0 is listed twice" in err and err.count("\n") == 1
         assert not (Path(raw["output_dir"]) / "sweep").exists()
 
     @pytest.mark.parametrize("argv, field", [
@@ -1466,6 +1489,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}") and err.count("\n") == 1
         assert err.endswith("dataset: file holds 3 classes, config says 4\n")
+        assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("dataset, reason", [
         ({"test_per_class": 30}, "holdout: class 0 has 25 samples, needs at least 31"),
@@ -1559,3 +1583,114 @@ class TestCli:
         blocker.write_text("a file, not a directory")
         path, _ = self._write_cfg(tmp_path, output_dir=str(blocker / "runs"))
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2
+
+
+# The command line's contract as a real process, so that pool workers' stderr
+# counts too. Each case runs one command from a scratch directory that holds
+# cfg.json, the base config below with the case's blocks swapped in, and the
+# data files the sources name: pool.csv (3 classes of 25 rows), an IDX pair of
+# the same profile (2x2 images) and short-images, its images file one byte
+# short. A failure exits 1 or 2 on exactly one stderr line that matches the
+# case's pattern, with no traceback, and leaves no `runs` directory; a success
+# exits 0 and writes nothing to stderr.
+_BASE_CONFIG = small_raw(Path(), output_dir="runs")
+_CSV = {block: csv_raw(Path(), "pool.csv")[block] for block in ("dataset", "train")}
+_IDX = {"dataset": {"source": "idx", "images": "idx-images", "labels": "idx-labels",
+                    "num_classes": 3, "head_count": 15, "imbalance_ratio": 5,
+                    "test_per_class": 4, "base_seed": 0},
+        "train": _CSV["train"]}
+_RUN = ["run", "--seed", "0"]
+_SWEEP_2 = ["sweep", "--seeds", "0,1", "--workers", "2"]
+
+
+def _ablate_2(suite):
+    return ["ablate", "--suite", suite, "--workers", "2"]
+
+
+def _dataset(source, **updates):
+    return dict(source, dataset=dict(source["dataset"], **updates))
+
+
+_NO_BIAS = {"model": dict(_BASE_CONFIG["model"], use_bias=False)}
+_USE_BIAS = r"config error: model: unknown keys \['use_bias'\] .*"
+_CLASSES = r"dataset: file holds 3 classes, config says 4"
+_SHORT_IDX = r"short-images: IDX payload size 299 != 75\*2\*2"
+
+# (id, the command and its arguments but --config, replaced blocks, exit code,
+#  stderr pattern)
+CLI_CONTRACT_CASES = [
+    ("use_bias_run", _RUN, _NO_BIAS, 1, _USE_BIAS),
+    ("use_bias_sweep_workers_2", _SWEEP_2, _NO_BIAS, 1, _USE_BIAS),
+    # Which worker fails first varies, so the pooled miscount runs five times.
+    *[(f"csv_classes_sweep_workers_2_try{n}", _SWEEP_2, _dataset(_CSV, num_classes=4), 1,
+       rf"config error: sweep: seed \d failed: {_CLASSES}") for n in range(5)],
+    ("csv_classes_ablate_workers_2", _ablate_2("table7"), _dataset(_CSV, num_classes=4), 1,
+     rf"config error: table7/\w+: seed \d failed: {_CLASSES}"),
+    ("csv_holdout_sweep_workers_2", _SWEEP_2, _dataset(_CSV, test_per_class=30), 1,
+     r"config error: sweep: seed \d failed: dataset: holdout: class 0 has 25 samples, "
+     r"needs at least 31 to keep a training remainder"),
+    ("csv_profile_sweep_workers_2", _SWEEP_2, _dataset(_CSV, head_count=41), 1,
+     r"config error: sweep: seed \d failed: dataset: subsample: class 0 has 21 samples, "
+     r"spec needs 41"),
+    ("idx_short_images_run", _RUN, _dataset(_IDX, images="short-images"), 2,
+     rf"run failed: {_SHORT_IDX}"),
+    ("idx_short_images_sweep_workers_2", _SWEEP_2, _dataset(_IDX, images="short-images"), 2,
+     rf"run failed: sweep: seed \d failed: {_SHORT_IDX}"),
+    ("idx_classes_run", _RUN, _dataset(_IDX, num_classes=4), 1, rf"config error: {_CLASSES}"),
+    ("sweep_workers_2", ["sweep", "--seeds", "0,1,2", "--workers", "2"], {}, 0, ""),
+    # table5 aggregates predictions, table11 holds capacity_controlled and
+    # table12 average_representations: every predict variant in a pool.
+    *[(f"ablate_{suite}_workers_2", _ablate_2(suite), {}, 0, "")
+      for suite in ("table7", "table5", "table11", "table12")],
+    ("csv_ablate_table7_workers_2", _ablate_2("table7"), _CSV, 0, ""),
+    ("idx_sweep_workers_2", _SWEEP_2, _IDX, 0, ""),
+    ("idx_ablate_table7_workers_2", _ablate_2("table7"), _IDX, 0, ""),
+]
+
+
+def write_contract_sources(root):
+    """pool.csv, idx-images, idx-labels and short-images under ``root``; in the
+    IDX pair, class c brightens pixel c."""
+    write_csv_pool(root / "pool.csv", seed=0)
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3, dtype=np.uint8), 25)
+    pixels = rng.integers(0, 50, size=(75, 4)) + 200 * (np.arange(4) == labels[:, None])
+    images = struct.pack(">IIII", 0x803, 75, 2, 2) + pixels.astype(np.uint8).tobytes()
+    (root / "idx-images").write_bytes(images)
+    (root / "short-images").write_bytes(images[:-1])
+    (root / "idx-labels").write_bytes(struct.pack(">II", 0x801, 75) + labels.tobytes())
+
+
+@pytest.mark.parametrize("argv, blocks, code, pattern",
+                         [case[1:] for case in CLI_CONTRACT_CASES],
+                         ids=[case[0] for case in CLI_CONTRACT_CASES])
+def test_cli_contract(tmp_path, argv, blocks, code, pattern):
+    write_contract_sources(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**_BASE_CONFIG, **blocks}))
+    proc = cli_process([argv[0], "--config", "cfg.json", *argv[1:]], cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        return
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert re.fullmatch(pattern + "\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """default_config() cut to 6 epochs runs with OpenBLAS at 1 and 2 threads and
+    with the variable unset, and every artifact but run.json is the same byte
+    for byte, which every comparison of artifact hashes across hosts assumes."""
+    raw = config_to_dict(default_config())
+    raw["train"]["epochs"] = 6
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    runs = []
+    for threads in ("1", "2", None):
+        cwd = tmp_path / f"threads_{threads}"
+        cwd.mkdir()
+        proc = cli_process(["run", "--config", "../cfg.json", "--seed", "0"], cwd=cwd,
+                           OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(artifacts(cwd / "runs"))
+    assert len(runs[0]) == 5
+    assert runs[0] == runs[1] == runs[2]
