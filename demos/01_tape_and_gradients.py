@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Tour of the tensor engine: taped ops, backward, detach, finite differences.
+"""Tour of the tensor engine: taped ops, backward, constants, finite differences.
 
 Every training step in this package rebuilds a fresh tape, records the ops it
-executes, and differentiates the scalar loss with one reverse sweep. The
-detach primitive is what lets the auxiliary classifier train on expert
-representations without pushing its gradients into them.
+executes, and differentiates the scalar loss with one reverse sweep. An
+untaped constant, Tensor(values), is the engine's one way to stop a gradient:
+it is what lets the auxiliary classifier train on expert representations
+without pushing its gradients into them.
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ from damel.tensor import (
     Tape,
     Tensor,
     backward,
-    detach,
     l2_normalize,
     matmul,
     mul,
@@ -31,14 +31,15 @@ loss = reduce_sum(mul(x, x))  # sum of squares
 grads = backward(loss)
 print("d/dx sum(x^2) at [1,2,3] ->", grads[x.tape_id].values)
 
-print("\n== detach blocks gradient flow, not values ==")
+print("\n== an untaped constant blocks gradient flow, not values ==")
 tape = Tape()
 x = tape.leaf([1.0, 2.0])
 doubled = 2.0 * x
-blocked = reduce_sum(detach(doubled))        # constant as far as gradients go
-flowing = reduce_sum(mul(detach(doubled), x))  # detached factor, live x
-print("grad through detach only:   ", backward(blocked)[x.tape_id].values)
-print("grad with detached factor:  ", backward(flowing)[x.tape_id].values)
+constant = Tensor(doubled.values)              # same values, no tape
+flowing = reduce_sum(mul(constant, x))         # constant factor, live x
+print("constant values:            ", constant.values)
+print("grad with constant factor:  ", backward(flowing)[x.tape_id].values)
+print("loss on constants is taped: ", reduce_sum(constant).tape is not None)
 
 print("\n== a small cosine-classifier network, checked against finite differences ==")
 features = rng.normal(size=(4, 5))

@@ -65,7 +65,6 @@ from .tensor import (
     Tensor,
     backward,
     batch_norm,
-    detach,
     l2_normalize,
     softmax_cross_entropy,
 )

@@ -580,8 +580,9 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
 
     Training and the final evaluation run under ``FP_RAISE``, so a
     floating-point fault in either fails the run as a NumericError; data
-    ingestion runs outside it. A failed run removes its run directory, and
-    the parents of it that it created, as far as they are empty.
+    ingestion runs outside it. A run that fails before its writes touches no
+    file; one whose writes fail removes its run directory, and the parents of
+    it that it created, as far as they are empty.
     """
     _check_seed(seed, "seed")
     _check_source_files(cfg.dataset)
@@ -589,33 +590,33 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         run_dir = Path(cfg.output_dir) / "single" / "default" / str(seed)
     run_dir = Path(run_dir)
     started = time.perf_counter()
+    train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
+    model_cfg = build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1]).validate()
+    model = init_model(model_cfg, seed)
+    avg_state = make_avg_state(cfg.train)
+    model, avg_state, metrics = train(
+        model, train_ds, cfg.train, avg_state, seed=seed, test_ds=test_ds
+    )
+    averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
+    weights = model.buffer if averaged is None else averaged
+    try:
+        with np.errstate(**FP_RAISE):
+            report = evaluate(load_eval_model(model, weights, train_ds), test_ds, partition)
+    except FloatingPointError as err:
+        raise NumericError(f"{err} (final evaluation)") from None
+    onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
+
+    record = RunRecord(
+        config_hash=config_hash(cfg),
+        seed=seed,
+        wall_seconds=time.perf_counter() - started,
+        eval_report=report,
+        metrics_path=str(run_dir / "metrics.csv"),
+        checkpoint_path=str(run_dir / "checkpoint.bin"),
+    )
     new_parents = _missing_parents(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     try:
-        train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
-        model_cfg = build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1]).validate()
-        model = init_model(model_cfg, seed)
-        avg_state = make_avg_state(cfg.train)
-        model, avg_state, metrics = train(
-            model, train_ds, cfg.train, avg_state, seed=seed, test_ds=test_ds
-        )
-        averaged = None if avg_state is None else avg_state.weights  # None before any snapshot
-        weights = model.buffer if averaged is None else averaged
-        try:
-            with np.errstate(**FP_RAISE):
-                report = evaluate(load_eval_model(model, weights, train_ds), test_ds, partition)
-        except FloatingPointError as err:
-            raise NumericError(f"{err} (final evaluation)") from None
-        onehot = labels_one_hot(report.predictions, model_cfg.num_classes)
-
-        record = RunRecord(
-            config_hash=config_hash(cfg),
-            seed=seed,
-            wall_seconds=time.perf_counter() - started,
-            eval_report=report,
-            metrics_path=str(run_dir / "metrics.csv"),
-            checkpoint_path=str(run_dir / "checkpoint.bin"),
-        )
         _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
         (run_dir / "checkpoint.bin").write_bytes(
             encode_checkpoint(dict(_run_blocks(cfg), seed=seed), model.buffer, averaged))

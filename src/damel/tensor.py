@@ -1,10 +1,9 @@
 """Dense float64 tensors with a define-by-run reverse-mode differentiation tape.
 
 The op set is deliberately closed. The primitives are matmul, affine, add,
-mul, relu, concat_last_axis, mean, sum, plus detach, l2_normalize,
-softmax_cross_entropy and batch_norm. Elementwise ops allow only exact shape
-matches, scalars, and trailing-axis (bias-style) broadcasts; there is no
-general broadcasting.
+mul, relu, concat_last_axis, mean, sum, l2_normalize, softmax_cross_entropy
+and batch_norm. Elementwise ops allow only exact shape matches, scalars, and
+trailing-axis (bias-style) broadcasts; there is no general broadcasting.
 
 The composites fuse the fixed chains of the multi-expert model, each into one
 tape node with a hand-written adjoint:
@@ -41,8 +40,9 @@ but the tape points at no Tensor: its leaves are kept as value arrays and its
 adjoint closures capture arrays, shapes and flags only. A tape is thus never
 part of a reference cycle, and reference counting frees it, with every saved
 activation, as soon as the caller drops its last Tensor on it.
-An op whose inputs are all detached records no node: nothing upstream of it
-can receive a gradient through it.
+The one stop-gradient is an untaped constant, ``Tensor(values)``: no
+gradient reaches the producers of its values, and an op on constants alone
+records no node. A Tensor has a tape exactly when it has a node id.
 """
 
 from __future__ import annotations
@@ -172,11 +172,10 @@ def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, adjoints)
 
     ``adjoints(g, need)`` maps the output adjoint to one gradient per input,
     in input order; ``need[i]`` says whether input i is tape-linked, and the
-    gradients of the others are dropped, so they need not be computed.
-    Detached tensors keep tape provenance but no node id; they anchor the
-    result to the tape without contributing a gradient path. ``adjoints``
-    must capture arrays, shapes and flags only, never a Tensor: a Tensor
-    points at its tape, and the tape would then be part of a cycle.
+    gradients of the others are dropped, so they need not be computed. An
+    op whose inputs are all untaped records nothing and returns a constant.
+    ``adjoints`` must capture arrays, shapes and flags only, never a Tensor:
+    a Tensor points at its tape, and the tape would then be part of a cycle.
     """
     tape = None
     for t in inputs:
@@ -189,8 +188,6 @@ def _record(op_kind: str, inputs: Sequence[Tensor], out_values: Array, adjoints)
         return _new(out_values)
     need = tuple(t.tape_id is not None for t in inputs)
     input_ids = tuple(t.tape_id for t in inputs if t.tape_id is not None)
-    if not input_ids:
-        return _new(out_values, tape)
 
     def backward_fn(gout: Array) -> tuple:
         return tuple([g for g, wanted in zip(adjoints(gout, need), need) if wanted])
@@ -215,10 +212,8 @@ def backward(loss: Tensor) -> dict:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
     nodes = tape.nodes
-    # A loss that is itself detached has no node; every leaf gets zeros.
-    start = loss.tape_id if loss.tape_id is not None else -1
-    adjoint: dict[int, Array] = {} if start < 0 else {start: np.ones_like(loss.values)}
-    for node_id in range(start, -1, -1):
+    adjoint: dict[int, Array] = {loss.tape_id: np.ones_like(loss.values)}
+    for node_id in range(loss.tape_id, -1, -1):
         node = nodes[node_id]
         if node.backward_fn is None:
             continue
@@ -387,16 +382,6 @@ def reduce_sum(x) -> Tensor:
 def _left_fold(values: Array):
     flat = values.reshape(-1)
     return np.add.accumulate(flat)[-1] if flat.size else np.float64(0.0)
-
-
-def detach(x) -> Tensor:
-    """Same values, no tape node: consumers treat it as a constant.
-
-    Tape provenance is retained so graphs built purely on detached values
-    still resolve against the tape's leaves (with exact zero gradients).
-    """
-    x = _wrap(x)
-    return _new(x.values, x.tape)
 
 
 # ---------------------------------------------------------------------------

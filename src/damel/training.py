@@ -81,9 +81,11 @@ class LossBundle:
 
 @dataclass
 class StepContext:
-    """Handed to the optional per-step hook after the parameter update. In a
-    decoupled run's auxiliary phase every ``params`` entry but ``aux.cls`` is
-    an untaped constant: its ``tape_id`` is None, and no gradient map holds it."""
+    """Handed to the optional per-step hook after the parameter update. A
+    ``params`` entry the step does not train is an untaped constant, whose
+    ``tape_id`` is None: in a decoupled run, ``aux.cls`` in the first phase,
+    which leaves ``balanced_ce`` untaped so that ``backward`` refuses it, and
+    every entry but ``aux.cls`` in the auxiliary phase."""
 
     epoch: int
     iteration: int
@@ -99,20 +101,18 @@ def class_balanced_weights(spec: LongTailSpec) -> np.ndarray:
     return inverse * (spec.num_classes / inverse.sum())
 
 
-def compute_losses(out, labels, class_weights: np.ndarray,
-                   aux_weight: Optional[float]) -> LossBundle:
+def compute_losses(out, labels, class_weights: np.ndarray, aux_weight: float) -> LossBundle:
     """Per-expert cross-entropy plus the class-balanced auxiliary term.
 
-    The balanced term is computed whenever an auxiliary head exists. total =
-    sum(expert terms) + aux_weight * balanced, or just the sum of the expert
-    terms when there is no auxiliary head or ``aux_weight`` is None; a weight
-    of 0.0 still folds the term in.
+    total = sum(expert terms) + aux_weight * balanced, or the sum of the
+    expert terms alone without an auxiliary head; a weight of 0.0 still
+    folds the term in.
     """
     expert_ce = softmax_cross_entropy(out.expert_logits, labels)
     balanced = None
     if out.aux_logits is not None:
         balanced = softmax_cross_entropy(out.aux_logits, labels, class_weights)
-    total = loss_fold(expert_ce) if aux_weight is None else loss_fold(expert_ce, balanced, aux_weight)
+    total = loss_fold(expert_ce, balanced, aux_weight)
     return LossBundle(expert_ce=expert_ce, balanced_ce=balanced, total=total)
 
 
@@ -175,12 +175,13 @@ def train(
     loss or gradient shows (a relu can zero a NaN activation) fails at the
     epoch end.
 
-    With decoupled=True the first (epochs + 1) // 2 epochs leave the balanced
-    term out, so the auxiliary head keeps its init; the rest tape the head
-    alone, every other parameter bound as an untaped constant, and reset the
-    velocity so those weights do not coast. A decoupled model without an
-    auxiliary head is a ContractError. With cb_loss_enabled=False the
-    balanced loss weighs every class 1.
+    Every step's loss is the full objective; a phase decides only which
+    parameters are taped, the rest bound as untaped constants that no step
+    moves. With decoupled=True the first (epochs + 1) // 2 epochs tape every
+    parameter but the auxiliary head, which keeps its init; the rest tape
+    the head alone and reset the velocity so the other weights do not coast.
+    A decoupled model without an auxiliary head is a ContractError. With
+    cb_loss_enabled=False the balanced loss weighs every class 1.
     """
     cfg.validate()
     if cfg.decoupled and "aux.cls" not in model.params:
@@ -204,18 +205,16 @@ def train(
     grad_flat = np.empty(model.buffer.size)
     grad_views = param_views(model.config, grad_flat)
     rep_phase_epochs = (cfg.epochs + 1) // 2 if cfg.decoupled else cfg.epochs
+    rep_params = tuple(name for name in model.params if name != "aux.cls") if cfg.decoupled else None
     class_weights = class_balanced_weights(ds.spec) if cfg.cb_loss_enabled else np.ones(ds.spec.num_classes)
     metrics: list[EpochMetrics] = []
 
     try:
         for epoch in range(cfg.epochs):
             where = f"epoch {epoch}"
-            aux_phase = cfg.decoupled and epoch >= rep_phase_epochs
-            if cfg.decoupled and epoch == rep_phase_epochs:
+            trained = rep_params if epoch < rep_phase_epochs else ("aux.cls",)
+            if epoch == rep_phase_epochs:
                 velocity[:] = 0.0
-            rep_phase = cfg.decoupled and not aux_phase
-            aux_weight = None if rep_phase else cfg.cb_loss_weight
-            trained = ("aux.cls",) if aux_phase else None
 
             # Per-sample loss sums: the K expert terms, then balanced and total;
             # balanced stays nan without an aux head.
@@ -226,7 +225,7 @@ def train(
                 tape = Tape()
                 params = bind_params(model, tape, trained)
                 out = full_forward(model, xb, params=params)
-                bundle = compute_losses(out, yb, class_weights, aux_weight)
+                bundle = compute_losses(out, yb, class_weights, cfg.cb_loss_weight)
                 if not np.isfinite(bundle.total.values):
                     raise NumericError("non-finite loss")
                 flatten_grads(grad_views, params, backward(bundle.total))

@@ -18,7 +18,6 @@ from damel.tensor import (
     backward,
     batch_norm,
     concat_last_axis,
-    detach,
     l2_normalize,
     matmul,
     mul,
@@ -197,7 +196,7 @@ def reference_forward(model, x, params):
         logits.append(cfg.scale * matmul(reps[k], l2_normalize(params[f"expert{k}.cls"], axis=0)))
     if cfg.variant == "aggregate_predictions":
         return logits, reps, None
-    blocked = [detach(z) for z in reps]
+    blocked = [Tensor(z.values) for z in reps]
     if cfg.variant == "average_representations":
         merged = blocked[0]
         for z in blocked[1:]:

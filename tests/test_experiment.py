@@ -401,14 +401,31 @@ class TestRunSingle:
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = parse_config(small_raw(tmp_path))
-        monkeypatch.setattr(experiment, "evaluate", lambda *a, **k: 1 / 0)
+        written = []
+
+        def fail_after_three_files(report, path):
+            written.extend(sorted(p.name for p in Path(path).parent.iterdir()))
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(EvalReport, "save_confusion_csv", fail_after_three_files)
         with pytest.raises(ZeroDivisionError):
             run_single(cfg, seed=0, run_dir=tmp_path / "broken")
+        assert written == ["checkpoint.bin", "eval.json", "metrics.csv"]
         assert not (tmp_path / "broken").exists()
+
+    def test_failed_rerun_keeps_the_previous_run(self, tmp_path):
+        run_dir = tmp_path / "d" / "r"
+        run_single(parse_config(small_raw(tmp_path)), seed=0, run_dir=run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert len(before) == 6  # run.json included
+        cfg = parse_config(small_raw(tmp_path, train={"cb_loss_weight": 1e300}))
+        with pytest.raises(NumericError, match=r"\(epoch 0, iteration \d+\)$"):
+            run_single(cfg, seed=0, run_dir=run_dir)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_failed_run_removes_the_empty_directories_it_created(self, tmp_path, monkeypatch):
         cfg = parse_config(small_raw(tmp_path))
-        monkeypatch.setattr(experiment, "evaluate", lambda *a, **k: 1 / 0)
+        monkeypatch.setattr(EvalReport, "save_json", lambda *a, **k: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             run_single(cfg, seed=0)
         assert not (tmp_path / "runs").exists()
@@ -1025,13 +1042,20 @@ class TestSweep:
         for record in records:
             assert record.eval_report.labels.tobytes() == test_ds.labels.tobytes()
 
-    def test_parallel_failure_cancels_queued_seeds(self, tmp_path):
-        # Each run takes long enough (about a second) that the first failure
-        # is seen before the pool could hand out the last seeds.
+    def test_parallel_failure_cancels_queued_seeds(self, tmp_path, monkeypatch):
+        # Seed 0 fails at once, and each other run takes long enough (about a
+        # second) that the failure is seen before the pool could hand out the
+        # last seeds.
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 200}, seeds=list(range(8))))
+        real_build = experiment.build_datasets
+
+        def failing_for_seed_0(dataset, seed):  # forked workers inherit it
+            if seed == 0:
+                raise RuntimeError("no data for seed 0")
+            return real_build(dataset, seed)
+
+        monkeypatch.setattr(experiment, "build_datasets", failing_for_seed_0)
         sweep_dir = tmp_path / "sweep"
-        sweep_dir.mkdir()
-        (sweep_dir / "0").write_text("a file where seed 0's run directory goes")
         with pytest.raises(DamelError, match="sweep: seed 0 failed"):
             run_seed_sweep(cfg, workers=2, sweep_dir=sweep_dir)
         # The pool holds one run per worker and gets the next only when one

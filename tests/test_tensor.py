@@ -21,7 +21,6 @@ from damel.tensor import (
     concat_last_axis,
     cosine_logits,
     dense_bn_relu,
-    detach,
     expert_block,
     l2_normalize,
     loss_fold,
@@ -98,14 +97,6 @@ class TestTape:
         out = mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         assert out.tape is None and out.tape_id is None
 
-    def test_op_on_detached_inputs_records_no_node(self):
-        tape = Tape()
-        x = tape.leaf([1.0, -2.0])
-        before = len(tape)
-        y = relu(mul(detach(x), 2.0))
-        assert len(tape) == before
-        assert y.tape is tape and y.tape_id is None
-
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ContractError, match="different tapes"):
@@ -122,7 +113,7 @@ class TestBackward:
     def test_detached_factor_is_constant(self):
         tape = Tape()
         x = tape.leaf([1.0, 2.0])
-        grads = backward(reduce_sum(mul(detach(x), x)))
+        grads = backward(reduce_sum(mul(Tensor(x.values), x)))
         np.testing.assert_array_equal(grads[x.tape_id].values, [1.0, 2.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -161,30 +152,19 @@ class TestBackward:
 
 
 class TestDetach:
-    def test_values_identical(self):
-        t = Tensor([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(detach(t).values, [1.0, 2.0, 3.0])
-        assert detach(t).tape_id is None
-
-    def test_blocks_flow_to_producers(self):
-        tape = Tape()
-        x = tape.leaf([1.0, 2.0])
-        y = mul(Tensor(2.0), x)
-        grads = backward(reduce_sum(detach(y)))
-        np.testing.assert_array_equal(grads[x.tape_id].values, [0.0, 0.0])
-
     def test_totality_upstream_of_detach(self):
-        # When a leaf reaches the loss only through a detach, its gradient is
-        # exactly zero, as is every other leaf upstream of the detach.
+        # Leaves that reach the loss only through a constant built from their
+        # values get exact zeros; the one live leaf gets its gradient.
         rng = np.random.default_rng(3)
         tape = Tape()
         x = tape.leaf(rng.normal(size=(2, 3)))
         w = tape.leaf(rng.normal(size=(3, 3)))
-        hidden = relu(matmul(x, w))
-        blocked = detach(hidden)
-        grads = backward(reduce_sum(mul(blocked, blocked)))
+        live = tape.leaf(rng.normal(size=(2, 3)))
+        blocked = Tensor(relu(matmul(x, w)).values)
+        grads = backward(reduce_sum(mul(blocked, live)))
         assert np.abs(grads[x.tape_id].values).sum() == 0.0
         assert np.abs(grads[w.tape_id].values).sum() == 0.0
+        np.testing.assert_array_equal(grads[live.tape_id].values, blocked.values)
 
 
 class TestL2Normalize:
@@ -645,7 +625,6 @@ _LIFETIME_CASES = {
     "concat_last_axis": (lambda p: concat_last_axis(p), [(3, 2), (3, 4)]),
     "mean": (lambda p: reduce_mean(p[0]), [(3, 4)]),
     "sum": (lambda p: reduce_sum(p[0]), [(3, 4)]),
-    "detach": (lambda p: mul(detach(p[0]), p[0]), [(3, 4)]),
     "l2_normalize": (lambda p: l2_normalize(p[0]), [(3, 4)]),
     "softmax_cross_entropy": (
         lambda p: softmax_cross_entropy(p[0], [0, 2, 1], [1.0, 2.0, 0.5]), [(2, 3, 3)]),

@@ -11,7 +11,7 @@ from damel.averaging import EmaState
 from damel.data import LongTailSpec, long_tail_counts, synthesize_gaussian_longtail
 from damel.errors import ContractError, NumericError
 from damel.model import DamelConfig, bind_params, full_forward, init_model, param_group, param_views
-from damel.tensor import Tape, Tensor, backward, loss_fold, mul, reduce_sum
+from damel.tensor import Tape, Tensor, backward, mul, reduce_sum
 from damel.training import (
     TrainConfig,
     class_balanced_weights,
@@ -93,15 +93,6 @@ class TestComputeLosses:
         assert abs(bundle.total.item() - sum(bundle.expert_ce.values.tolist())) < 1e-12
         # A weight of 0.0 is a weight: the term is folded in, at zero.
         assert self._folded_terms(bundle) == (bundle.expert_ce.tape_id, bundle.balanced_ce.tape_id)
-
-    def test_no_weight_leaves_balanced_term_out(self):
-        model = init_model(tiny_config(), seed=3)
-        ds = tiny_dataset()
-        out, _ = self._forward(model, ds.features[:6], ds.labels[:6])
-        bundle = compute_losses(out, ds.labels[:6], class_balanced_weights(ds.spec), None)
-        assert bundle.total.values.tobytes() == loss_fold(bundle.expert_ce).values.tobytes()
-        assert bundle.balanced_ce is not None  # still computed, for the metrics log
-        assert self._folded_terms(bundle) == (bundle.expert_ce.tape_id,)
 
     def test_total_linearity_invariant(self):
         model = init_model(tiny_config(), seed=4)
@@ -345,6 +336,28 @@ class TestTrain:
         assert not np.array_equal(model.params["aux.cls"], init_aux)
 
     @pytest.mark.parametrize("use_norm_layers", [False, True])
+    def test_representation_phase_tapes_all_but_the_head(self, use_norm_layers):
+        config = tiny_config(input_dim=4, num_classes=4, use_norm_layers=use_norm_layers)
+        lengths, seen = set(), []
+
+        def joint_hook(ctx):
+            lengths.add(len(ctx.bundle.total.tape))
+
+        def hook(ctx):
+            if ctx.epoch < 2:
+                taped = [name for name, t in ctx.params.items() if t.tape_id is not None]
+                seen.append((taped, ctx.bundle.balanced_ce.tape, len(ctx.bundle.total.tape)))
+                with pytest.raises(ContractError, match="not linked to a tape"):
+                    backward(ctx.bundle.balanced_ce)
+
+        for decoupled, step_hook in ((False, joint_hook), (True, hook)):
+            model, ds, cfg = quick_train_setup(epochs=4, decoupled=decoupled)
+            train(init_model(config, seed=0), ds, cfg, make_avg_state(cfg), seed=0, step_hook=step_hook)
+        (joint,) = lengths
+        trunk = [name for name in init_model(config, seed=0).params if name != "aux.cls"]
+        assert seen and all(step == (trunk, None, joint - 3) for step in seen)
+
+    @pytest.mark.parametrize("use_norm_layers", [False, True])
     def test_aux_phase_tapes_only_the_head(self, use_norm_layers):
         model, ds, cfg = quick_train_setup(epochs=4, decoupled=True)
         model = init_model(tiny_config(input_dim=4, num_classes=4, use_norm_layers=use_norm_layers),
@@ -380,23 +393,25 @@ class TestTrain:
     @pytest.mark.parametrize("use_norm_layers", [False, True], ids=["plain", "norm"])
     @pytest.mark.parametrize("variant", ["standard", "average_representations", "capacity_controlled"])
     def test_decoupled_run_matches_slice_zeroing_oracle(self, monkeypatch, variant, use_norm_layers):
-        """Untaped constants freeze the aux phase exactly as taping every
-        parameter and zeroing the gradient outside the head's tail span did."""
+        """Untaped constants freeze each phase exactly as taping every
+        parameter and zeroing the gradient spans outside the phase's trained
+        names does."""
         extra = {"num_experts": 1, "ref_experts": 2} if variant == "capacity_controlled" else {}
         config = tiny_config(input_dim=4, num_classes=4, variant=variant,
                              use_norm_layers=use_norm_layers, **extra)
         real_bind, real_step = training.bind_params, training.sgd_step
-        aux_phase, zeroed = [False], []
+        phase, zeroed = [None], {}
 
         def bind_all(model, tape, trained=None):
-            aux_phase[0] = trained is not None
+            phase[0] = trained
             return real_bind(model, tape)
 
         def zeroing_step(model, grad_flat, velocity, lr, momentum):
-            if aux_phase[0]:
-                head_start = model.buffer.size - model.params["aux.cls"].size
-                zeroed.append(grad_flat[:head_start].any())
-                grad_flat[:head_start] = 0.0
+            frozen = [view for name, view in param_views(model.config, grad_flat).items()
+                      if name not in phase[0]]
+            zeroed.setdefault(phase[0], []).append(any(view.any() for view in frozen))
+            for view in frozen:
+                view[...] = 0.0
             real_step(model, grad_flat, velocity, lr, momentum)
 
         runs = []
@@ -408,7 +423,8 @@ class TestTrain:
             model = init_model(config, seed=0)
             _, avg, metrics = train(model, ds, cfg, make_avg_state(cfg), seed=0, test_ds=ds)
             runs.append((model.buffer.tobytes(), avg.weights.tobytes(), repr(metrics)))
-        assert zeroed and all(zeroed)  # the oracle's full backward reached the frozen groups
+        # Both phases ran, and the oracle's full backward reached their frozen spans.
+        assert len(zeroed) == 2 and all(all(steps) for steps in zeroed.values())
         assert runs[0] == runs[1]
 
     def test_decoupled_without_an_aux_head_is_contract_error_before_any_step(self):
@@ -421,9 +437,11 @@ class TestTrain:
             train(model, ds, cfg, make_avg_state(cfg), seed=0, step_hook=steps.append)
         assert steps == [] and model.buffer.tobytes() == before
 
-    @pytest.mark.parametrize("variant", ["standard", "aggregate_predictions"])
-    def test_metrics_log_shape(self, variant):
-        model, ds, cfg = quick_train_setup(epochs=2)
+    @pytest.mark.parametrize("variant, decoupled", [
+        ("standard", False), ("aggregate_predictions", False), ("standard", True),
+    ], ids=["standard", "aggregate_predictions", "decoupled"])
+    def test_metrics_log_shape(self, variant, decoupled):
+        model, ds, cfg = quick_train_setup(epochs=2, decoupled=decoupled)
         model = init_model(tiny_config(input_dim=4, num_classes=4, variant=variant), seed=0)
         has_aux = "aux.cls" in model.params
         test_ds = tiny_dataset(seed=9, per_class=4, num_classes=4)
