@@ -9,17 +9,18 @@ plus seed.
 
 Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
 a process pool of at most one worker per run and per usable CPU that holds no
-more runs than it has workers. Each run needs its own non-negative seed, and
-the files of an idx/csv source must be readable before any run starts. The
-first failure stops the fan-out once the running runs finish, and records
-come back in memory, so a sweep's summary reads no artifact and builds no
-data again. A file-backed source (idx/csv) is parsed once per process and
-content, not once per run. A CSV source is also parsed once per content
-across processes: the first parse writes a table cache beside the file,
-<csv dir>/.damel-cache/<csv name>.npz, keyed by the sha256 of the CSV bytes,
-and pool workers and later commands load that instead. A cache that fails
-validation is parsed over and rewritten, an unwritable directory means no
-cache, and deleting .damel-cache/ is always safe.
+more runs than it has workers. Each run needs its own non-negative seed, the
+files of an idx/csv source must be readable, and no run directory may lie
+under a regular file, before any run starts. The first failure stops the
+fan-out once the running runs finish, and records come back in memory, so a
+sweep's summary reads no artifact and builds no data again. A file-backed
+source (idx/csv) is parsed once per process and content, not once per run. A
+CSV source is also parsed once per content across processes: the first parse
+writes a table cache beside the file, <csv dir>/.damel-cache/<csv name>.npz,
+keyed by the sha256 of the CSV bytes, and pool workers and later commands
+load that instead. A cache that fails validation is parsed over and
+rewritten, an unwritable directory means no cache, and deleting .damel-cache/
+is always safe.
 
 Checkpoint layout: 8-byte magic "DAMELCKP", u32 LE config-JSON length, the
 config JSON, u64 LE parameter count, raw little-endian float64 trained
@@ -109,7 +110,6 @@ class ModelBlock:
     scale: float = 16.0
     variant: str = "standard"
     use_norm_layers: bool = True
-    ref_experts: Optional[int] = None
 
 
 @dataclass
@@ -251,9 +251,17 @@ def _check_seed(seed, where: str) -> None:
         raise ConfigError(f"{where} must be a non-negative integer, got {seed!r}")
 
 
-def _check_source_files(dataset: DatasetBlock) -> None:
-    """Every file an idx/csv source names must open for reading; otherwise a
-    ConfigError names the field, before any run starts."""
+def _check_files(dataset: DatasetBlock, run_dir: Path) -> None:
+    """The nearest existing path among ``run_dir`` and its parents, a dangling
+    symlink included, must be a directory, and every file an idx/csv source
+    names must open for reading; otherwise a ConfigError names output_dir or
+    the field, before any run starts."""
+    for path in (run_dir, *run_dir.parents):
+        if path.exists() or path.is_symlink():
+            if not path.is_dir():
+                raise ConfigError(f"output_dir: cannot make run directory {run_dir}: "
+                                  f"{path} is not a directory")
+            break
     if dataset.source == "synthetic":
         return
     for field in _SOURCE_FIELDS[dataset.source]:
@@ -585,10 +593,10 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
     it that it created, as far as they are empty.
     """
     _check_seed(seed, "seed")
-    _check_source_files(cfg.dataset)
     if run_dir is None:
         run_dir = Path(cfg.output_dir) / "single" / "default" / str(seed)
     run_dir = Path(run_dir)
+    _check_files(cfg.dataset, run_dir)
     started = time.perf_counter()
     train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
     model_cfg = build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1]).validate()
@@ -684,8 +692,8 @@ def _run_job(job) -> RunRecord:
 
 def _run_jobs(jobs, workers=None) -> list:
     """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order. Every
-    seed and source file is checked, and no two jobs may share a run
-    directory, before any job starts. A pool holds at most one job per worker
+    seed, source file and run directory is checked, and no two jobs may share
+    a run directory, before any job starts. A pool holds at most one job per worker
     and is handed the next only when one finishes, so the first failure
     starts no further job and is raised once the running ones finish. Then
     the parents of the run directories that the jobs created are removed
@@ -697,7 +705,7 @@ def _run_jobs(jobs, workers=None) -> list:
         if str(run_dir) in taken:
             raise ConfigError(f"{where}: seed {seed} is listed twice (run directory {run_dir})")
         taken.add(str(run_dir))
-        _check_source_files(cfg.dataset)
+        _check_files(cfg.dataset, Path(run_dir))
     workers = resolve_workers(workers, len(jobs))
     new_parents = {d for job in jobs for d in _missing_parents(job[2])}
     try:
@@ -760,7 +768,8 @@ def vary_config(cfg: ExperimentConfig, model_updates=None, train_updates=None) -
 def _suite_cells(model: ModelBlock) -> dict:
     """Every suite's cells in table order, each (cell name, model updates,
     train updates); an unchanged cell has no updates. Only table11 reads the
-    config, for the expert count its single expert stands in for."""
+    config: its capacity_controlled cell is one standard expert as wide as the
+    configured experts side by side, num_experts * rep_dim."""
     return {
         "table5": [(f"{variant}_k{k}", {"variant": variant, "num_experts": k}, {})
                    for variant in ("aggregate_predictions", "standard") for k in (2, 3, 4)],
@@ -769,8 +778,8 @@ def _suite_cells(model: ModelBlock) -> dict:
         "table9": [(f"rate_{rate}", {}, {"ema_rate": rate}) for rate in (0.01, 0.05, 0.1, 0.2, 0.3)],
         "table10": [(f"scale_{scale}", {"scale": float(scale)}, {}) for scale in (8, 16, 20, 24)],
         "table11": [
-            ("capacity_controlled", {"variant": "capacity_controlled", "num_experts": 1,
-                                     "ref_experts": model.num_experts}, {}),
+            ("capacity_controlled", {"variant": "standard", "num_experts": 1,
+                                     "rep_dim": model.rep_dim * model.num_experts}, {}),
             ("standard", {}, {}),
         ],
         "table12": [

@@ -37,8 +37,6 @@ Variants:
   standard                concatenated detached representations -> aux head
   aggregate_predictions   no aux head; predict via mean expert softmax
   average_representations aux head consumes the elementwise mean instead
-  capacity_controlled     one expert whose representation width matches the
-                          concatenation of ``ref_experts`` standard experts
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from .tensor import (
     l2_normalize,
 )
 
-VARIANTS = ("standard", "aggregate_predictions", "average_representations", "capacity_controlled")
+VARIANTS = ("standard", "aggregate_predictions", "average_representations")
 
 # Rows per block in ``predict``. At the default widths (K=3, R=32) a
 # block's largest transient array, the [rows, K*R] expert affine, is 96 KiB:
@@ -82,7 +80,6 @@ class DamelConfig:
     scale: float = 16.0
     variant: str = "standard"
     use_norm_layers: bool = False
-    ref_experts: Optional[int] = None
 
     def validate(self) -> "DamelConfig":
         if self.variant not in VARIANTS:
@@ -92,19 +89,7 @@ class DamelConfig:
         for name in ("num_experts", "input_dim", "hidden_dim", "rep_dim", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.variant == "capacity_controlled":
-            if self.num_experts != 1:
-                raise ConfigError("capacity_controlled uses exactly one expert")
-            if not self.ref_experts or self.ref_experts < 1:
-                raise ConfigError("capacity_controlled needs ref_experts >= 1")
         return self
-
-    @property
-    def expert_rep_dim(self) -> int:
-        """Representation width of each expert block."""
-        if self.variant == "capacity_controlled":
-            return self.rep_dim * self.ref_experts
-        return self.rep_dim
 
     @property
     def aux_input_dim(self) -> Optional[int]:
@@ -113,7 +98,7 @@ class DamelConfig:
             return None
         if self.variant == "average_representations":
             return self.rep_dim
-        return self.num_experts * self.expert_rep_dim
+        return self.num_experts * self.rep_dim
 
 
 @dataclass
@@ -133,7 +118,7 @@ def _layout(config: DamelConfig) -> list:
         layout += [(f"backbone.w{i}", (fan_in, h)), (f"backbone.b{i}", (h,))]
         if config.use_norm_layers:
             layout += [(f"backbone.bn{i}.gamma", (h,)), (f"backbone.bn{i}.beta", (h,))]
-    k, rep = config.num_experts, config.expert_rep_dim
+    k, rep = config.num_experts, config.rep_dim
     layout += [("experts.w", (k, h, rep)), ("experts.b", (k, rep)),
                ("experts.cls", (k, rep, config.num_classes))]
     if config.aux_input_dim is not None:
@@ -203,11 +188,10 @@ def init_model(config: DamelConfig, seed: int) -> DamelModel:
         p["backbone.bn1.gamma"][:] = 1.0
         p["backbone.bn2.gamma"][:] = 1.0
 
-    rep = config.expert_rep_dim
     for k in range(config.num_experts):
         expert_rng = np.random.default_rng([seed, 1, k])
-        p["experts.w"][k] = _fan_in_uniform(expert_rng, (config.hidden_dim, rep))
-        p["experts.cls"][k] = _fan_in_uniform(expert_rng, (rep, config.num_classes))
+        p["experts.w"][k] = _fan_in_uniform(expert_rng, (config.hidden_dim, config.rep_dim))
+        p["experts.cls"][k] = _fan_in_uniform(expert_rng, (config.rep_dim, config.num_classes))
 
     if config.aux_input_dim is not None:
         aux_rng = np.random.default_rng([seed, 2])
@@ -249,9 +233,9 @@ def full_forward(model: DamelModel, x, train: bool = True, params: Optional[dict
     defaults to the model's own arrays, which every op reads as untaped
     constants. The expert heads give cosine logits [K, B, L], softmax left to
     the loss. The auxiliary head reads the [K, B, R] representations as
-    constants (the detach wall), lays them side by side per row
-    (standard/capacity) or averages them (average_representations),
-    re-normalizes the rows and classifies them by unit-column cosine weights.
+    constants (the detach wall), lays them side by side per row (standard)
+    or averages them (average_representations), re-normalizes the rows and
+    classifies them by unit-column cosine weights.
     """
     cfg = model.config
     x = x if isinstance(x, Tensor) else Tensor(x)

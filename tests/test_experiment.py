@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from damel.experiment import (
     SUITES,
     RunRecord,
     aggregate_report,
+    build_damel_config,
     config_hash,
     config_to_dict,
     decode_checkpoint,
@@ -39,7 +41,7 @@ from damel.experiment import (
     run_single,
     vary_config,
 )
-from damel.model import init_model, predict
+from damel.model import VARIANTS, init_model, predict
 
 
 @pytest.fixture(autouse=True)
@@ -153,7 +155,7 @@ class TestConfigParsing:
     def test_every_wrongly_typed_value_is_config_error_or_accepted(self, tmp_path, source):
         raw = small_raw(
             tmp_path,
-            model={"scale": 16.0, "variant": "standard", "use_norm_layers": True, "ref_experts": None},
+            model={"scale": 16.0, "variant": "standard", "use_norm_layers": True},
             train={"lr": 0.1, "momentum": 0.9, "cb_loss_weight": 1.0, "ema_rate": 0.1,
                    "ema_frequency": "epoch", "averaging": "ema", "decoupled": False,
                    "cb_loss_enabled": True},
@@ -281,11 +283,8 @@ class TestConfigParsing:
         ({"variant": "average_representations"}, {"cb_loss_weight": 0.0},
          "train.cb_loss_weight 0 leaves the auxiliary head of variant average_representations, "
          "its prediction path, untrained"),
-        ({"num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2}, {"cb_loss_weight": 0},
-         "train.cb_loss_weight 0 leaves the auxiliary head of variant capacity_controlled, its "
-         "prediction path, untrained"),
     ], ids=["decoupled_aggregate_predictions", "decoupled_one_epoch", "zero_weight_standard",
-            "zero_weight_average_representations", "zero_weight_capacity_controlled"])
+            "zero_weight_average_representations"])
     def test_aux_head_that_cannot_train_is_config_error(self, tmp_path, model, train, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(small_raw(tmp_path, model=model, train=train))
@@ -305,7 +304,7 @@ class TestConfigParsing:
         c = parse_config(small_raw(tmp_path, train={"lr": 0.05}))
         assert config_hash(a) != config_hash(c)
         # Run records carry the hash: the default config's value is pinned.
-        assert config_hash(default_config()) == "b01eb8780d25db5ff4fc00ecfbf4117e01deb19b43500af382bb9d326be6c8e4"
+        assert config_hash(default_config()) == "007544365f8f980e960b30b64ef5b29dd9302a0fc6700c5419a03d48eb6c60df"
         # A checkpoint embeds the same run key, so the run writes the same bytes
         # under either seed list and output directory.
         blobs = [Path(run_single(cfg, seed=0).checkpoint_path).read_bytes() for cfg in (a, b)]
@@ -955,6 +954,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=r"ck.bin: checkpoint config is invalid .*'use_bias'"):
             decode_checkpoint(encode_checkpoint(config, np.zeros(count), None), "ck.bin")
 
+    def test_checkpoint_with_a_ref_experts_key_is_refused(self, tmp_path):
+        # Checkpoints written while capacity_controlled was a variant embed ref_experts.
+        config, count = tiny_checkpoint_config(tmp_path)
+        config["model"]["ref_experts"] = None
+        with pytest.raises(ConfigError, match=r"^ck.bin: checkpoint config is invalid \(model: "
+                                              r"unknown keys \['ref_experts'\] "):
+            decode_checkpoint(encode_checkpoint(config, np.zeros(count), None), "ck.bin")
+
     def test_count_must_match_synthetic_config(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
         run_single(cfg, seed=0, run_dir=tmp_path / "run")
@@ -1149,8 +1156,6 @@ class TestSuites:
         assert scales == [8.0, 16.0, 20.0, 24.0]
         assert len(expand_suite(cfg, "table5")) == 6
         assert len(expand_suite(cfg, "table8")) == 4
-        table11 = dict(expand_suite(cfg, "table11"))
-        assert table11["capacity_controlled"].model.ref_experts == cfg.model.num_experts
         assert len(expand_suite(cfg, "table12")) == 10
         assert {suite: [cell for cell, _ in expand_suite(cfg, suite)] for suite in SUITES} == {
             "table5": ["aggregate_predictions_k2", "aggregate_predictions_k3",
@@ -1186,11 +1191,21 @@ class TestSuites:
             run_single(vary_config(cfg, model_updates, train_updates), 0)
         assert builds == [] and list(tmp_path.iterdir()) == []
 
-    def test_suite_cell_the_model_cannot_run_names_the_cell(self, tmp_path):
-        cfg = parse_config(small_raw(tmp_path, model={
-            "num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2}))
-        with pytest.raises(ConfigError, match=r"^table8/experts_2: model: "):
-            expand_suite(cfg, "table8")
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_capacity_controlled_cell_is_one_expert_as_wide_as_the_concatenation(self, tmp_path,
+                                                                                variant):
+        """Under any base variant, table11's first cell is the configured model
+        but for one standard expert as wide as the configured experts side by
+        side: the width a standard model's auxiliary head reads."""
+        cfg = parse_config(small_raw(tmp_path, model={"variant": variant}))
+        cells = dict(expand_suite(cfg, "table11"))
+        cell = cells["capacity_controlled"]
+        assert cells["standard"] == cfg and (cell.dataset, cell.train) == (cfg.dataset, cfg.train)
+        width = cfg.model.num_experts * cfg.model.rep_dim
+        assert cell.model == replace(cfg.model, variant="standard", num_experts=1, rep_dim=width)
+        standard = replace(cfg.model, variant="standard")
+        assert (build_damel_config(cell.model, cell.dataset, 5).aux_input_dim
+                == build_damel_config(standard, cfg.dataset, 5).aux_input_dim == width)
 
     def test_decoupled_cell_without_an_aux_head_names_the_cell(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, model={"variant": "aggregate_predictions"}))
@@ -1473,10 +1488,8 @@ class TestCli:
          "train.decoupled re-trains the auxiliary head"),
         (["sweep", "--seeds", "0,1", "--workers", "2"], {"variant": "aggregate_predictions"},
          {"decoupled": True}, "train.decoupled re-trains the auxiliary head"),
-        (["ablate", "--suite", "table12", "--workers", "2"], {"variant": "aggregate_predictions"}, {},
-         "table12/decoupled: train.decoupled re-trains the auxiliary head"),
         (["run", "--seed", "0"], {}, {"cb_loss_weight": 0}, "train.cb_loss_weight 0 leaves"),
-    ], ids=["run_decoupled", "sweep_decoupled", "ablate_table12", "run_zero_weight"])
+    ], ids=["run_decoupled", "sweep_decoupled", "run_zero_weight"])
     def test_aux_head_that_cannot_train_exits_1_before_any_run(self, tmp_path, capsys, command,
                                                                model, train, reason):
         path, raw = self._write_cfg(tmp_path, model=model, train=train)
@@ -1487,13 +1500,13 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_suite_cell_the_model_cannot_run_exits_1_before_any_run(self, tmp_path, capsys, workers):
-        """Under capacity_controlled, table8's multi-expert cells are invalid configs."""
-        path, raw = self._write_cfg(tmp_path, model={
-            "num_experts": 1, "variant": "capacity_controlled", "ref_experts": 2})
-        argv = ["ablate", "--config", str(path), "--suite", "table8", "--workers", workers]
+        """Under aggregate_predictions, table12's decoupled cell has no head to re-train."""
+        path, raw = self._write_cfg(tmp_path, model={"variant": "aggregate_predictions"})
+        argv = ["ablate", "--config", str(path), "--suite", "table12", "--workers", workers]
         assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: table8/experts_2: model: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "config error: table12/decoupled: train.decoupled re-trains the auxiliary head, "
+            "which variant aggregate_predictions does not have\n")
         assert not Path(raw["output_dir"]).exists()
 
     @pytest.mark.parametrize("command, where", [
@@ -1602,11 +1615,27 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2
         assert capsys.readouterr().err == "run failed: ValueError: first line second line\n"
 
-    def test_run_failure_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling_symlink"])
+    @pytest.mark.parametrize("command", [["run", "--seed", "0"],
+                                         ["sweep", "--seeds", "0,1,2", "--workers", "1"],
+                                         ["ablate", "--suite", "table7", "--workers", "2"]])
+    def test_output_dir_under_a_file_exits_1_before_any_data_is_built(self, tmp_path, capsys,
+                                                                      monkeypatch, command, dangling):
+        builds = []
+        monkeypatch.setattr(experiment, "build_datasets", lambda *args: builds.append(args))
         blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
+        if dangling:
+            blocker.symlink_to(tmp_path / "nowhere")
+        else:
+            blocker.write_text("a file, not a directory")
         path, _ = self._write_cfg(tmp_path, output_dir=str(blocker / "runs"))
-        assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 2
+        assert cli_main([command[0], "--config", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"config error: output_dir: cannot make run directory "
+                            rf"{re.escape(str(blocker))}/runs/\S+: {re.escape(str(blocker))} "
+                            rf"is not a directory\n", err), err
+        assert builds == [] and not (tmp_path / "nowhere").exists()
+        assert dangling or blocker.read_text() == "a file, not a directory"
 
 
 # The command line's contract as a real process, so that pool workers' stderr
@@ -1637,6 +1666,10 @@ def _dataset(source, **updates):
 
 _NO_BIAS = {"model": dict(_BASE_CONFIG["model"], use_bias=False)}
 _USE_BIAS = r"config error: model: unknown keys \['use_bias'\] .*"
+_REF_EXPERTS = {"model": dict(_BASE_CONFIG["model"], ref_experts=3)}
+_CAPACITY = {"model": dict(_BASE_CONFIG["model"], variant="capacity_controlled", num_experts=1)}
+# pool.csv is a regular file, so no run directory can be made under it.
+_UNDER_A_FILE = {"output_dir": "pool.csv/runs"}
 _CLASSES = r"dataset: file holds 3 classes, config says 4"
 _SHORT_IDX = r"short-images: IDX payload size 299 != 75\*2\*2"
 
@@ -1645,6 +1678,17 @@ _SHORT_IDX = r"short-images: IDX payload size 299 != 75\*2\*2"
 CLI_CONTRACT_CASES = [
     ("use_bias_run", _RUN, _NO_BIAS, 1, _USE_BIAS),
     ("use_bias_sweep_workers_2", _SWEEP_2, _NO_BIAS, 1, _USE_BIAS),
+    # capacity_controlled is table11's cell, a standard config, and no longer a variant.
+    ("ref_experts_run", _RUN, _REF_EXPERTS, 1, r"config error: model: unknown keys \['ref_experts'\] .*"),
+    ("capacity_controlled_variant_run", _RUN, _CAPACITY, 1,
+     r"config error: model: unknown variant 'capacity_controlled', expected one of "
+     r"\('standard', 'aggregate_predictions', 'average_representations'\)"),
+    ("output_dir_under_a_file_run", _RUN, _UNDER_A_FILE, 1,
+     r"config error: output_dir: cannot make run directory pool\.csv/runs/single/default/0: "
+     r"pool\.csv is not a directory"),
+    ("output_dir_under_a_file_sweep_workers_2", _SWEEP_2, _UNDER_A_FILE, 1,
+     r"config error: output_dir: cannot make run directory pool\.csv/runs/sweep/default/0: "
+     r"pool\.csv is not a directory"),
     # Which worker fails first varies, so the pooled miscount runs five times.
     *[(f"csv_classes_sweep_workers_2_try{n}", _SWEEP_2, _dataset(_CSV, num_classes=4), 1,
        rf"config error: sweep: seed \d failed: {_CLASSES}") for n in range(5)],
@@ -1662,7 +1706,7 @@ CLI_CONTRACT_CASES = [
      rf"run failed: sweep: seed \d failed: {_SHORT_IDX}"),
     ("idx_classes_run", _RUN, _dataset(_IDX, num_classes=4), 1, rf"config error: {_CLASSES}"),
     ("sweep_workers_2", ["sweep", "--seeds", "0,1,2", "--workers", "2"], {}, 0, ""),
-    # table5 aggregates predictions, table11 holds capacity_controlled and
+    # table5 aggregates predictions, table11 holds one wide expert and
     # table12 average_representations: every predict variant in a pool.
     *[(f"ablate_{suite}_workers_2", _ablate_2(suite), {}, 0, "")
       for suite in ("table7", "table5", "table11", "table12")],

@@ -27,6 +27,10 @@ from damel.training import TrainConfig, class_balanced_weights, compute_losses, 
 from helpers import reference_forward, reference_losses, reference_params
 
 
+# The variants plus table11's capacity_controlled cell, which _model_kwargs builds.
+MODEL_CASES = VARIANTS + ("capacity_controlled",)
+
+
 def small_config(**overrides):
     base = dict(
         num_experts=3, input_dim=6, hidden_dim=8, rep_dim=4, num_classes=5, scale=16.0
@@ -80,14 +84,13 @@ class TestInit:
             m.params["backbone.w1"] = np.zeros((6, 8))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError, match="variant"):
-            small_config(variant="bagging").validate()
+        assert VARIANTS == ("standard", "aggregate_predictions", "average_representations")
+        # table11's capacity_controlled cell is a standard config, not a variant.
+        for variant in ("bagging", "capacity_controlled"):
+            with pytest.raises(ConfigError, match=f"unknown variant '{variant}'"):
+                small_config(variant=variant).validate()
         with pytest.raises(ConfigError, match="scale"):
             small_config(scale=0.0).validate()
-        with pytest.raises(ConfigError, match="one expert"):
-            small_config(variant="capacity_controlled", num_experts=2, ref_experts=3).validate()
-        with pytest.raises(ConfigError, match="ref_experts"):
-            small_config(variant="capacity_controlled", num_experts=1).validate()
 
 
 class TestExpertForward:
@@ -156,8 +159,8 @@ class TestAuxiliary:
     def test_aux_width_accounting(self):
         assert small_config().aux_input_dim == 12
         assert small_config(variant="average_representations").aux_input_dim == 4
-        cap = small_config(variant="capacity_controlled", num_experts=1, ref_experts=3)
-        assert cap.aux_input_dim == 12 and cap.expert_rep_dim == 12
+        # One expert as wide as three reads the same width as three concatenated.
+        assert small_config(**_model_kwargs("capacity_controlled", 3, False)).aux_input_dim == 12
         assert small_config(variant="aggregate_predictions").aux_input_dim is None
 
     def test_aggregate_predictions_has_no_aux(self):
@@ -168,10 +171,7 @@ class TestAuxiliary:
 
     @pytest.mark.parametrize("variant", ["standard", "average_representations", "capacity_controlled"])
     def test_detach_wall_zero_gradients(self, variant):
-        kwargs = {"variant": variant}
-        if variant == "capacity_controlled":
-            kwargs.update(num_experts=1, ref_experts=3)
-        m = init_model(small_config(use_norm_layers=True, **kwargs), seed=9)
+        m = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=9)
         rng = np.random.default_rng(3)
         tape = Tape()
         params = bind_params(m, tape)
@@ -187,7 +187,7 @@ class TestAuxiliary:
 
 
 class TestFullForward:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", MODEL_CASES)
     def test_default_params_are_untaped_and_match_bound_leaves(self, variant):
         model = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=5)
         rng = np.random.default_rng(5)
@@ -220,13 +220,13 @@ class TestFullForward:
             for field, (value, data) in before[name].items():
                 assert getattr(state, field) is value and np.asarray(value).tobytes() == data, (name, field)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", MODEL_CASES)
     def test_zero_row_eval_forward(self, variant):
         model = init_model(small_config(**_model_kwargs(variant, 3, True)), seed=0)
         out = full_forward(model, np.ones((0, 6)), train=False)
         k = model.config.num_experts
         assert out.expert_logits.shape == (k, 0, 5)
-        assert out.normalized_reps.shape == (k, 0, model.config.expert_rep_dim)
+        assert out.normalized_reps.shape == (k, 0, model.config.rep_dim)
         if variant == "aggregate_predictions":
             assert out.aux_logits is None
         else:
@@ -241,10 +241,9 @@ class TestPredict:
 
     def test_predict_matches_aux_argmax(self):
         x = np.random.default_rng(5).normal(size=(40, 6))
-        for overrides in ({}, {"variant": "average_representations"},
-                          {"variant": "capacity_controlled", "num_experts": 1, "ref_experts": 3}):
+        for case in ("standard", "average_representations", "capacity_controlled"):
             for use_norm_layers in (False, True):
-                m = init_model(small_config(use_norm_layers=use_norm_layers, **overrides), seed=4)
+                m = init_model(small_config(**_model_kwargs(case, 3, use_norm_layers)), seed=4)
                 out = full_forward(m, x, train=False)
                 np.testing.assert_array_equal(predict(m, x), out.aux_logits.values.argmax(axis=1))
 
@@ -295,7 +294,7 @@ def _whole_batch_logits(model, x):
 class TestPredictRowBlocks:
     """predict walks its rows in fixed blocks; the result is the whole batch's."""
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", MODEL_CASES)
     @pytest.mark.parametrize("use_norm_layers", [True, False])
     @pytest.mark.parametrize("biases", BIASES)
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 257, 1242])
@@ -369,17 +368,20 @@ class TestPredictRowBlocks:
         assert large <= 1.25 * small, (small, large)
 
 
-def _model_kwargs(variant, num_experts, use_norm_layers):
-    kwargs = dict(variant=variant, num_experts=num_experts, use_norm_layers=use_norm_layers)
-    if variant == "capacity_controlled":
-        kwargs.update(num_experts=1, ref_experts=num_experts)
+def _model_kwargs(case, num_experts, use_norm_layers):
+    """small_config overrides for a variant, or for table11's capacity_controlled
+    cell: one standard expert as wide as ``num_experts`` of small_config's
+    width-4 experts side by side."""
+    kwargs = dict(variant=case, num_experts=num_experts, use_norm_layers=use_norm_layers)
+    if case == "capacity_controlled":
+        kwargs.update(variant="standard", num_experts=1, rep_dim=4 * num_experts)
     return kwargs
 
 
 class TestStackedMatchesPerExpertReference:
     """The stacked expert chain against a K-loop of 2-D ops, bit for bit."""
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", MODEL_CASES)
     @pytest.mark.parametrize("num_experts", [1, 2, 4])
     @pytest.mark.parametrize("biases", BIASES)
     @pytest.mark.parametrize("use_norm_layers", [True, False])

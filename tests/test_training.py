@@ -396,9 +396,10 @@ class TestTrain:
         """Untaped constants freeze each phase exactly as taping every
         parameter and zeroing the gradient spans outside the phase's trained
         names does."""
-        extra = {"num_experts": 1, "ref_experts": 2} if variant == "capacity_controlled" else {}
-        config = tiny_config(input_dim=4, num_classes=4, variant=variant,
-                             use_norm_layers=use_norm_layers, **extra)
+        overrides = {"variant": variant}
+        if variant == "capacity_controlled":  # table11's cell: one standard expert as wide as two
+            overrides = {"variant": "standard", "num_experts": 1, "rep_dim": 6}
+        config = tiny_config(input_dim=4, num_classes=4, use_norm_layers=use_norm_layers, **overrides)
         real_bind, real_step = training.bind_params, training.sgd_step
         phase, zeroed = [None], {}
 
