@@ -5,7 +5,9 @@ output_dir; unknown keys are rejected so typos cannot silently corrupt a
 grid. Every run writes its own directory (run.json, metrics.csv, eval.json,
 confusion.csv, checkpoint.bin, onehot.npy) under
 output_dir/<suite>/<cell>/<seed>/ and is reproducible from its config hash
-plus seed.
+plus seed. A run writes its files into a hidden .damel-run-* stage and then
+renames them into its directory, run.json last, so a run that fails before
+the renames creates no directory and leaves an earlier run there as it was.
 
 Sweeps and suites share one fan-out (_run_jobs): inline for one worker, else
 a process pool of at most one worker per run and per usable CPU that holds no
@@ -251,19 +253,17 @@ def _check_seed(seed, where: str) -> None:
         raise ConfigError(f"{where} must be a non-negative integer, got {seed!r}")
 
 
-def _check_files(dataset: DatasetBlock, run_dir: Path) -> None:
+def _check_files(dataset: DatasetBlock, run_dir: Path) -> Path:
     """The nearest existing path among ``run_dir`` and its parents, a dangling
     symlink included, must be a directory, and every file an idx/csv source
     names must open for reading; otherwise a ConfigError names output_dir or
-    the field, before any run starts."""
-    for path in (run_dir, *run_dir.parents):
-        if path.exists() or path.is_symlink():
-            if not path.is_dir():
-                raise ConfigError(f"output_dir: cannot make run directory {run_dir}: "
-                                  f"{path} is not a directory")
-            break
+    the field, before any run starts. Returns that directory."""
+    nearest = next(path for path in (run_dir, *run_dir.parents) if path.exists() or path.is_symlink())
+    if not nearest.is_dir():
+        raise ConfigError(f"output_dir: cannot make run directory {run_dir}: "
+                          f"{nearest} is not a directory")
     if dataset.source == "synthetic":
-        return
+        return nearest
     for field in _SOURCE_FIELDS[dataset.source]:
         path = getattr(dataset, field)
         try:
@@ -273,6 +273,7 @@ def _check_files(dataset: DatasetBlock, run_dir: Path) -> None:
             raise ConfigError(
                 f"dataset ({dataset.source}): cannot read {field} {path!r}: {err.strerror or err}"
             ) from None
+    return nearest
 
 
 def load_config(path) -> ExperimentConfig:
@@ -588,15 +589,18 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
 
     Training and the final evaluation run under ``FP_RAISE``, so a
     floating-point fault in either fails the run as a NumericError; data
-    ingestion runs outside it. A run that fails before its writes touches no
-    file; one whose writes fail removes its run directory, and the parents of
-    it that it created, as far as they are empty.
+    ingestion runs outside it. The artifacts are written into a stage, a
+    fresh ``.damel-run-*`` directory in the nearest existing directory at or
+    above ``run_dir``, and then renamed into ``run_dir`` one by one, run.json
+    last. So a run that fails before the renames creates no directory and
+    leaves an earlier run in ``run_dir`` byte for byte. The stage is removed
+    however the run ends, unless its process is killed.
     """
     _check_seed(seed, "seed")
     if run_dir is None:
         run_dir = Path(cfg.output_dir) / "single" / "default" / str(seed)
     run_dir = Path(run_dir)
-    _check_files(cfg.dataset, run_dir)
+    nearest = _check_files(cfg.dataset, run_dir)
     started = time.perf_counter()
     train_ds, test_ds, partition = build_datasets(cfg.dataset, seed)
     model_cfg = build_damel_config(cfg.model, cfg.dataset, train_ds.features.shape[1]).validate()
@@ -622,43 +626,25 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         metrics_path=str(run_dir / "metrics.csv"),
         checkpoint_path=str(run_dir / "checkpoint.bin"),
     )
-    new_parents = _missing_parents(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".damel-run-", dir=nearest))
     try:
-        _write_metrics_csv(run_dir / "metrics.csv", metrics, model_cfg.num_experts)
-        (run_dir / "checkpoint.bin").write_bytes(
+        _write_metrics_csv(stage / "metrics.csv", metrics, model_cfg.num_experts)
+        (stage / "checkpoint.bin").write_bytes(
             encode_checkpoint(dict(_run_blocks(cfg), seed=seed), model.buffer, averaged))
-        report.save_json(run_dir / "eval.json")
-        report.save_confusion_csv(run_dir / "confusion.csv")
-        np.save(run_dir / "onehot.npy", onehot)
-        # Last and atomic: ``damel report`` finds runs by run.json, so a
-        # process killed mid-write leaves a stray temp file, not a torn record.
-        with open(run_dir / "run.json.tmp", "w") as fh:
+        report.save_json(stage / "eval.json")
+        report.save_confusion_csv(stage / "confusion.csv")
+        np.save(stage / "onehot.npy", onehot)
+        # ``damel report`` finds runs by run.json, so the stage holds none:
+        # what a killed process leaves never reads as a run.
+        with open(stage / "run.json.tmp", "w") as fh:
             json.dump(record.to_json_dict(), fh, sort_keys=True, indent=1)
-        os.replace(run_dir / "run.json.tmp", run_dir / "run.json")
-        return record
-    except Exception:
-        shutil.rmtree(run_dir, ignore_errors=True)
-        _remove_empty(new_parents)
-        raise
-
-
-def _missing_parents(run_dir) -> list:
-    """The parents of ``run_dir`` that do not exist yet, deepest first."""
-    missing = []
-    for parent in Path(run_dir).parents:
-        if parent.exists():
-            break
-        missing.append(parent)
-    return missing
-
-
-def _remove_empty(dirs) -> None:
-    """Remove each of ``dirs``, given deepest first, that is empty; one that
-    holds other runs stays."""
-    for d in dirs:
-        with contextlib.suppress(OSError):
-            d.rmdir()
+        run_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("metrics.csv", "checkpoint.bin", "eval.json", "confusion.csv", "onehot.npy"):
+            os.replace(stage / name, run_dir / name)
+        os.replace(stage / "run.json.tmp", run_dir / "run.json")
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return record
 
 
 def _usable_cpus() -> int:
@@ -695,10 +681,7 @@ def _run_jobs(jobs, workers=None) -> list:
     seed, source file and run directory is checked, and no two jobs may share
     a run directory, before any job starts. A pool holds at most one job per worker
     and is handed the next only when one finishes, so the first failure
-    starts no further job and is raised once the running ones finish. Then
-    the parents of the run directories that the jobs created are removed
-    where empty: a run removes only the ones it created itself, and under a
-    pool another run may still have been using them."""
+    starts no further job and is raised once the running ones finish."""
     taken = set()
     for cfg, seed, run_dir, where in jobs:
         _check_seed(seed, f"{where}: seed")
@@ -707,23 +690,18 @@ def _run_jobs(jobs, workers=None) -> list:
         taken.add(str(run_dir))
         _check_files(cfg.dataset, Path(run_dir))
     workers = resolve_workers(workers, len(jobs))
-    new_parents = {d for job in jobs for d in _missing_parents(job[2])}
-    try:
-        if workers == 1:
-            return [_run_job(job) for job in jobs]
-        records = [None] * len(jobs)
-        queued = iter(enumerate(jobs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            running = {pool.submit(_run_job, job): i for i, job in islice(queued, workers)}
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    records[running.pop(future)] = future.result()  # raises the job's DamelError
-                running.update((pool.submit(_run_job, job), i) for i, job in islice(queued, len(done)))
-        return records
-    except Exception:  # the pool has shut down: every running job has finished
-        _remove_empty(sorted(new_parents, key=lambda d: len(d.parts), reverse=True))
-        raise
+    if workers == 1:
+        return [_run_job(job) for job in jobs]
+    records = [None] * len(jobs)
+    queued = iter(enumerate(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running = {pool.submit(_run_job, job): i for i, job in islice(queued, workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                records[running.pop(future)] = future.result()  # raises the job's DamelError
+            running.update((pool.submit(_run_job, job), i) for i, job in islice(queued, len(done)))
+    return records
 
 
 def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=None):

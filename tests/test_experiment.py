@@ -76,6 +76,12 @@ def artifacts(root):
             if p.is_file() and p.name != "run.json"}
 
 
+def stages(root):
+    """The .damel-run-* stages under ``root``: a run that ends, however it
+    ends, removes its own."""
+    return sorted(Path(root).rglob(".damel-run-*"))
+
+
 def small_raw(tmp_path, **overrides):
     raw = {
         "dataset": {
@@ -378,7 +384,7 @@ class TestRunSingle:
         run_single(cfg, seed=0, run_dir=root / "table7" / "epoch" / "0")
 
         class Killed(BaseException):
-            """Not an Exception, so run_single's cleanup lets it through."""
+            """Not an Exception, as Ctrl-C is not; the stage goes all the same."""
 
         real_dump = json.dump
 
@@ -393,10 +399,30 @@ class TestRunSingle:
         with pytest.raises(Killed):
             run_single(cfg, seed=1, run_dir=root / "table7" / "epoch" / "1")
         monkeypatch.undo()
-        assert (root / "table7" / "epoch" / "1" / "eval.json").exists()
-        assert not (root / "table7" / "epoch" / "1" / "run.json").exists()
+        assert not (root / "table7" / "epoch" / "1").exists()
+        assert stages(tmp_path) == []
         _, rows = aggregate_report(root)
         assert [row[:3] for row in rows] == [["table7", "epoch", "0"]]
+
+    def test_stage_left_by_a_killed_run_is_not_a_run(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        root = tmp_path / "tree"
+        cell = root / "table7" / "epoch"
+        run_single(cfg, seed=0, run_dir=cell / "0")
+        # What a run killed after its writes and before its renames leaves:
+        # its stage, with every artifact and the record still run.json.tmp.
+        stray = cell / ".damel-run-x"
+        shutil.copytree(cell / "0", stray)
+        (stray / "run.json").rename(stray / "run.json.tmp")
+        left = artifacts(stray)
+        assert sorted(map(str, left)) == ["checkpoint.bin", "confusion.csv", "eval.json",
+                                          "metrics.csv", "onehot.npy", "run.json.tmp"]
+        _, rows = aggregate_report(root)
+        assert [row[:3] for row in rows] == [["table7", "epoch", "0"]]
+        run_single(cfg, seed=1, run_dir=cell / "1")
+        _, rows = aggregate_report(root)
+        assert [row[:3] for row in rows] == [["table7", "epoch", "0 1"]]
+        assert stages(tmp_path) == [stray] and artifacts(stray) == left
 
     def test_failed_run_removes_partial_outputs(self, tmp_path, monkeypatch):
         cfg = parse_config(small_raw(tmp_path))
@@ -420,6 +446,22 @@ class TestRunSingle:
         cfg = parse_config(small_raw(tmp_path, train={"cb_loss_weight": 1e300}))
         with pytest.raises(NumericError, match=r"\(epoch 0, iteration \d+\)$"):
             run_single(cfg, seed=0, run_dir=run_dir)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_rerun_that_fails_writing_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        cfg = parse_config(small_raw(tmp_path))
+        run_dir = tmp_path / "d" / "r"
+        run_single(cfg, seed=0, run_dir=run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert len(before) == 6  # run.json included
+
+        def disk_full(report, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(EvalReport, "save_confusion_csv", disk_full)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_single(cfg, seed=0, run_dir=run_dir)
+        assert stages(tmp_path) == []
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_failed_run_removes_the_empty_directories_it_created(self, tmp_path, monkeypatch):
@@ -1072,16 +1114,13 @@ class TestSweep:
             assert not (sweep_dir / str(seed)).exists()
 
     def test_parallel_failure_removes_the_directories_it_created(self, tmp_path, monkeypatch):
+        # Both runs train and then fail at their first write, in forked
+        # workers that inherit the patch: neither makes a directory, nor
+        # leaves its stage in "kept", the nearest directory that exists.
         cfg = parse_config(small_raw(tmp_path, seeds=[0, 1]))
-
-        def failing(config, seed, run_dir=None):  # forked workers inherit it
-            Path(run_dir).mkdir(parents=True)
-            shutil.rmtree(run_dir)  # as a failed run does, its own directory alone
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(experiment, "run_single", failing)
+        monkeypatch.setattr(EvalReport, "save_json", lambda *a, **k: 1 / 0)
         (tmp_path / "kept").mkdir()
-        with pytest.raises(DamelError, match="boom"):
+        with pytest.raises(DamelError, match="division by zero"):
             run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "kept" / "sweep" / "default")
         assert list((tmp_path / "kept").iterdir()) == []
 
@@ -1645,7 +1684,7 @@ class TestCli:
 # the same profile (2x2 images) and short-images, its images file one byte
 # short. A failure exits 1 or 2 on exactly one stderr line that matches the
 # case's pattern, with no traceback, and leaves no `runs` directory; a success
-# exits 0 and writes nothing to stderr.
+# exits 0 and writes nothing to stderr. No case leaves a .damel-run-* stage.
 _BASE_CONFIG = small_raw(Path(), output_dir="runs")
 _CSV = {block: csv_raw(Path(), "pool.csv")[block] for block in ("dataset", "train")}
 _IDX = {"dataset": {"source": "idx", "images": "idx-images", "labels": "idx-labels",
@@ -1737,6 +1776,7 @@ def test_cli_contract(tmp_path, argv, blocks, code, pattern):
     (tmp_path / "cfg.json").write_text(json.dumps({**_BASE_CONFIG, **blocks}))
     proc = cli_process([argv[0], "--config", "cfg.json", *argv[1:]], cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
+    assert stages(tmp_path) == []
     if code == 0:
         assert proc.stderr == ""
         return
