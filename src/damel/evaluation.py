@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -119,24 +119,19 @@ class BiasVarianceReport:
     variance: float
     mse: float
     num_runs: int
-    per_sample: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "bias_sq": self.bias_sq,
-            "variance": self.variance,
-            "mse": self.mse,
-            "num_runs": self.num_runs,
-        }
+        return asdict(self)
 
 
-def bias_variance_decompose(preds_per_run, labels_onehot, return_per_sample: bool = False) -> BiasVarianceReport:
+def bias_variance_decompose(preds_per_run, labels_onehot) -> BiasVarianceReport:
     """Decompose squared prediction error over runs.
 
     bias_sq = mean_m ||y_m - mean_pred_m||^2,
     variance = mean_{s,m} ||pred_{s,m} - mean_pred_m||^2,
     mse = mean_{s,m} ||y_m - pred_{s,m}||^2,
-    so bias_sq + variance == mse exactly up to rounding.
+    so bias_sq + variance == mse exactly up to rounding. Each term is a mean
+    over samples, so a group's terms are the decomposition of its rows alone.
     """
     stack = np.stack([np.asarray(p, dtype=np.float64) for p in preds_per_run])
     labels_onehot = np.asarray(labels_onehot, dtype=np.float64)
@@ -150,19 +145,12 @@ def bias_variance_decompose(preds_per_run, labels_onehot, return_per_sample: boo
         )
     samples = labels_onehot.shape[0]
     mean_pred = stack.mean(axis=0)
-    bias_per_sample = ((labels_onehot - mean_pred) ** 2).sum(axis=1)
-    var_per_sample = ((stack - mean_pred) ** 2).sum(axis=2).mean(axis=0)
-    mse_per_sample = ((labels_onehot - stack) ** 2).sum(axis=2).mean(axis=0)
-    report = BiasVarianceReport(
-        bias_sq=float(bias_per_sample.sum() / samples),
-        variance=float(var_per_sample.sum() / samples),
-        mse=float(mse_per_sample.sum() / samples),
+    bias = ((labels_onehot - mean_pred) ** 2).sum(axis=1)
+    variance = ((stack - mean_pred) ** 2).sum(axis=2).mean(axis=0)
+    mse = ((labels_onehot - stack) ** 2).sum(axis=2).mean(axis=0)
+    return BiasVarianceReport(
+        bias_sq=float(bias.sum() / samples),
+        variance=float(variance.sum() / samples),
+        mse=float(mse.sum() / samples),
         num_runs=runs,
     )
-    if return_per_sample:
-        report.per_sample = {
-            "bias_sq": bias_per_sample,
-            "variance": var_per_sample,
-            "mse": mse_per_sample,
-        }
-    return report

@@ -704,26 +704,44 @@ def _run_jobs(jobs, workers=None) -> list:
     return records
 
 
+def cell_summary(records) -> dict:
+    """Every statistic of one cell's runs, taken in seed order, so that it
+    depends on the set of runs and not on their order: ``seeds``; the mean and
+    sample (ddof=1) sd of ``overall`` and of each group's accuracy, as
+    ``<name>_mean`` and ``<name>_sd``, None where undefined; ``decomposition``,
+    the one-hot bias_variance_decompose of the runs' test predictions, None
+    below two runs or for records read back from run.json, which carry none."""
+    reports = [r.eval_report for r in sorted(records, key=lambda record: record.seed)]
+    summary = {"seeds": sorted(r.seed for r in records)}
+    accuracies = [dict(report.group_acc, overall=report.overall_acc) for report in reports]
+    for name in ("overall", *GROUP_NAMES):
+        arr = np.asarray([acc[name] for acc in accuracies if acc.get(name) is not None], dtype=np.float64)
+        summary[f"{name}_mean"] = float(arr.mean()) if arr.size else None
+        summary[f"{name}_sd"] = float(arr.std(ddof=1)) if arr.size > 1 else None
+    summary["decomposition"] = None
+    if len(reports) > 1 and all(report.predictions is not None for report in reports):
+        classes = reports[0].confusion.shape[0]
+        summary["decomposition"] = bias_variance_decompose(
+            [labels_one_hot(report.predictions, classes) for report in reports],
+            labels_one_hot(reports[0].labels, classes))
+    return summary
+
+
 def run_seed_sweep(cfg: ExperimentConfig, seeds=None, workers=None, sweep_dir=None):
-    """Independent runs per seed plus the across-seed decomposition summary,
-    built from the records' test predictions and shared test labels."""
+    """Independent runs per seed; returns the cell's decomposition from
+    cell_summary and the records in the order of ``seeds``, which summary.json
+    also keeps. Both are built in memory: no artifact is read back."""
     seeds = list(cfg.seeds if seeds is None else seeds)
     if len(seeds) < 2:
         raise ConfigError(f"sweep needs at least 2 seeds, got {len(seeds)}")
     sweep_dir = Path(sweep_dir) if sweep_dir is not None else Path(cfg.output_dir) / "sweep" / "default"
     records = _run_jobs([(cfg, seed, sweep_dir / str(seed), "sweep") for seed in seeds], workers)
 
-    num_classes = cfg.dataset.num_classes
-    preds = [labels_one_hot(r.eval_report.predictions, num_classes) for r in records]
-    targets = labels_one_hot(records[0].eval_report.labels, num_classes)
-    np.save(sweep_dir / "test_labels_onehot.npy", targets)
-    summary = bias_variance_decompose(preds, targets)
-    payload = dict(
-        summary.to_json_dict(),
-        config_hash=config_hash(cfg),
-        seeds=seeds,
-        overall_acc={str(r.seed): r.eval_report.overall_acc for r in records},
-    )
+    np.save(sweep_dir / "test_labels_onehot.npy",
+            labels_one_hot(records[0].eval_report.labels, cfg.dataset.num_classes))
+    summary = cell_summary(records)["decomposition"]
+    payload = dict(summary.to_json_dict(), config_hash=config_hash(cfg), seeds=seeds,
+                   overall_acc={str(r.seed): r.eval_report.overall_acc for r in records})
     with open(sweep_dir / "summary.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
     return summary, records
@@ -793,31 +811,17 @@ def expand_suite(cfg: ExperimentConfig, suite: str):
     return pairs
 
 
-def _mean_sd(values):
-    """The mean and sample (ddof=1) standard deviation as CSV fields; an
-    undefined one (no values, or the spread of one) is an empty field."""
-    arr = np.asarray([v for v in values if v is not None], dtype=np.float64)
-    mean = repr(float(arr.mean())) if arr.size else ""
-    sd = repr(float(arr.std(ddof=1))) if arr.size > 1 else ""
-    return mean, sd
-
-
 SUMMARY_COLUMNS = ["suite", "cell", "seeds", "overall_mean", "overall_sd"] + [
     f"{group}_{stat}" for group in GROUP_NAMES for stat in ("mean", "sd")
 ]
 
 
-def _summary_row(suite: str, cell: str, records) -> list:
-    row = [suite, cell, " ".join(str(r.seed) for r in records)]
-    row += _mean_sd([r.eval_report.overall_acc for r in records])
-    for group in GROUP_NAMES:
-        row += _mean_sd([r.eval_report.group_acc.get(group) for r in records])
-    return row
-
-
 def _write_summary_csv(csv_path: Path, groups):
-    """One summary row per ``((suite, cell), records)`` group; returns (csv_path, rows)."""
-    rows = [_summary_row(suite, cell, records) for (suite, cell), records in groups]
+    """The cell_summary of each ``((suite, cell), records)`` group as a row, an
+    undefined statistic an empty field; returns (csv_path, rows)."""
+    summaries = [(key, cell_summary(records)) for key, records in groups]
+    rows = [[*key, " ".join(map(str, s["seeds"]))]
+            + ["" if s[c] is None else repr(s[c]) for c in SUMMARY_COLUMNS[3:]] for key, s in summaries]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
@@ -861,18 +865,24 @@ def aggregate_report(root_dir):
     """Rebuild the per-cell summary CSV from run.json records under a directory,
     which may be any level of a <suite>/<cell>/<seed>/run.json tree: each run's
     suite and cell are the two directory names above its seed directory. A
-    tree that holds no run.json is a ConfigError, and no CSV is written."""
+    tree that holds no run.json, or a cell whose runs repeat a seed or come
+    from two configs, is a ConfigError, and no CSV is written."""
     root = Path(root_dir)
     if not root.is_dir():
         raise ConfigError(f"report: {root} is not a directory")
-    groups: dict[tuple, list] = {}
+    cells: dict[tuple, dict] = {}  # {(suite, cell): {seed: (run.json path, record)}}
     for run_json in sorted(root.glob("**/run.json")):
         cell_dir = run_json.absolute().parent.parent
-        key = (cell_dir.parent.name, cell_dir.name)
-        groups.setdefault(key, []).append(_load_run_record(run_json))
-    if not groups:
+        runs = cells.setdefault((cell_dir.parent.name, cell_dir.name), {})
+        record = _load_run_record(run_json)
+        # A run clashes with its seed's earlier run, else with the cell's first run's config.
+        path, earlier = runs.get(record.seed) or next(iter(runs.values()), (None, None))
+        if earlier and (earlier.seed == record.seed or earlier.config_hash != record.config_hash):
+            why = f"repeat seed {record.seed}" if earlier.seed == record.seed else "come from two configs"
+            raise ConfigError(f"report: {path} and {run_json} {why} in one cell")
+        runs[record.seed] = (run_json, record)
+    if not cells:
         raise ConfigError(f"report: no run records under {root}")
     return _write_summary_csv(root / "report.csv", [
-        (key, sorted(records, key=lambda record: record.seed))
-        for key, records in sorted(groups.items())
+        (key, [record for _, record in runs.values()]) for key, runs in sorted(cells.items())
     ])

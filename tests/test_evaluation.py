@@ -135,16 +135,31 @@ class TestBiasVarianceDecompose:
         with pytest.raises(ContractError, match=r"prediction shape \(3, 2\) does not match labels \(2, 2\)"):
             bias_variance_decompose([np.zeros((3, 2))] * 2, labels)
 
-    def test_per_sample_fields(self):
-        labels = labels_one_hot(np.array([0, 1]), 2)
-        preds = [labels, 1.0 - labels]
-        report = bias_variance_decompose(preds, labels, return_per_sample=True)
-        assert set(report.per_sample) == {"bias_sq", "variance", "mse"}
-        np.testing.assert_allclose(
-            report.per_sample["bias_sq"] + report.per_sample["variance"],
-            report.per_sample["mse"],
-            atol=1e-12,
-        )
+    def test_group_terms_partition_the_whole(self):
+        # A group's terms are the decomposition of its rows alone: each term
+        # averaged over those rows, and the groups' row-weighted terms sum to
+        # the whole's.
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            runs, samples, classes = int(rng.integers(2, 6)), int(rng.integers(2, 40)), int(rng.integers(2, 6))
+            labels = labels_one_hot(rng.integers(0, classes, size=samples), classes)
+            stack = np.stack([labels_one_hot(rng.integers(0, classes, size=samples), classes)
+                              for _ in range(runs)])
+            mean = stack.mean(axis=0)
+            per_row = {"bias_sq": ((labels - mean) ** 2).sum(axis=1),
+                       "variance": ((stack - mean) ** 2).sum(axis=2).mean(axis=0),
+                       "mse": ((labels - stack) ** 2).sum(axis=2).mean(axis=0)}
+            whole = bias_variance_decompose(stack, labels).to_json_dict()
+            group_of = rng.integers(0, 3, size=samples)
+            weighted = dict.fromkeys(per_row, 0.0)
+            for group in np.unique(group_of):
+                rows = group_of == group
+                terms = bias_variance_decompose(stack[:, rows], labels[rows]).to_json_dict()
+                for term, values in per_row.items():
+                    assert abs(terms[term] - values[rows].mean()) <= 1e-12
+                    weighted[term] += terms[term] * rows.sum() / samples
+            for term in per_row:
+                assert abs(weighted[term] - whole[term]) <= 1e-12
 
     def test_json_serialization(self):
         labels = labels_one_hot(np.array([0]), 2)

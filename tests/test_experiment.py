@@ -23,9 +23,11 @@ from damel.evaluation import EvalReport, bias_variance_decompose, labels_one_hot
 from damel.experiment import (
     CHECKPOINT_MAGIC,
     SUITES,
+    SUMMARY_COLUMNS,
     RunRecord,
     aggregate_report,
     build_damel_config,
+    cell_summary,
     config_hash,
     config_to_dict,
     decode_checkpoint,
@@ -1124,6 +1126,27 @@ class TestSweep:
             run_seed_sweep(cfg, workers=2, sweep_dir=tmp_path / "kept" / "sweep" / "default")
         assert list((tmp_path / "kept").iterdir()) == []
 
+    def test_cell_summary_rebuilds_the_sweep_from_disk(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[2, 0, 1]))
+        summary, records = run_seed_sweep(cfg)
+        assert [r.seed for r in records] == [2, 0, 1]
+        sweep_dir = Path(cfg.output_dir) / "sweep" / "default"
+        payload = json.loads((sweep_dir / "summary.json").read_text())
+        assert payload["seeds"] == [2, 0, 1]
+        loaded = [experiment._load_run_record(path) for path in sorted(sweep_dir.glob("*/run.json"))]
+        assert cell_summary(loaded)["decomposition"] is None  # run.json carries no predictions
+        labels = np.load(sweep_dir / "test_labels_onehot.npy").argmax(axis=1)
+        for record in loaded:
+            predictions = np.load(sweep_dir / str(record.seed) / "onehot.npy").argmax(axis=1)
+            record.eval_report = replace(record.eval_report, predictions=predictions, labels=labels)
+        rebuilt = cell_summary(loaded)
+        for term in ("bias_sq", "variance", "mse"):
+            assert getattr(rebuilt["decomposition"], term) == payload[term] == getattr(summary, term)
+        _, rows = aggregate_report(cfg.output_dir)
+        assert rows[0][:3] == ["sweep", "default", "0 1 2"] and rebuilt["seeds"] == [0, 1, 2]
+        assert [float(v) if v else None for v in rows[0][3:]] == [rebuilt[c] for c in SUMMARY_COLUMNS[3:]]
+        assert cell_summary(loaded[:1])["decomposition"] is None
+
     def test_duplicate_seeds_rejected_before_any_run(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path))
         sweep_dir = tmp_path / "sweep"
@@ -1306,15 +1329,20 @@ class TestSuites:
         assert blobs[0] == blobs[1]
 
     def test_report_rows_match_suite_rows(self, tmp_path):
-        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0, 1]))
-        _, suite_rows = run_ablation_suite(cfg, "table7", workers=2)
-        # --dir may be any level of the tree: the root, a suite or a cell.
-        for root in (Path(cfg.output_dir), Path(cfg.output_dir) / "table7"):
-            csv_path, report_rows = aggregate_report(root)
-            assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
-            assert len(csv_path.read_text().splitlines()) == 1 + len(suite_rows)
-        _, cell_rows = aggregate_report(Path(cfg.output_dir) / "table7" / "epoch")
-        assert cell_rows == [row for row in suite_rows if row[1] == "epoch"]
+        # A cell is a set of runs: its row does not depend on the order of the
+        # config's seeds, so an unsorted list gives the same bytes in both CSVs.
+        for seeds in ([0, 1], [7, 3, 11, 0, 5]):
+            out = tmp_path / "_".join(map(str, seeds))
+            cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=seeds, output_dir=str(out)))
+            suite_csv, suite_rows = run_ablation_suite(cfg, "table7", workers=2)
+            assert {row[2] for row in suite_rows} == {" ".join(map(str, sorted(seeds)))}
+            # --dir may be any level of the tree: the root, a suite or a cell.
+            for root in (out, out / "table7"):
+                csv_path, report_rows = aggregate_report(root)
+                assert {row[1]: row for row in report_rows} == {row[1]: row for row in suite_rows}
+                assert sorted(csv_path.read_bytes().splitlines()) == sorted(suite_csv.read_bytes().splitlines())
+            _, cell_rows = aggregate_report(out / "table7" / "epoch")
+            assert cell_rows == [row for row in suite_rows if row[1] == "epoch"]
 
     def test_report_orders_seeds_numerically(self, tmp_path):
         cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=list(range(11))))
@@ -1464,6 +1492,38 @@ class TestCli:
             assert cli_main(["report", "--dir", str(root)]) == 1
             assert capsys.readouterr().err == f"config error: report: no run records under {root}\n"
             assert not (root / "report.csv").exists()
+
+    def test_report_refuses_a_cell_of_two_configs(self, tmp_path, capsys):
+        # ``damel run`` of two configs into one output_dir fills one cell.
+        for seed, epochs in ((0, 1), (1, 2)):
+            run_single(parse_config(small_raw(tmp_path, train={"epochs": epochs})), seed)
+        root, cell = tmp_path / "runs", tmp_path / "runs" / "single" / "default"
+        message = f"report: {cell / '0' / 'run.json'} and {cell / '1' / 'run.json'} come from two configs in one cell"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            aggregate_report(root)
+        capsys.readouterr()
+        assert cli_main(["report", "--dir", str(root)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(root.rglob("report.csv")) == []
+        # A narrower --dir reports each config's runs on their own.
+        assert cli_main(["report", "--dir", str(cell / "1")]) == 0
+
+    def test_report_refuses_a_cell_that_repeats_a_seed(self, tmp_path, capsys):
+        # Two trees that share suite and cell names, under one --dir.
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        root = tmp_path / "both"
+        for tree in ("a", "b"):
+            run_single(cfg, 0, run_dir=root / tree / "table7" / "epoch" / "0")
+        first, second = (root / tree / "table7" / "epoch" / "0" / "run.json" for tree in ("a", "b"))
+        message = f"report: {first} and {second} repeat seed 0 in one cell"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            aggregate_report(root)
+        capsys.readouterr()
+        assert cli_main(["report", "--dir", str(root)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(root.rglob("report.csv")) == []
+        assert cli_main(["report", "--dir", str(root / "a")]) == 0
+        assert (root / "a" / "report.csv").read_text().splitlines()[1].startswith("table7,epoch,0,")
 
     def test_non_integer_seed_list_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
