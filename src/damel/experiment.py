@@ -537,8 +537,6 @@ class RunRecord:
     seed: int
     wall_seconds: float
     eval_report: EvalReport
-    metrics_path: str
-    checkpoint_path: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -546,17 +544,14 @@ class RunRecord:
             "seed": self.seed,
             "wall_seconds": self.wall_seconds,
             "eval": self.eval_report.to_json_dict(),
-            "metrics_csv": self.metrics_path,
-            "checkpoint": self.checkpoint_path,
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunRecord":
-        """A record read back from JSON; a field of the wrong type is a
-        ConfigError or, inside ``eval``, a ValueError naming it."""
+        """A record read back from JSON, keys it does not use ignored; a field
+        of the wrong type is a ConfigError or, inside ``eval``, a ValueError naming it."""
         _check_seed(payload["seed"], "seed")
-        for name, kind in (("config_hash", str), ("wall_seconds", float),
-                           ("metrics_csv", str), ("checkpoint", str)):
+        for name, kind in (("config_hash", str), ("wall_seconds", float)):
             if not _value_fits(kind, payload[name]):
                 raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {payload[name]!r}")
         return cls(
@@ -564,12 +559,10 @@ class RunRecord:
             seed=payload["seed"],
             wall_seconds=payload["wall_seconds"],
             eval_report=EvalReport.from_json_dict(payload["eval"]),
-            metrics_path=payload["metrics_csv"],
-            checkpoint_path=payload["checkpoint"],
         )
 
 
-def _write_metrics_csv(path, metrics, num_experts: int) -> None:
+def _write_metrics(path, metrics, num_experts: int) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -623,12 +616,10 @@ def run_single(cfg: ExperimentConfig, seed: int, run_dir=None) -> RunRecord:
         seed=seed,
         wall_seconds=time.perf_counter() - started,
         eval_report=report,
-        metrics_path=str(run_dir / "metrics.csv"),
-        checkpoint_path=str(run_dir / "checkpoint.bin"),
     )
     stage = Path(tempfile.mkdtemp(prefix=".damel-run-", dir=nearest))
     try:
-        _write_metrics_csv(stage / "metrics.csv", metrics, model_cfg.num_experts)
+        _write_metrics(stage / "metrics.csv", metrics, model_cfg.num_experts)
         (stage / "checkpoint.bin").write_bytes(
             encode_checkpoint(dict(_run_blocks(cfg), seed=seed), model.buffer, averaged))
         report.save_json(stage / "eval.json")
@@ -678,17 +669,26 @@ def _run_job(job) -> RunRecord:
 
 def _run_jobs(jobs, workers=None) -> list:
     """RunRecords of ``(cfg, seed, run_dir, where)`` jobs, in job order. Every
-    seed, source file and run directory is checked, and no two jobs may share
-    a run directory, before any job starts. A pool holds at most one job per worker
-    and is handed the next only when one finishes, so the first failure
-    starts no further job and is raised once the running ones finish."""
+    seed, source file and run directory is checked, no two jobs may share a
+    run directory, and no job's cell may hold a run.json this call does not
+    list, before any job starts. A pool holds at most one job per worker and
+    is handed the next only when one finishes, so the first failure starts no
+    further job and is raised once the running ones finish."""
     taken = set()
     for cfg, seed, run_dir, where in jobs:
         _check_seed(seed, f"{where}: seed")
-        if str(run_dir) in taken:
+        if Path(run_dir) in taken:
             raise ConfigError(f"{where}: seed {seed} is listed twice (run directory {run_dir})")
-        taken.add(str(run_dir))
+        taken.add(Path(run_dir))
         _check_files(cfg.dataset, Path(run_dir))
+    # A cell's summary covers the runs listed here and damel report every run
+    # in the cell, so an earlier run of another seed would make them disagree.
+    for cell, where in {Path(run_dir).parent: where for _, _, run_dir, where in jobs}.items():
+        others = sorted((p.parent.name for p in cell.glob("*/run.json") if p.parent not in taken),
+                        key=lambda name: (len(name), name))
+        if others:
+            raise ConfigError(f"{where}: {cell} holds runs of seeds {' '.join(others)} that are "
+                              "not listed; list them too or use another output_dir")
     workers = resolve_workers(workers, len(jobs))
     if workers == 1:
         return [_run_job(job) for job in jobs]

@@ -73,9 +73,21 @@ def cli_process(argv, cwd=None, **env_updates):
 
 
 def artifacts(root):
-    """Every file under ``root`` but run.json (it holds the wall time), by relative path."""
-    return {p.relative_to(root): p.read_bytes() for p in sorted(Path(root).rglob("*"))
-            if p.is_file() and p.name != "run.json"}
+    """Every file under ``root`` by relative path: its bytes, or for a run.json
+    its record without the wall time, the one field that is not reproducible."""
+    def content(path):
+        if path.name != "run.json":
+            return path.read_bytes()
+        record = json.loads(path.read_text())
+        del record["wall_seconds"]
+        return record
+
+    return {p.relative_to(root): content(p) for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def tree(root):
+    """Every path under ``root``, a file's with its bytes: what a refused call leaves as it was."""
+    return {p: p.read_bytes() if p.is_file() else None for p in Path(root).rglob("*")}
 
 
 def stages(root):
@@ -315,7 +327,10 @@ class TestConfigParsing:
         assert config_hash(default_config()) == "007544365f8f980e960b30b64ef5b29dd9302a0fc6700c5419a03d48eb6c60df"
         # A checkpoint embeds the same run key, so the run writes the same bytes
         # under either seed list and output directory.
-        blobs = [Path(run_single(cfg, seed=0).checkpoint_path).read_bytes() for cfg in (a, b)]
+        for cfg in (a, b):
+            run_single(cfg, seed=0)
+        blobs = [(Path(cfg.output_dir) / "single" / "default" / "0" / "checkpoint.bin").read_bytes()
+                 for cfg in (a, b)]
         assert blobs[0] == blobs[1]
 
 
@@ -335,20 +350,24 @@ class TestRunSingle:
                 float(cell)  # a plain number, never a wrapper such as np.float64(...)
         assert record.config_hash == config_hash(cfg)
 
-    def test_deterministic_artifacts(self, tmp_path):
+    def test_deterministic_artifacts(self, tmp_path, monkeypatch):
+        # Whatever directory a run is written to, and whatever directory the
+        # call starts in, its files are the same, run.json's wall time apart.
         cfg = parse_config(small_raw(tmp_path))
-        blobs = []
-        for attempt in range(2):
-            run_dir = tmp_path / f"attempt{attempt}"
-            run_single(cfg, seed=1, run_dir=run_dir)
-            blobs.append(
-                (
-                    (run_dir / "checkpoint.bin").read_bytes(),
-                    (run_dir / "eval.json").read_bytes(),
-                    (run_dir / "metrics.csv").read_bytes(),
-                )
-            )
-        assert blobs[0] == blobs[1]
+        run_single(cfg, seed=1, run_dir=tmp_path / "a" / "1")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        run_single(cfg, seed=1, run_dir=Path("b") / "deeper" / "tree" / "1")
+        first = artifacts(tmp_path / "a")
+        assert len(first) == 6
+        assert artifacts(tmp_path / "elsewhere" / "b" / "deeper" / "tree") == first
+
+    def test_run_json_names_no_file(self, tmp_path):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}))
+        record = run_single(cfg, seed=0, run_dir=tmp_path / "run")
+        payload = json.loads((tmp_path / "run" / "run.json").read_text())
+        assert sorted(payload) == ["config_hash", "eval", "seed", "wall_seconds"]
+        assert payload == record.to_json_dict()
 
     # The averaged weights drive the evaluation once a snapshot is in, else the trained ones.
     @pytest.mark.parametrize("train, averaged_drives", [
@@ -743,11 +762,9 @@ class TestFileSourceParsedOnce:
         monkeypatch.setattr(experiment, "build_datasets", fresh)
         run_seed_sweep(cfg, workers=1, sweep_dir=tmp_path / "fresh")
         assert len(parses) == 5
-        names = sorted(p.relative_to(tmp_path / "memo") for p in (tmp_path / "memo").rglob("*")
-                       if p.is_file() and p.name != "run.json")
-        assert len(names) == 4 * 5 + 2
-        for name in names:
-            assert (tmp_path / "memo" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        memo = artifacts(tmp_path / "memo")
+        assert len(memo) == 4 * 6 + 2
+        assert artifacts(tmp_path / "fresh") == memo
 
     @staticmethod
     def _cached(cache):
@@ -1376,6 +1393,73 @@ class TestSuites:
         assert EvalReport.from_json_dict(payload["eval"]).to_json_dict() == payload["eval"]
 
 
+class TestCellsHoldOnlyListedRuns:
+    """A suite's or sweep's summary covers the seeds it lists, and damel report
+    every run in the cell, so a call refuses a cell that holds a run of a seed
+    it does not list before it builds any data."""
+
+    CASES = {  # kind: (the first call's seeds, the second call's, the cell the refusal names)
+        "suite": ([0, 1], [0], "table7/iteration"),
+        "sweep": ([0, 1, 2], [3, 4], "sweep/default"),
+    }
+
+    @staticmethod
+    def _run(tmp_path, kind, seeds):
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=seeds))
+        return run_ablation_suite(cfg, "table7") if kind == "suite" else run_seed_sweep(cfg)
+
+    def _message(self, tmp_path, kind):
+        first, second, cell = self.CASES[kind]
+        where, others = cell if kind == "suite" else "sweep", sorted(set(first) - set(second))
+        return (f"{where}: {tmp_path / 'runs' / cell} holds runs of seeds {' '.join(map(str, others))} "
+                "that are not listed; list them too or use another output_dir")
+
+    @pytest.mark.parametrize("kind", ["suite", "sweep"])
+    def test_a_cell_that_holds_an_unlisted_seed_is_refused(self, tmp_path, monkeypatch, kind):
+        first, second, _ = self.CASES[kind]
+        self._run(tmp_path, kind, first)
+        before = tree(tmp_path / "runs")
+        monkeypatch.setattr(experiment, "build_datasets", lambda *args: pytest.fail("data built"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(self._message(tmp_path, kind))}$"):
+            self._run(tmp_path, kind, second)
+        assert tree(tmp_path / "runs") == before  # no new seed directory, the summary kept
+
+    @pytest.mark.parametrize("kind", ["suite", "sweep"])
+    def test_the_refusal_is_one_config_error_line(self, tmp_path, capsys, kind):
+        first, second, _ = self.CASES[kind]
+        path = tmp_path / "cfg.json"
+
+        def cli(seeds):
+            path.write_text(json.dumps(small_raw(tmp_path, train={"epochs": 1}, seeds=seeds)))
+            if kind == "suite":
+                return cli_main(["ablate", "--config", str(path), "--suite", "table7"])
+            return cli_main(["sweep", "--config", str(path), "--seeds", ",".join(map(str, seeds))])
+
+        assert cli(first) == 0
+        before = tree(tmp_path / "runs")
+        capsys.readouterr()
+        assert cli(second) == 1
+        assert capsys.readouterr() == ("", f"config error: {self._message(tmp_path, kind)}\n")
+        assert tree(tmp_path / "runs") == before
+
+    @pytest.mark.parametrize("kind", ["suite", "sweep"])
+    def test_the_same_seeds_or_a_superset_run(self, tmp_path, kind):
+        first, _, cell = self.CASES[kind]
+        self._run(tmp_path, kind, first)
+        # Neither a stage a killed run left nor a directory without run.json is a run.
+        cell = tmp_path / "runs" / cell
+        (cell / ".damel-run-x").mkdir()
+        (cell / ".damel-run-x" / "run.json.tmp").write_text("{}")
+        (cell / "7").mkdir()
+        (cell / "7" / "eval.json").write_text("{}")
+        self._run(tmp_path, kind, first)
+        result = self._run(tmp_path, kind, first + [5])
+        _, rows = aggregate_report(tmp_path / "runs")
+        assert {row[2] for row in rows} == {" ".join(map(str, first + [5]))}
+        if kind == "suite":
+            assert sorted(rows) == sorted(result[1])
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, **overrides):
         raw = small_raw(tmp_path, **overrides)
@@ -1386,9 +1470,10 @@ class TestCli:
     def test_run_command(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
         assert cli_main(["run", "--config", str(path), "--seed", "0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["seed"] == 0
-        assert (Path(raw["output_dir"]) / "single" / "default" / "0" / "run.json").exists()
+        out = capsys.readouterr().out
+        assert json.loads(out)["seed"] == 0
+        # It prints the run's record, the run.json in its directory.
+        assert out == (Path(raw["output_dir"]) / "single" / "default" / "0" / "run.json").read_text() + "\n"
 
     def test_sweep_command(self, tmp_path, capsys):
         path, _ = self._write_cfg(tmp_path, train={"epochs": 1})
@@ -1524,6 +1609,18 @@ class TestCli:
         assert list(root.rglob("report.csv")) == []
         assert cli_main(["report", "--dir", str(root / "a")]) == 0
         assert (root / "a" / "report.csv").read_text().splitlines()[1].startswith("table7,epoch,0,")
+
+    def test_report_reads_a_record_that_names_its_files(self, tmp_path):
+        # run.json once also held the paths of its run's metrics.csv and checkpoint.bin.
+        cfg = parse_config(small_raw(tmp_path, train={"epochs": 1}, seeds=[0, 1]))
+        suite_csv, _ = run_ablation_suite(cfg, "table7")
+        for record in Path(cfg.output_dir).glob("table7/*/*/run.json"):
+            payload = dict(json.loads(record.read_text()), metrics_csv=str(record.parent / "metrics.csv"),
+                           checkpoint=str(record.parent / "checkpoint.bin"))
+            record.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        assert cli_main(["report", "--dir", cfg.output_dir]) == 0
+        report_csv = Path(cfg.output_dir) / "report.csv"
+        assert sorted(report_csv.read_bytes().splitlines()) == sorted(suite_csv.read_bytes().splitlines())
 
     def test_non_integer_seed_list_exit_code(self, tmp_path, capsys):
         path, raw = self._write_cfg(tmp_path, train={"epochs": 1})
@@ -1847,8 +1944,8 @@ def test_cli_contract(tmp_path, argv, blocks, code, pattern):
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     """default_config() cut to 6 epochs runs with OpenBLAS at 1 and 2 threads and
-    with the variable unset, and every artifact but run.json is the same byte
-    for byte, which every comparison of artifact hashes across hosts assumes."""
+    with the variable unset, and every artifact is the same byte for byte (run.json
+    without its wall time), which every comparison of artifact hashes across hosts assumes."""
     raw = config_to_dict(default_config())
     raw["train"]["epochs"] = 6
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
@@ -1860,5 +1957,5 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                            OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         runs.append(artifacts(cwd / "runs"))
-    assert len(runs[0]) == 5
+    assert len(runs[0]) == 6
     assert runs[0] == runs[1] == runs[2]
